@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CoeffSequence, CoefficientDomainError
+from .core import CoeffSequence
 
 __all__ = [
     "DIVERGE_THRESHOLD",
@@ -48,35 +48,17 @@ def _inv_a_array(seq: CoeffSequence, N: int) -> np.ndarray:
     The convex-sequence construction has c(n) so close to 1 that
     1 - c(n) carries no information in double precision (c(n) rounds to
     exactly 1.0 near n = 105 for the default parameters); its spec
-    carries the recurrence in exact rational arithmetic, and 1/a(n)
-    rounded from the exact value stays a perfectly ordinary float.
-    Other sequences with an alpha override are rebuilt through the chain
-    c(n) = alpha(n)^2 / a(n-1), which is only viable while a(n) keeps
-    clear of machine epsilon.
+    carries the recurrence exactly, and 1/a(n) rounded from the exact
+    value stays a perfectly ordinary float.  Every other sequence reads
+    1/a(n) off its float coefficients.
     """
     spec = getattr(seq, "convex_spec", None)
-    if spec is not None:
-        inv = np.empty(N + 1)
-        inv[0] = 1.0
-        for n in range(1, N + 1):
-            inv[n] = spec.inv_a(n)
-        return inv
-    if seq.alpha_override is None:
+    if spec is None:
         return 1.0 / seq.a_array(N)
     inv = np.empty(N + 1)
     inv[0] = 1.0
-    a_prev = 1.0
     for n in range(1, N + 1):
-        al = seq.alpha_override(n)
-        a_cur = 1.0 - al * al / a_prev
-        if a_cur <= 1e-13:
-            raise CoefficientDomainError(
-                f"a({n}) = {a_cur!r} is numerically degenerate for family "
-                f"{seq.family_tag!r}; reconstruction from alpha alone only "
-                f"reaches degree {n - 1}"
-            )
-        inv[n] = 1.0 / a_cur
-        a_prev = a_cur
+        inv[n] = spec.inv_a(n)
     return inv
 
 

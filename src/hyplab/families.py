@@ -127,6 +127,37 @@ def geometric_sequence(s0: float, q: float) -> Callable[[int], float]:
     return lambda k: s0 * q**k
 
 
+# Exact values of the convex backbone are dyadic rationals, carried as
+# (mantissa, exponent) pairs meaning mantissa * 2**exponent.  Sums align
+# exponents, products add them, and no step needs a gcd.
+_ONE = (1, 0)
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    (m, e), (k, f) = x, y
+    if e <= f:
+        return m - (k << (f - e)), e
+    return (m << (e - f)) - k, f
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] + y[1]
+
+
+def _quot(x: tuple, y: tuple) -> float:
+    """x / y correctly rounded, by one integer true division."""
+    (m, e), (k, f) = x, y
+    d = e - f
+    return (m << d) / k if d >= 0 else m / (k << -d)
+
+
+def _ratio(x: tuple, y: tuple) -> Fraction:
+    """x / y as a Fraction (one gcd, on output only)."""
+    (m, e), (k, f) = x, y
+    d = e - f
+    return Fraction(m << d, k) if d >= 0 else Fraction(m, k << -d)
+
+
 @dataclass(eq=False)
 class ConvexSeqSpec:
     """Convex-sequence construction data.
@@ -141,14 +172,24 @@ class ConvexSeqSpec:
     sequence P_n = Q_n / Q_n(1) has c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1)
     and Haar weights h(n) = Q_n(1)^2.
 
-    Everything is carried in exact rational arithmetic and rounded only on
-    output.  The weights satisfy lambda_{2n-1} + lambda_{2n} = lambda_{2n+2}
+    The weights satisfy lambda_{2n-1} + lambda_{2n} = lambda_{2n+2}
     identically, so the admissibility of the sequence sits on a boundary: a
     float-rounded lambda chain drifts off it and produces a(n) < 0 once the
     true a(n) falls below machine epsilon (n around 105 for the default
-    parameters).  Because every float is a dyadic rational, converting the
-    supplied s-values via Fraction is exact and cheap, and a(n), 1/a(n),
-    c(n) and h(n) stay correct at any depth.
+    parameters).  So the backbone is exact and rounds only on output.
+
+    Every float is a dyadic rational, so every lambda is one too, and the
+    backbone carries integer mantissas over powers of two: the values
+    R_n = sigma_n(1) of the monic polynomials, R_0 = R_1 = 1,
+    R_{n+1} = R_n - lambda_{n-1}^2 R_{n-1}, and the products
+    Pi_n = lambda_0 ... lambda_{n-1}.  Then
+
+        1/a(n) = R_n / R_{n+1},    c(n) = (R_n - R_{n+1}) / R_n,
+        Q_n(1) = R_n / Pi_n,       h(n) = Q_n(1)^2,
+
+    each rounded once by integer true division, which is correctly
+    rounded.  No step reduces by a gcd.  The ``*_exact`` methods return
+    these values as :class:`~fractions.Fraction`.
     """
 
     s: Callable[[int], float]
@@ -156,87 +197,109 @@ class ConvexSeqSpec:
     validate: bool = True
     _s_cache: list = field(default_factory=list, repr=False)
     _lam: list = field(default_factory=list, repr=False)
-    _q1: list = field(default_factory=list, repr=False)
+    # R_0..R_{n+1} and Pi_0..Pi_n once Q_j(1) > 0 is known for j <= n
+    _r: list = field(default_factory=lambda: [_ONE, _ONE], repr=False)
+    _pi: list = field(default_factory=lambda: [_ONE], repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
-    def _s_at(self, k: int) -> Fraction:
+    def _s_at(self, k: int) -> tuple:
         with self._lock:
             while len(self._s_cache) <= k:
                 j = len(self._s_cache)
-                val = Fraction(self.s(j))
+                num, den = Fraction(self.s(j)).as_integer_ratio()
+                if den & (den - 1):
+                    raise FamilyParameterError(
+                        f"convex sequence must be dyadic (floats); s({j}) = "
+                        f"{num}/{den}"
+                    )
+                val = (num, 1 - den.bit_length())
                 if self.validate:
-                    if not 0 < val < 1:
+                    if not 0 < num < den:
                         raise FamilyParameterError(
                             f"convex sequence must stay in (0, 1); s({j}) = "
-                            f"{float(val)!r}"
+                            f"{_quot(val, _ONE)!r}"
                         )
-                    if j >= 1 and not val < self._s_cache[j - 1]:
+                    if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
                         raise FamilyParameterError(
                             f"convex sequence must be strictly decreasing; "
-                            f"s({j - 1}) = {float(self._s_cache[j - 1])!r}, "
-                            f"s({j}) = {float(val)!r}"
+                            f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
+                            f"s({j}) = {_quot(val, _ONE)!r}"
                         )
                 self._s_cache.append(val)
                 if self.validate and j >= 2:
-                    second = self._s_cache[j - 2] - 2 * self._s_cache[j - 1] + val
-                    if second < 0:
+                    s2, s1 = self._s_cache[j - 2], self._s_cache[j - 1]
+                    second = _sub(_sub(s2, s1), _sub(s1, val))
+                    if second[0] < 0:
                         raise FamilyParameterError(
                             f"convex sequence must be convex; second difference "
-                            f"at k={j - 2} is {float(second)!r}"
+                            f"at k={j - 2} is {_quot(second, _ONE)!r}"
                         )
             return self._s_cache[k]
 
-    def lam_exact(self, n: int) -> Fraction:
-        """Recurrence weight lambda_n, n >= 0, as an exact rational."""
+    def _lam_at(self, n: int) -> tuple:
         with self._lock:
             while len(self._lam) <= n:
                 j = len(self._lam)
                 if j % 2 == 0:
-                    val = 1 - self._s_at(j // 2)
+                    val = _sub(_ONE, self._s_at(j // 2))
                 else:
                     k = (j + 1) // 2  # lambda_{2k-1} = s_k - s_{k+1}
-                    val = self._s_at(k) - self._s_at(k + 1)
+                    val = _sub(self._s_at(k), self._s_at(k + 1))
                 self._lam.append(val)
             return self._lam[n]
 
+    def _extend(self, n: int) -> None:
+        """Fill R up to index n+1 and Pi up to n, checking Q_j(1) > 0."""
+        with self._lock:
+            r, pi = self._r, self._pi
+            while len(pi) <= n:
+                j = len(pi)
+                lam = self._lam_at(j - 1)
+                p = _mul(pi[j - 1], lam)
+                if p[0] == 0:
+                    raise ZeroDivisionError(
+                        f"convex construction broke down: lambda_{j - 1} = 0"
+                    )
+                if r[j][0] == 0 or (r[j][0] > 0) != (p[0] > 0):
+                    raise FamilyParameterError(
+                        f"convex construction broke down: Q_{j}(1) = "
+                        f"{_quot(r[j], p)!r} is not positive"
+                    )
+                r.append(_sub(r[j], _mul(_mul(lam, lam), r[j - 1])))
+                pi.append(p)
+
+    def lam_exact(self, n: int) -> Fraction:
+        """Recurrence weight lambda_n, n >= 0, as an exact rational."""
+        return _ratio(self._lam_at(n), _ONE)
+
     def lam(self, n: int) -> float:
-        return float(self.lam_exact(n))
+        return _quot(self._lam_at(n), _ONE)
 
     def q1_exact(self, n: int) -> Fraction:
         """Q_n(1) as an exact rational."""
-        with self._lock:
-            if not self._q1:
-                self._q1 = [Fraction(1)]
-            while len(self._q1) <= n:
-                j = len(self._q1)
-                if j == 1:
-                    val = 1 / self.lam_exact(0)
-                else:
-                    val = (
-                        self._q1[j - 1] - self.lam_exact(j - 2) * self._q1[j - 2]
-                    ) / self.lam_exact(j - 1)
-                if val <= 0:
-                    raise FamilyParameterError(
-                        f"convex construction broke down: Q_{j}(1) = "
-                        f"{float(val)!r} is not positive"
-                    )
-                self._q1.append(val)
-            return self._q1[n]
+        self._extend(n)
+        return _ratio(self._r[n], self._pi[n])
 
     def q1(self, n: int) -> float:
-        return float(self.q1_exact(n))
+        self._extend(n)
+        return _quot(self._r[n], self._pi[n])
 
     def c_exact(self, n: int) -> Fraction:
-        return self.lam_exact(n - 1) * self.q1_exact(n - 1) / self.q1_exact(n)
+        self._extend(n)
+        r = self._r[n]
+        return _ratio(_sub(r, self._r[n + 1]), r)
 
     def c(self, n: int) -> float:
         """Recurrence coefficient of the normalized sequence."""
-        return float(self.c_exact(n))
+        self._extend(n)
+        r = self._r[n]
+        return _quot(_sub(r, self._r[n + 1]), r)
 
     def a_exact(self, n: int) -> Fraction:
         if n == 0:
             return Fraction(1)
-        return 1 - self.c_exact(n)
+        self._extend(n)
+        return _ratio(self._r[n + 1], self._r[n])
 
     def inv_a(self, n: int) -> float:
         """1/a(n), correctly rounded.
@@ -245,12 +308,14 @@ class ConvexSeqSpec:
         default family hits float c(n) == 1.0 at n = 105) while 1/a(n)
         remains comfortably representable.
         """
-        return float(1 / self.a_exact(n))
+        self._extend(n)
+        return _quot(self._r[n], self._r[n + 1])
 
     def haar(self, n: int) -> float:
         """h(n) = Q_n(1)^2."""
-        q = self.q1_exact(n)
-        return float(q * q)
+        self._extend(n)
+        r, p = self._r[n], self._pi[n]
+        return _quot(_mul(r, r), _mul(p, p))
 
 
 # ---------------------------------------------------------------------------

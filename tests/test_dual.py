@@ -2,6 +2,7 @@
 the degree-2 lower bound, and complex-plane scans."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_divergence_classify_three_verdicts():
     # just outside the support: bounded growth up to small N, undecided
     assert divergence_classify(seq, 1.0 + 1e-9, N=50) in (
         "undecided", "nonmember_diverged")
+
+
+def test_divergence_classify_convex_at_default_degree():
+    # _profile builds 1/a(n) for every n < N = 2000 from the exact backbone
+    # before it iterates; that takes about 1.5 s on a 2-core Xeon, where a
+    # backbone that reduced Fractions by gcd at every step took minutes
+    seq = make_family("convex", eps=0.5)
+    t0 = time.perf_counter()
+    assert divergence_classify(seq, 0.9) == "nonmember_diverged"
+    assert time.perf_counter() - t0 < 60.0
 
 
 class TestComplexScan:

@@ -275,6 +275,57 @@ class TestConvexExact:
             spec.lam(6)
 
 
+def _fraction_backbone(s, nmax):
+    """lambda_n and Q_n(1), n <= nmax, by the rational recurrence
+    x Q_n = lambda_n Q_{n+1} + lambda_{n-1} Q_{n-1} at x = 1, in reduced
+    Fractions: an oracle independent of the dyadic backbone."""
+    sv = [Fraction(s(k)) for k in range(nmax // 2 + 2)]
+    lam = [
+        1 - sv[j // 2] if j % 2 == 0 else sv[(j + 1) // 2] - sv[(j + 1) // 2 + 1]
+        for j in range(nmax)
+    ]
+    q = [Fraction(1), 1 / lam[0]]
+    for j in range(2, nmax + 1):
+        q.append((q[j - 1] - lam[j - 2] * q[j - 2]) / lam[j - 1])
+    return lam, q
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
+    nmax = 300
+    s = geometric_sequence(s0_for_epsilon(eps), q)
+    lam, q1 = _fraction_backbone(s, nmax)
+    spec = make_family("convex", eps=eps, q=q).convex_spec
+    for n in range(1, nmax + 1):
+        # c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1) as an unreduced quotient;
+        # int / int rounds correctly, as Fraction.__float__ does
+        a, b = q1[n - 1], q1[n]
+        num = lam[n - 1].numerator * a.numerator * b.denominator
+        den = lam[n - 1].denominator * a.denominator * b.numerator
+        assert spec.q1_exact(n) == b
+        assert spec.c(n).hex() == (num / den).hex()
+        assert spec.inv_a(n).hex() == (den / (den - num)).hex()
+        try:
+            h = b.numerator**2 / b.denominator**2
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                spec.haar(n)
+        else:
+            assert spec.haar(n).hex() == h.hex()
+
+
+def test_unchecked_nonpositive_q1_still_raises():
+    # s_k = 0.5 * 1.5**k leaves (0, 1) at k = 2, so lambda_1 < 0 and
+    # Q_2(1) = (1/lambda_0 - lambda_0) / lambda_1 = -4 < 0
+    spec = make_family("convex", s0=0.5, q=1.5, unchecked=True).convex_spec
+    assert spec.inv_a(1) == 4.0 / 3.0
+    with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
+        spec.inv_a(2)
+    with pytest.raises(FamilyParameterError, match="not positive"):
+        spec.haar(9)
+
+
 # ---------------------------------------------------------------------------
 # the parameter region with negative coefficient sums
 

@@ -39,7 +39,7 @@ print("Construction 2: convex weight sequences (discrete measure)")
 print("=" * 68)
 for eps in (0.2, 0.5, 0.8):
     seq = make_family("convex", eps=eps, q=0.5)
-    spec = seq.convex_spec
+    spec = seq.backbone
     h = [spec.haar(n) for n in range(13)]
     nlp = check_nlp(seq, N=14).is_nonnegative
     print(f" eps={eps}:  h(1) = {h[1]:.12f}   nonneg = {nlp}   "

@@ -67,13 +67,11 @@ def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
         return C
     C[1, 1] = 1.0
     for n in range(1, nmax):
-        r = C[n]
+        r = np.append(C[n], (0.0, 0.0))  # r[nmax+1] = r[nmax+2] = 0
         xr = np.zeros(nmax + 1)
         xr[0] = 0.5 * r[1]
-        xr[1] = r[0] + (0.5 * r[2] if nmax >= 2 else 0.0)
-        for j in range(2, n + 2):
-            hi = 0.5 * r[j + 1] if j + 1 <= nmax else 0.0
-            xr[j] = 0.5 * r[j - 1] + hi
+        xr[1] = r[0] + 0.5 * r[2]
+        xr[2:n + 2] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
         C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
     return C
 

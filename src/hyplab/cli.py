@@ -9,8 +9,7 @@ Subcommands::
 
 Output is CSV or JSON only (plotting stays external).  All runs are
 deterministic: fixed grids, fixed degree bounds, no randomness, so a
-repeated invocation is byte-identical.  The ``HYPLAB_THREADS``
-environment variable caps suite parallelism.
+repeated invocation is byte-identical.
 
 Exit codes: 0 all enabled checks passed, 1 configuration error, 2 at
 least one check failed (the failing check is named on stderr).
@@ -393,7 +392,7 @@ def explore_rows(haar_depth: int = 40) -> list[list]:
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         for q in (0.25, 0.5, 0.75):
             seq = make_family("convex", eps=eps, q=q)
-            spec = seq.convex_spec
+            spec = seq.backbone
             h = [spec.haar(n) for n in range(haar_depth + 1)]
             rows.append(
                 [
@@ -421,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hyplab",
         description=__doc__.split("\n\n")[0],
-        epilog="HYPLAB_THREADS caps verify-suite parallelism.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

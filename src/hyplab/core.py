@@ -21,11 +21,13 @@ Three normalizations of the same basis are supported:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .families import ConvexSeqSpec
 
 __all__ = [
     "CoeffSequence",
@@ -70,37 +72,36 @@ class CoeffSequence:
         first access and cached.
     description : str
         Human-readable one-liner.
+    backbone : ConvexSeqSpec, optional
+        Exact recurrence data: :func:`alpha` reads ``lam(n-1)`` and
+        :func:`inv_a_array` reads ``inv_a(n)`` from it instead of the float
+        c(n), whose 1 - c(n) loses all precision once c(n) nears 1.
+
+    The coefficient and Haar caches fill on first access and are not
+    thread-safe.
     """
 
     family_tag: str
     params: dict
     cfunc: Callable[[int], float]
     description: str = ""
+    backbone: "ConvexSeqSpec | None" = field(default=None, repr=False)
     _c_cache: list = field(default_factory=list, repr=False)
     _haar: "HaarWeights | None" = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    # Families built from an orthonormal recurrence can supply alpha(n)
-    # directly; sqrt(c(n) a(n-1)) loses all precision once c(n) is within
-    # machine epsilon of 1, while the alpha themselves stay representable.
-    alpha_override: "Callable[[int], float] | None" = field(
-        default=None, repr=False
-    )
 
     def c(self, n: int) -> float:
         """Validated recurrence coefficient c(n), n >= 1."""
         if n < 1:
             raise IndexError(f"c(n) is defined for n >= 1, got n={n}")
-        if n > len(self._c_cache):
-            with self._lock:
-                while len(self._c_cache) < n:
-                    k = len(self._c_cache) + 1
-                    value = float(self.cfunc(k))
-                    if not 0.0 < value < 1.0:
-                        raise CoefficientDomainError(
-                            f"c({k}) = {value!r} lies outside (0, 1) "
-                            f"for family {self.family_tag!r}"
-                        )
-                    self._c_cache.append(value)
+        while len(self._c_cache) < n:
+            k = len(self._c_cache) + 1
+            value = float(self.cfunc(k))
+            if not 0.0 < value < 1.0:
+                raise CoefficientDomainError(
+                    f"c({k}) = {value!r} lies outside (0, 1) "
+                    f"for family {self.family_tag!r}"
+                )
+            self._c_cache.append(value)
         return self._c_cache[n - 1]
 
     def a(self, n: int) -> float:
@@ -135,7 +136,6 @@ class HaarWeights:
     def __init__(self, seq: CoeffSequence):
         self.seq = seq
         self._values = [1.0]
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -143,17 +143,15 @@ class HaarWeights:
     def value(self, n: int) -> float:
         if n < 0:
             raise IndexError(f"h(n) is defined for n >= 0, got n={n}")
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    k = len(self._values)
-                    h = self._values[-1] * self.seq.a(k - 1) / self.seq.c(k)
-                    if not np.isfinite(h) or h > HAAR_MAX:
-                        raise HaarRangeError(
-                            f"Haar weight h({k}) exceeds {HAAR_MAX:.1e} for "
-                            f"family {self.seq.family_tag!r}"
-                        )
-                    self._values.append(h)
+        while len(self._values) <= n:
+            k = len(self._values)
+            h = self._values[-1] * self.seq.a(k - 1) / self.seq.c(k)
+            if not np.isfinite(h) or h > HAAR_MAX:
+                raise HaarRangeError(
+                    f"Haar weight h({k}) exceeds {HAAR_MAX:.1e} for "
+                    f"family {self.seq.family_tag!r}"
+                )
+            self._values.append(h)
         return self._values[n]
 
     def values(self, nmax: int) -> np.ndarray:
@@ -180,8 +178,8 @@ def alpha(seq: CoeffSequence, n: int) -> float:
     """Orthonormal recurrence coefficient alpha(n) = sqrt(c(n) a(n-1)), n >= 1."""
     if n < 1:
         raise IndexError(f"alpha(n) is defined for n >= 1, got n={n}")
-    if seq.alpha_override is not None:
-        return float(seq.alpha_override(n))
+    if seq.backbone is not None:
+        return seq.backbone.lam(n - 1)
     return float(np.sqrt(seq.c(n) * seq.a(n - 1)))
 
 
@@ -189,12 +187,22 @@ def alpha_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
     """alpha(1..nmax); index 0 is NaN."""
     out = np.empty(nmax + 1)
     out[0] = np.nan
-    if seq.alpha_override is not None:
-        out[1:] = [seq.alpha_override(n) for n in range(1, nmax + 1)]
+    if seq.backbone is not None:
+        out[1:] = [seq.backbone.lam(n) for n in range(nmax)]
         return out
     c = seq.c_array(nmax)
     a = seq.a_array(nmax)
     out[1:] = np.sqrt(c[1:] * a[:-1])
+    return out
+
+
+def inv_a_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
+    """1/a(0..nmax); 1/a(0) = 1."""
+    if seq.backbone is None:
+        return 1.0 / seq.a_array(nmax)
+    out = np.empty(nmax + 1)
+    out[0] = 1.0
+    out[1:] = [seq.backbone.inv_a(n) for n in range(1, nmax + 1)]
     return out
 
 
@@ -211,64 +219,47 @@ def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> EvalRow
     """Evaluate degrees 0..N of the basis at a scalar point x.
 
     ``norm`` selects the normalization: ``"P"`` (value 1 at x=1),
-    ``"orthonormal"`` or ``"monic"``.
+    ``"orthonormal"`` or ``"monic"``.  This is the one-point column of
+    :func:`eval_basis_grid`.
     """
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
     x = float(x)
-    vals = np.empty(N + 1)
-    vals[0] = 1.0
-    if N == 0:
-        return EvalRow(x, norm, vals)
-    if norm == "P":
-        vals[1] = x
-        for n in range(1, N):
-            vals[n + 1] = (x * vals[n] - seq.c(n) * vals[n - 1]) / seq.a(n)
-    elif norm == "orthonormal":
-        al = alpha_array(seq, max(N, 1))
-        vals[1] = x / al[1]
-        for n in range(1, N):
-            vals[n + 1] = (x * vals[n] - al[n] * vals[n - 1]) / al[n + 1]
-    else:  # monic
-        vals[1] = x
-        for n in range(1, N):
-            lam = seq.c(n) * seq.a(n - 1)
-            vals[n + 1] = x * vals[n] - lam * vals[n - 1]
-    return EvalRow(x, norm, vals)
+    return EvalRow(x, norm, eval_basis_grid(seq, N, np.array([x]), norm)[:, 0])
 
 
 def eval_basis_grid(
     seq: CoeffSequence, N: int, x: np.ndarray, norm: str = "P"
 ) -> np.ndarray:
-    """Vectorized variant of :func:`eval_basis`.
+    """Evaluate degrees 0..N of the basis on a grid of points.
 
     Returns an array of shape ``(N+1, len(x))`` whose row n holds the
-    degree-n values on the grid.
+    degree-n values on the grid.  Only the coefficients the recurrence
+    uses are requested: c(1..N-1) for ``"P"`` and ``"monic"``, alpha(1..N)
+    for ``"orthonormal"``.
     """
     if norm not in _NORMS:
         raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     x = np.asarray(x, dtype=float)
     out = np.empty((N + 1, x.size), dtype=float)
     out[0] = 1.0
     if N == 0:
         return out
-    if norm == "P":
-        c = seq.c_array(max(N, 1))
-        a = seq.a_array(max(N, 1))
-        out[1] = x
-        for n in range(1, N):
-            out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]
-    elif norm == "orthonormal":
-        al = alpha_array(seq, max(N, 1))
+    if norm == "orthonormal":
+        al = alpha_array(seq, N)
         out[1] = x / al[1]
         for n in range(1, N):
             out[n + 1] = (x * out[n] - al[n] * out[n - 1]) / al[n + 1]
+        return out
+    out[1] = x
+    if N == 1:
+        return out
+    c = seq.c_array(N - 1)
+    a = seq.a_array(N - 1)
+    if norm == "P":
+        for n in range(1, N):
+            out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]
     else:
-        c = seq.c_array(max(N, 1))
-        a = seq.a_array(max(N, 1))
-        out[1] = x
         for n in range(1, N):
             out[n + 1] = x * out[n] - (c[n] * a[n - 1]) * out[n - 1]
     return out

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CoeffSequence
+from .core import CoeffSequence, inv_a_array
 
 __all__ = [
     "DIVERGE_THRESHOLD",
@@ -42,26 +42,6 @@ DIVERGE_THRESHOLD = 1e6
 _COMPRESS_EVERY = 16
 
 
-def _inv_a_array(seq: CoeffSequence, N: int) -> np.ndarray:
-    """1/a(n) for n = 0..N as floats.
-
-    The convex-sequence construction has c(n) so close to 1 that
-    1 - c(n) carries no information in double precision (c(n) rounds to
-    exactly 1.0 near n = 105 for the default parameters); its spec
-    carries the recurrence exactly, and 1/a(n) rounded from the exact
-    value stays a perfectly ordinary float.  Every other sequence reads
-    1/a(n) off its float coefficients.
-    """
-    spec = getattr(seq, "convex_spec", None)
-    if spec is None:
-        return 1.0 / seq.a_array(N)
-    inv = np.empty(N + 1)
-    inv[0] = 1.0
-    for n in range(1, N + 1):
-        inv[n] = spec.inv_a(n)
-    return inv
-
-
 def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     """max_n<=N |P_n(z)| per point, frozen once it exceeds threshold.
 
@@ -73,7 +53,7 @@ def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     zs = np.asarray(zs)
     shape = zs.shape
     z = zs.ravel()
-    inv_a = _inv_a_array(seq, N - 1 if N > 0 else 0)
+    inv_a = inv_a_array(seq, N - 1 if N > 0 else 0)
     out = np.ones(z.size, dtype=float)
     dvg = np.zeros(z.size, dtype=np.int32)
     idx = np.arange(z.size)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -200,73 +199,69 @@ class ConvexSeqSpec:
     # R_0..R_{n+1} and Pi_0..Pi_n once Q_j(1) > 0 is known for j <= n
     _r: list = field(default_factory=lambda: [_ONE, _ONE], repr=False)
     _pi: list = field(default_factory=lambda: [_ONE], repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def _s_at(self, k: int) -> tuple:
-        with self._lock:
-            while len(self._s_cache) <= k:
-                j = len(self._s_cache)
-                num, den = Fraction(self.s(j)).as_integer_ratio()
-                if den & (den - 1):
+        while len(self._s_cache) <= k:
+            j = len(self._s_cache)
+            num, den = Fraction(self.s(j)).as_integer_ratio()
+            if den & (den - 1):
+                raise FamilyParameterError(
+                    f"convex sequence must be dyadic (floats); s({j}) = "
+                    f"{num}/{den}"
+                )
+            val = (num, 1 - den.bit_length())
+            if self.validate:
+                if not 0 < num < den:
                     raise FamilyParameterError(
-                        f"convex sequence must be dyadic (floats); s({j}) = "
-                        f"{num}/{den}"
+                        f"convex sequence must stay in (0, 1); s({j}) = "
+                        f"{_quot(val, _ONE)!r}"
                     )
-                val = (num, 1 - den.bit_length())
-                if self.validate:
-                    if not 0 < num < den:
-                        raise FamilyParameterError(
-                            f"convex sequence must stay in (0, 1); s({j}) = "
-                            f"{_quot(val, _ONE)!r}"
-                        )
-                    if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
-                        raise FamilyParameterError(
-                            f"convex sequence must be strictly decreasing; "
-                            f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
-                            f"s({j}) = {_quot(val, _ONE)!r}"
-                        )
-                self._s_cache.append(val)
-                if self.validate and j >= 2:
-                    s2, s1 = self._s_cache[j - 2], self._s_cache[j - 1]
-                    second = _sub(_sub(s2, s1), _sub(s1, val))
-                    if second[0] < 0:
-                        raise FamilyParameterError(
-                            f"convex sequence must be convex; second difference "
-                            f"at k={j - 2} is {_quot(second, _ONE)!r}"
-                        )
-            return self._s_cache[k]
+                if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
+                    raise FamilyParameterError(
+                        f"convex sequence must be strictly decreasing; "
+                        f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
+                        f"s({j}) = {_quot(val, _ONE)!r}"
+                    )
+            self._s_cache.append(val)
+            if self.validate and j >= 2:
+                s2, s1 = self._s_cache[j - 2], self._s_cache[j - 1]
+                second = _sub(_sub(s2, s1), _sub(s1, val))
+                if second[0] < 0:
+                    raise FamilyParameterError(
+                        f"convex sequence must be convex; second difference "
+                        f"at k={j - 2} is {_quot(second, _ONE)!r}"
+                    )
+        return self._s_cache[k]
 
     def _lam_at(self, n: int) -> tuple:
-        with self._lock:
-            while len(self._lam) <= n:
-                j = len(self._lam)
-                if j % 2 == 0:
-                    val = _sub(_ONE, self._s_at(j // 2))
-                else:
-                    k = (j + 1) // 2  # lambda_{2k-1} = s_k - s_{k+1}
-                    val = _sub(self._s_at(k), self._s_at(k + 1))
-                self._lam.append(val)
-            return self._lam[n]
+        while len(self._lam) <= n:
+            j = len(self._lam)
+            if j % 2 == 0:
+                val = _sub(_ONE, self._s_at(j // 2))
+            else:
+                k = (j + 1) // 2  # lambda_{2k-1} = s_k - s_{k+1}
+                val = _sub(self._s_at(k), self._s_at(k + 1))
+            self._lam.append(val)
+        return self._lam[n]
 
     def _extend(self, n: int) -> None:
         """Fill R up to index n+1 and Pi up to n, checking Q_j(1) > 0."""
-        with self._lock:
-            r, pi = self._r, self._pi
-            while len(pi) <= n:
-                j = len(pi)
-                lam = self._lam_at(j - 1)
-                p = _mul(pi[j - 1], lam)
-                if p[0] == 0:
-                    raise ZeroDivisionError(
-                        f"convex construction broke down: lambda_{j - 1} = 0"
-                    )
-                if r[j][0] == 0 or (r[j][0] > 0) != (p[0] > 0):
-                    raise FamilyParameterError(
-                        f"convex construction broke down: Q_{j}(1) = "
-                        f"{_quot(r[j], p)!r} is not positive"
-                    )
-                r.append(_sub(r[j], _mul(_mul(lam, lam), r[j - 1])))
-                pi.append(p)
+        r, pi = self._r, self._pi
+        while len(pi) <= n:
+            j = len(pi)
+            lam = self._lam_at(j - 1)
+            p = _mul(pi[j - 1], lam)
+            if p[0] == 0:
+                raise ZeroDivisionError(
+                    f"convex construction broke down: lambda_{j - 1} = 0"
+                )
+            if r[j][0] == 0 or (r[j][0] > 0) != (p[0] > 0):
+                raise FamilyParameterError(
+                    f"convex construction broke down: Q_{j}(1) = "
+                    f"{_quot(r[j], p)!r} is not positive"
+                )
+            r.append(_sub(r[j], _mul(_mul(lam, lam), r[j - 1])))
+            pi.append(p)
 
     def lam_exact(self, n: int) -> Fraction:
         """Recurrence weight lambda_n, n >= 0, as an exact rational."""
@@ -472,15 +467,13 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
         spec = ConvexSeqSpec(
             geometric_sequence(s0, q), dict(shown), validate=not unchecked
         )
-        seq = CoeffSequence(
+        return CoeffSequence(
             "convex",
             dict(shown),
             spec.c,
             f"convex-sequence construction, s_k = {s0:.12g} * {q:.12g}**k",
+            backbone=spec,
         )
-        seq.convex_spec = spec
-        seq.alpha_override = lambda n: spec.lam(n - 1)
-        return seq
 
     if tag == "custom":
         cfunc = params.pop("cfunc", None)

@@ -11,9 +11,7 @@ tests.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,6 @@ __all__ = [
     "CRITERIA",
     "SUITES",
     "run_suite",
-    "thread_count",
 ]
 
 
@@ -50,18 +47,6 @@ class CriterionResult:
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.key} {self.title}: {self.detail} ({self.elapsed:.1f}s)"
-
-
-def thread_count() -> int:
-    """Worker cap for suite runs; honors the HYPLAB_THREADS env var."""
-    raw = os.environ.get("HYPLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n >= 1:
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 _CLOSED_FORM_FAMILIES = [
@@ -130,7 +115,7 @@ def counterexample_haar_growth() -> CriterionResult:
         inner = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         worst = max(worst, abs(haar_values(inner, 1)[1] - (1.0 + eps)))
         conv = make_family("convex", eps=eps)
-        spec = conv.convex_spec
+        spec = conv.backbone
         worst = max(worst, abs(spec.haar(1) - (1.0 + eps)))
         h = [spec.haar(n) for n in range(0, 61)]
         if not all(h[n] < h[n + 1] for n in range(0, 60)):
@@ -457,12 +442,7 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CriterionResult]:
-    """Run one suite, parallel across criteria, results in fixed order."""
+    """Run one suite serially, results in suite order."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    funcs = SUITES[name]
-    workers = min(thread_count(), len(funcs))
-    if workers <= 1:
-        return [fn() for fn in funcs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda fn: fn(), funcs))
+    return [fn() for fn in SUITES[name]]

@@ -36,6 +36,45 @@ def test_rows_reproduce_values():
         assert np.allclose(C @ tvals, vals, rtol=1e-12, atol=1e-12)
 
 
+def reference_connection(seq, nmax):
+    """connection_coeffs with the multiplication by x written entry by entry."""
+    C = np.zeros((nmax + 1, nmax + 1))
+    C[0, 0] = 1.0
+    if nmax == 0:
+        return C
+    C[1, 1] = 1.0
+    for n in range(1, nmax):
+        r = C[n]
+        xr = np.zeros(nmax + 1)
+        xr[0] = 0.5 * r[1]
+        xr[1] = r[0] + 0.5 * r[2]
+        for j in range(2, n + 2):
+            hi = 0.5 * r[j + 1] if j + 1 <= nmax else 0.0
+            xr[j] = 0.5 * r[j - 1] + hi
+        C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
+    return C
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("cheb1", {}),
+    ("gencheb", dict(alpha=-0.25, beta=-5.0 / 6.0)),
+    ("cosh", dict(a=1.0)),
+    ("grinspun", dict(c1=0.7)),
+    ("km", dict(alpha=5.0, beta=5.0)),
+    ("modkm", dict(alpha=2.0, beta=5.0)),
+    ("convex", dict(eps=0.5)),
+])
+def test_connection_bitwise_equals_entrywise_recurrence(tag, params):
+    # convex rows overflow to inf and NaN well before nmax = 100
+    seq = make_family(tag, **params)
+    for nmax in (0, 1, 2, 3, 100):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = connection_coeffs(seq, nmax)
+            want = reference_connection(seq, nmax)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_grinspun_two_term_rows():
     # P_n = (1/(2-2c)) T_n + ((1-2c)/(2-2c)) T_{n-2} for n >= 2
     for c1 in (0.3, 0.7):

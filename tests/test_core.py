@@ -22,8 +22,28 @@ from hyplab.core import (
 from hyplab.families import make_family
 
 
+NORMS = ("P", "orthonormal", "monic")
+
+
 def const_seq(cval):
     return CoeffSequence("custom", {"c": cval}, lambda n: cval)
+
+
+def reference_basis(seq, N, x, norm):
+    """Degrees 0..N at one point by the three-term recurrence in Python
+    floats, reading one coefficient at a time."""
+    vals = [1.0]
+    if N >= 1:
+        vals.append(x / alpha(seq, 1) if norm == "orthonormal" else x)
+    for n in range(1, N):
+        if norm == "P":
+            nxt = (x * vals[n] - seq.c(n) * vals[n - 1]) / seq.a(n)
+        elif norm == "orthonormal":
+            nxt = (x * vals[n] - alpha(seq, n) * vals[n - 1]) / alpha(seq, n + 1)
+        else:
+            nxt = x * vals[n] - seq.c(n) * seq.a(n - 1) * vals[n - 1]
+        vals.append(nxt)
+    return np.array(vals)
 
 
 class TestDomains:
@@ -113,10 +133,23 @@ class TestNormalizations:
     def test_grid_matches_scalar(self):
         seq = make_family("modkm", alpha=8.0, beta=5.0)
         xs = np.linspace(-1, 1, 17)
-        grid = eval_basis_grid(seq, 25, xs)
-        for j, x in enumerate(xs):
-            assert np.allclose(grid[:, j], eval_basis(seq, 25, x).values,
-                               rtol=0, atol=1e-12)
+        for norm in NORMS:
+            grid = eval_basis_grid(seq, 25, xs, norm)
+            for j, x in enumerate(xs):
+                assert np.array_equal(grid[:, j],
+                                      eval_basis(seq, 25, x, norm).values)
+
+    def test_degree_n_reads_c_below_n_only(self):
+        # c(55) of this family rounds to 1.0 in floats; degree 55 of the
+        # "P" and "monic" bases needs c(1..54) only
+        seq = make_family("convex", eps=0.5, q=0.25)
+        for norm in ("P", "monic"):
+            grid = eval_basis_grid(seq, 55, np.array([0.3]), norm)
+            assert np.all(np.isfinite(grid))
+            assert np.array_equal(eval_basis(seq, 55, 0.3, norm).values,
+                                  grid[:, 0])
+        with pytest.raises(CoefficientDomainError):
+            seq.c(55)
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
@@ -165,6 +198,30 @@ class TestAlpha:
         al = alpha_array(seq, 5)
         assert al[1] == pytest.approx(math.sqrt(0.5))
         assert np.allclose(al[2:], 0.5)
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("cheb1", {}),
+    ("gencheb", dict(alpha=-0.25, beta=-5.0 / 6.0)),
+    ("cosh", dict(a=1.0)),
+    ("grinspun", dict(c1=0.7)),
+    ("km", dict(alpha=5.0, beta=5.0)),
+    ("modkm", dict(alpha=8.0, beta=5.0)),
+    ("rational25", {}),
+    ("convex", dict(eps=0.5)),
+])
+@pytest.mark.parametrize("norm", NORMS)
+def test_evaluator_bitwise_equals_scalar_recurrence(tag, params, norm):
+    # N = 100 stays below the degree where float c(n) of convex rounds to 1;
+    # x = 1e3 overflows to inf and NaN, x = -0.0 carries signed zeros
+    seq = make_family(tag, **params)
+    for N in (0, 1, 2, 100):
+        for x in (-1.0, -0.3, -0.0, 0.0, 0.45, 1.0, 1e3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = eval_basis(seq, N, x, norm).values
+                want = reference_basis(seq, N, x, norm)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import haar_values
+from hyplab.core import eval_basis_grid, haar_values
 from hyplab.families import (
     ConvexSeqSpec,
     FamilyParameterError,
@@ -18,6 +18,7 @@ from hyplab.families import (
     geometric_sequence,
     h1_lt_2_region,
     in_V,
+    km_special_closed_forms,
     make_family,
     parse_family_spec,
     s0_for_epsilon,
@@ -207,7 +208,7 @@ def test_h1_region_predicate():
 @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
 def test_convex_h1_and_growth(eps):
     seq = make_family("convex", eps=eps, q=0.5)
-    spec = seq.convex_spec
+    spec = seq.backbone
     assert spec.haar(1) == pytest.approx(1.0 + eps, abs=1e-12)
     h = [spec.haar(n) for n in range(2, 30)]
     assert min(h) > 4.0
@@ -230,7 +231,7 @@ def test_s0_for_epsilon_consistency():
 class TestConvexExact:
     def setup_method(self):
         seq = make_family("convex", eps=0.5, q=0.5)
-        self.spec = seq.convex_spec
+        self.spec = seq.backbone
         self.seq = seq
 
     def test_boundary_identity(self):
@@ -296,7 +297,7 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
     nmax = 300
     s = geometric_sequence(s0_for_epsilon(eps), q)
     lam, q1 = _fraction_backbone(s, nmax)
-    spec = make_family("convex", eps=eps, q=q).convex_spec
+    spec = make_family("convex", eps=eps, q=q).backbone
     for n in range(1, nmax + 1):
         # c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1) as an unreduced quotient;
         # int / int rounds correctly, as Fraction.__float__ does
@@ -318,7 +319,7 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
 def test_unchecked_nonpositive_q1_still_raises():
     # s_k = 0.5 * 1.5**k leaves (0, 1) at k = 2, so lambda_1 < 0 and
     # Q_2(1) = (1/lambda_0 - lambda_0) / lambda_1 = -4 < 0
-    spec = make_family("convex", s0=0.5, q=1.5, unchecked=True).convex_spec
+    spec = make_family("convex", s0=0.5, q=1.5, unchecked=True).backbone
     assert spec.inv_a(1) == 4.0 / 3.0
     with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
         spec.inv_a(2)
@@ -346,3 +347,23 @@ def test_in_V_members_define_valid_families(alpha, beta):
     seq = make_family("gencheb", alpha=alpha, beta=beta)
     cs = seq.c_array(30)
     assert np.all(cs[1:] > 0) and np.all(cs[1:] < 1)
+
+
+# ---------------------------------------------------------------------------
+# alpha = 2 Karlin--McGregor closed forms against the recurrence
+
+
+@pytest.mark.parametrize("beta", [2.0, 5.0, 8.0])
+@pytest.mark.parametrize("tag, modified, atol", [
+    ("modkm", True, 1e-11),
+    ("km", False, 1e-13),
+])
+def test_km_special_closed_forms_match_recurrence(beta, tag, modified, atol):
+    xs = np.linspace(-1.0, 1.0, 41)
+    grid = eval_basis_grid(make_family(tag, alpha=2.0, beta=beta), 20, xs)
+    for n in range(21):
+        vals = km_special_closed_forms(beta, n, xs, modified=modified)
+        assert np.allclose(vals, grid[n], rtol=0, atol=atol)
+        scalar = km_special_closed_forms(beta, n, xs[7], modified=modified)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(grid[n, 7], rel=0, abs=atol)

@@ -36,6 +36,7 @@ from .core import (
 )
 from . import dual as _dual
 from . import measures as _measures
+from .families import UnsupportedFamilyError
 
 __all__ = [
     "connection_coeffs",
@@ -107,10 +108,15 @@ def connection_row_checks(seq: CoeffSequence, nmax: int) -> dict:
 
 
 def connection_nonneg(seq: CoeffSequence, nmax: int, tol: float = 1e-12):
-    """(bool, worst entry): are all connection coefficients >= -tol?"""
+    """(bool, worst entry): are all connection coefficients >= -tol?
+
+    Rows that overflow to inf or NaN fail the check; the worst entry is
+    the smallest finite one, so it stays a number.
+    """
     C = connection_coeffs(seq, nmax)
-    worst = float(C.min())
-    return worst >= -tol, worst
+    finite = np.isfinite(C)
+    worst = float(C[finite].min())
+    return bool(finite.all()) and worst >= -tol, worst
 
 
 @dataclass
@@ -211,7 +217,7 @@ def criterion_report(
     supp_symmetric: bool | None
     try:
         mspec = _measures.measure_of(seq)
-    except Exception:
+    except UnsupportedFamilyError:
         mspec = None
     if mspec is None or mspec.status != "full":
         supp_symmetric = None

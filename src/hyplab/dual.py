@@ -40,49 +40,80 @@ __all__ = [
 
 DIVERGE_THRESHOLD = 1e6
 _COMPRESS_EVERY = 16
+_BLOCK = 16384
 
 
 def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     """max_n<=N |P_n(z)| per point, frozen once it exceeds threshold.
 
-    Returns (max_abs, diverged_at) where diverged_at[i] is the degree at
-    which the threshold was crossed, or 0 if it never was.  The update
-    P_{n+1} = P_{n-1} + (1/a(n)) (z P_n - P_{n-1}) keeps the two points
-    z = +-1 exact (the increment vanishes identically there).
+    Returns (max_abs, diverged_at) shaped like ``zs``, where
+    diverged_at[i] is the degree at which the threshold was crossed, or
+    0 if it never was.  The update P_{n+1} = P_{n-1} + (1/a(n)) (z P_n -
+    P_{n-1}) keeps the two points z = +-1 exact (the increment vanishes
+    identically there).  Points are taken as float64, or complex128 when
+    complex.  max_abs starts at max(1, |z|), also for N = 0 and N = 1.
+
+    Freezing: the value that crosses the threshold enters the max and is
+    then replaced by 0.  The point keeps iterating until the next degree
+    n that is a multiple of ``_COMPRESS_EVERY``, where it is dropped; in
+    between, its later values still enter the max and a second crossing
+    overwrites diverged_at.
+
+    The flattened points run in blocks of ``_BLOCK`` so that the working
+    arrays stay in cache.  Blocking is exact: each point's values depend
+    only on its own path, and a point that crosses is dropped at the
+    first multiple of ``_COMPRESS_EVERY`` at or after its crossing
+    whatever the other points do.
     """
     zs = np.asarray(zs)
-    shape = zs.shape
-    z = zs.ravel()
+    z = zs.ravel().astype(np.result_type(zs.dtype, np.float64), copy=False)
     inv_a = inv_a_array(seq, N - 1 if N > 0 else 0)
-    out = np.ones(z.size, dtype=float)
+    out = np.maximum(1.0, np.abs(z))
     dvg = np.zeros(z.size, dtype=np.int32)
-    idx = np.arange(z.size)
+    for start in range(0, z.size, _BLOCK):
+        stop = min(start + _BLOCK, z.size)
+        _profile_block(z[start:stop], inv_a, N, threshold,
+                       out[start:stop], dvg[start:stop])
+    return out.reshape(zs.shape), dvg.reshape(zs.shape)
 
+
+def _profile_block(z, inv_a, N, threshold, out, dvg):
+    """Run the frozen recurrence on one block, writing into out and dvg."""
+    idx = np.arange(z.size)
+    m = out.copy()  # running max of the live points idx
     p_prev = np.ones_like(z)
     p_cur = z.copy()
-    out = np.maximum(out, np.abs(p_cur))
-
+    p_next = np.empty_like(z)
+    r = np.empty(z.size)
     pending = False
     for n in range(1, N):
-        p_next = p_prev + inv_a[n] * (z * p_cur - p_prev)
-        ratio = np.abs(p_next)
-        out[idx] = np.maximum(out[idx], ratio)
-        over = ratio > threshold
-        if np.any(over):
-            dvg[idx[over]] = n + 1
-            p_next[over] = 0.0  # stop growth; dropped at next compression
-            pending = True
-        p_prev, p_cur = p_cur, p_next
+        np.multiply(z, p_cur, out=p_next)
+        p_next -= p_prev
+        p_next *= inv_a[n]
+        p_next += p_prev
+        np.abs(p_next, out=r)
+        np.maximum(m, r, out=m)
+        if not r.max() <= threshold:  # also true on a NaN
+            over = r > threshold
+            if over.any():
+                dvg[idx[over]] = n + 1
+                p_next[over] = 0.0  # stop growth; dropped at next compression
+                pending = True
+        p_prev, p_cur, p_next = p_cur, p_next, p_prev
         if pending and n % _COMPRESS_EVERY == 0:
+            out[idx] = m
             keep = dvg[idx] == 0
             idx = idx[keep]
             if idx.size == 0:
-                break
+                return
             z = z[keep]
+            m = m[keep]
             p_prev = p_prev[keep]
             p_cur = p_cur[keep]
+            p_next = np.empty_like(p_cur)
+            r = np.empty(idx.size)
             pending = False
-    return out.reshape(shape), dvg.reshape(shape)
+    out[idx] = m
 
 
 def max_abs_profile(
@@ -115,23 +146,19 @@ class DualEstimate:
 
 
 def _merge_intervals(xs: np.ndarray, mask: np.ndarray) -> tuple:
-    """Runs of member points as intervals; single-point gaps are bridged."""
-    m = mask.copy()
-    for i in range(1, len(m) - 1):
-        if not m[i] and m[i - 1] and m[i + 1]:
-            m[i] = True
-    ivs = []
-    i = 0
-    while i < len(m):
-        if m[i]:
-            j = i
-            while j + 1 < len(m) and m[j + 1]:
-                j += 1
-            ivs.append((float(xs[i]), float(xs[j])))
-            i = j + 1
-        else:
-            i += 1
-    return tuple(ivs)
+    """Runs of member points as intervals; single-point gaps are bridged.
+
+    A bridge needs members on both sides, so bridging never creates the
+    neighbour another bridge would need, and one pass over the original
+    mask is exact.
+    """
+    m = np.array(mask, dtype=bool)
+    if m.size > 2:
+        m[1:-1] |= m[:-2] & m[2:]
+    edges = np.diff(np.concatenate(([False], m, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    return tuple((float(xs[i]), float(xs[j])) for i, j in zip(starts, stops))
 
 
 def dual_estimate(

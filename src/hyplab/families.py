@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_chebyu
 
 from .core import CoeffSequence
 
@@ -671,12 +670,6 @@ def h1_lt_2_region(alpha: float, beta: float) -> bool:
 # alpha = 2 closed forms via Chebyshev-U
 
 
-def _chebu(k: int, z):
-    if k < 0:
-        return np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0
-    return eval_chebyu(k, z)
-
-
 def km_special_closed_forms(beta: float, n: int, x, *, modified: bool = True):
     """Degree-n value of the alpha = 2 Karlin--McGregor closed forms.
 
@@ -684,6 +677,13 @@ def km_special_closed_forms(beta: float, n: int, x, *, modified: bool = True):
     with ``modified=True`` it is the rescaled P_n(x) = K_n(gamma1 x)/K_n(gamma1)
     written directly through Chebyshev-U polynomials.
     """
+    from scipy.special import eval_chebyu  # deferred: slow to import
+
+    def _chebu(k: int, z):
+        if k < 0:
+            return np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0
+        return eval_chebyu(k, z)
+
     if beta < 2.0:
         raise FamilyParameterError(f"closed forms require beta >= 2, got {beta}")
     if n < 0:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import CoeffSequence, alpha_array, eval_basis_grid, haar_values
 from .families import KMParams, UnsupportedFamilyError
@@ -388,6 +387,8 @@ def jacobi_spectrum(seq: CoeffSequence, N: int) -> np.ndarray:
         raise ValueError("need N >= 1")
     if N == 1:
         return np.zeros(1)
+    from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
+
     off = alpha_array(seq, N - 1)[1:]
     vals = eigh_tridiagonal(np.zeros(N), off, eigvals_only=True)
     return np.sort(vals)
@@ -405,6 +406,8 @@ def spectrum_atoms(seq: CoeffSequence, N: int):
     """
     if N < 2:
         raise ValueError("need N >= 2")
+    from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
+
     off = alpha_array(seq, N - 1)[1:]
     vals, vecs = eigh_tridiagonal(np.zeros(N), off)
     order = np.argsort(vals)

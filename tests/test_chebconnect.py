@@ -1,6 +1,7 @@
 """Connection coefficients onto the first-kind Chebyshev basis, the
 criterion report, and the monic minimax floor."""
 
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,18 @@ def test_nonneg_split():
     assert not bad and worst_bad < -0.1
 
 
+@pytest.mark.parametrize("nmax", [90, 100])
+def test_nonneg_overflowing_rows_fail_with_a_finite_worst(nmax):
+    # the convex rows overflow to inf and NaN from row 90 on
+    seq = make_family("convex", eps=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(connection_coeffs(seq, nmax)))
+        ok, worst = connection_nonneg(seq, nmax)
+    assert ok is False
+    assert math.isfinite(worst) and worst <= -3e303  # row 89 already holds it
+    json.dumps(worst, allow_nan=False)
+
+
 def test_nonneg_for_nlp_families():
     for tag, params in (("cheb1", {}), ("cosh", {"a": 1.0}),
                         ("gencheb", {"alpha": 0.5, "beta": 0.5})):
@@ -138,6 +151,12 @@ class TestCriterionReport:
         assert not rep.predicted
         assert rep.haar_min < 2.0
         assert rep.consistent
+
+    def test_custom_sequence_has_no_support_verdict(self):
+        seq = make_family("custom", cfunc=lambda n: 0.45)
+        rep = criterion_report(seq, nlp_verified=None,
+                               profile_N=100, profile_step=5e-3)
+        assert rep.support_symmetric_interval is None
 
     def test_lines_render(self):
         rep = criterion_report(make_family("cheb1"), nlp_verified=True,

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from hyplab import dual
+from hyplab.core import inv_a_array
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
     complex_scan,
@@ -225,3 +227,141 @@ def test_threshold_freeze_does_not_flip_members():
     lo = max_abs_profile(seq, xs, N=200, threshold=1e4)
     hi = max_abs_profile(seq, xs, N=200, threshold=1e8)
     assert np.array_equal(lo <= 1.0 + 1e-9, hi <= 1.0 + 1e-9)
+
+
+# --- the blocked profile kernel against the unblocked one ------------------
+
+def reference_profile(seq, zs, N, threshold):
+    """The unblocked kernel _profile replaced, kept as a bitwise oracle."""
+    zs = np.asarray(zs)
+    shape = zs.shape
+    z = zs.ravel()
+    inv_a = inv_a_array(seq, N - 1 if N > 0 else 0)
+    out = np.ones(z.size, dtype=float)
+    dvg = np.zeros(z.size, dtype=np.int32)
+    idx = np.arange(z.size)
+
+    p_prev = np.ones_like(z)
+    p_cur = z.copy()
+    out = np.maximum(out, np.abs(p_cur))
+
+    pending = False
+    for n in range(1, N):
+        p_next = p_prev + inv_a[n] * (z * p_cur - p_prev)
+        ratio = np.abs(p_next)
+        out[idx] = np.maximum(out[idx], ratio)
+        over = ratio > threshold
+        if np.any(over):
+            dvg[idx[over]] = n + 1
+            p_next[over] = 0.0
+            pending = True
+        p_prev, p_cur = p_cur, p_next
+        if pending and n % 16 == 0:
+            keep = dvg[idx] == 0
+            idx = idx[keep]
+            if idx.size == 0:
+                break
+            z = z[keep]
+            p_prev = p_prev[keep]
+            p_cur = p_cur[keep]
+            pending = False
+    return out.reshape(shape), dvg.reshape(shape)
+
+
+ORACLE_FAMILIES = [
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("modkm", {"alpha": 8.0, "beta": 5.0}),
+    ("convex", {"eps": 0.5}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}),
+    ("cheb1", {}),
+]
+
+
+def oracle_inputs():
+    re = np.arange(-1.5, 1.5 + 0.015, 0.03)
+    return {
+        "real [-1, 1]": np.linspace(-1.0, 1.0, 2001),
+        "real [-1.5, 1.5]": np.linspace(-1.5, 1.5, 3001),
+        "complex": (re[None, :] + 1j * re[:, None]).ravel(),
+        "complex 2-D": re[None, :] + 1j * re[:, None],
+        "real 2-D": np.linspace(-1.5, 1.5, 600).reshape(20, 30),
+        "empty": np.array([]),
+        "ragged blocks": np.linspace(-1.5, 1.5, 2 * dual._BLOCK + 3),
+    }
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 16, 17, 400])
+@pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
+def test_profile_bitwise_equals_unblocked_reference(tag, params, N):
+    seq = make_family(tag, **params)
+    for name, zs in oracle_inputs().items():
+        want_max, want_dvg = reference_profile(seq, zs, N, DIVERGE_THRESHOLD)
+        got_max, got_dvg = dual._profile(seq, zs, N, DIVERGE_THRESHOLD)
+        assert got_max.shape == zs.shape and got_dvg.shape == zs.shape, name
+        assert got_max.dtype == want_max.dtype, name
+        assert got_dvg.dtype == want_dvg.dtype, name
+        assert np.array_equal(got_max, want_max, equal_nan=True), name
+        assert np.array_equal(got_dvg, want_dvg), name
+
+
+def test_profile_oracle_reaches_freeze_and_compression():
+    # the oracle inputs must drive points over the threshold, so that the
+    # freeze, the compression and the ragged last block are all exercised
+    seq = make_family("modkm", alpha=2.0, beta=5.0)
+    zs = oracle_inputs()["ragged blocks"]
+    _, dvg = dual._profile(seq, zs, 400, DIVERGE_THRESHOLD)
+    assert np.count_nonzero(dvg) > dual._BLOCK
+    assert np.all(dvg[-3:] > 0) and np.any(dvg[:-3] == 0)
+    assert np.any((dvg > 0) & (dvg % 16 != 1))  # crossed between compressions
+
+
+# --- interval merging against the two-loop version -------------------------
+
+def reference_merge(xs, mask):
+    m = mask.copy()
+    for i in range(1, len(m) - 1):
+        if not m[i] and m[i - 1] and m[i + 1]:
+            m[i] = True
+    ivs = []
+    i = 0
+    while i < len(m):
+        if m[i]:
+            j = i
+            while j + 1 < len(m) and m[j + 1]:
+                j += 1
+            ivs.append((float(xs[i]), float(xs[j])))
+            i = j + 1
+        else:
+            i += 1
+    return tuple(ivs)
+
+
+def edge_masks():
+    yield from (np.zeros(n, dtype=bool) for n in range(4))
+    yield from (np.ones(n, dtype=bool) for n in range(1, 6))
+    for n in (3, 5, 8):
+        for gap in (1, n - 2):
+            m = np.ones(n, dtype=bool)
+            m[gap] = False
+            yield m
+    yield np.array([True, False])
+    yield np.array([False, True, False, True, False, True])
+    yield np.array([True, False, True, False, True])
+
+
+def test_merge_intervals_matches_loop_on_edge_masks():
+    for m in edge_masks():
+        xs = np.linspace(-1.0, 1.0, m.size)
+        assert dual._merge_intervals(xs, m) == reference_merge(xs, m), m
+
+
+def test_merge_intervals_matches_loop_on_random_masks():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 10, 101, 2001):
+        xs = np.linspace(-1.0, 1.0, n)
+        for p in (0.2, 0.5, 0.8, 0.95):
+            for _ in range(20):
+                m = rng.random(n) < p
+                assert dual._merge_intervals(xs, m) == reference_merge(xs, m)

@@ -25,7 +25,8 @@ print("   -> exactly two terms, both positive: h >= 2 is forced.")
 
 print()
 checks = connection_row_checks(seq, 30)
-print("row diagnostics:", {k: f"{v:.2e}" for k, v in checks.items()})
+rows = checks.pop("finite_rows")
+print(f"row diagnostics over {rows} rows:", {k: f"{v:.2e}" for k, v in checks.items()})
 
 ok, worst = connection_nonneg(make_family("grinspun", c1=0.7), 20)
 print(f"grinspun(0.7): connection nonneg = {ok} (worst entry {worst:.4f})")

@@ -12,7 +12,6 @@ from .core import (
     CoefficientDomainError,
     EvalRow,
     HaarRangeError,
-    HaarWeights,
     alpha,
     eval_basis,
     eval_basis_grid,

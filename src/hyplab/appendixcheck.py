@@ -29,10 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .core import monic_rows
 from .families import KMParams, make_family
 from . import measures as _measures
 
@@ -50,38 +51,30 @@ __all__ = [
 ]
 
 
-def _as_exact(value):
-    """Fraction for rational input, None for floats (float path)."""
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return None
+def _exact(*values) -> tuple:
+    """Fractions when every value is rational, floats otherwise."""
+    if all(isinstance(v, Rational) for v in values):
+        return tuple(Fraction(v) for v in values)
+    return tuple(float(v) for v in values)
 
 
 def km_monic_lambda(alpha, beta, n: int):
     """Monic recurrence weight of the walk polynomials; exact if possible."""
     if n < 1:
         raise ValueError("monic weights start at n = 1")
-    a, b = _as_exact(alpha), _as_exact(beta)
-    if a is not None and b is not None:
-        if n == 1:
-            return 1 / a
-        if n % 2 == 0:
-            return (a - 1) / (a * b)
-        return (b - 1) / (a * b)
+    a, b = _exact(alpha, beta)
     if n == 1:
-        return 1.0 / alpha
+        return 1 / a
     if n % 2 == 0:
-        return (alpha - 1.0) / (alpha * beta)
-    return (beta - 1.0) / (alpha * beta)
+        return (a - 1) / (a * b)
+    return (b - 1) / (a * b)
 
 
 def tilde_monic_lambda(alpha, beta, n: int):
     """Monic weight of the modified-initial-slope partner sequence."""
     if n == 1:
-        a, b = _as_exact(alpha), _as_exact(beta)
-        if a is not None and b is not None:
-            return (b - 1) / (a * b)
-        return (beta - 1.0) / (alpha * beta)
+        a, b = _exact(alpha, beta)
+        return (b - 1) / (a * b)
     return km_monic_lambda(alpha, beta, n)
 
 
@@ -103,10 +96,8 @@ class TildeSeq:
 
     @property
     def initial_slope(self):
-        b = _as_exact(self.beta)
-        if b is not None:
-            return b / (b - 1)
-        return self.beta / (self.beta - 1.0)
+        (b,) = _exact(self.beta)
+        return b / (b - 1)
 
     def lam(self, n: int):
         return tilde_monic_lambda(self.alpha, self.beta, n)
@@ -114,29 +105,6 @@ class TildeSeq:
     def sigma(self, n: int) -> list:
         """Ascending monomial coefficients of the monic partner sigma~_n."""
         return monic_rows(self.lam, n)[n]
-
-
-def monic_rows(lam: Callable[[int], object], nmax: int) -> list[list]:
-    """Rows 0..nmax of ascending monomial coefficients of the monic
-    sequence with x sigma_n = sigma_{n+1} + lam(n) sigma_{n-1}.
-
-    Arithmetic follows the type returned by ``lam`` (Fractions stay
-    exact; floats stay floats).
-    """
-    rows: list[list] = [[1]]
-    if nmax == 0:
-        return rows
-    rows.append([0, 1])
-    for n in range(1, nmax):
-        cur, prev = rows[n], rows[n - 1]
-        ln = lam(n)
-        nxt = [0] * (n + 2)
-        for k, coef in enumerate(cur):
-            nxt[k + 1] += coef
-        for k, coef in enumerate(prev):
-            nxt[k] -= ln * coef
-        rows.append(nxt)
-    return rows
 
 
 def _poly_sub(p: Sequence, q: Sequence) -> list:
@@ -157,6 +125,16 @@ def _one_minus_x2_times(p: Sequence) -> list:
     return out
 
 
+def _kernel_residual(lam, lam_star, n: int, r):
+    """Max |coefficient| of (1-x^2) sigma*_n + sigma_{n+2} - r sigma_n,
+    with sigma from the monic weights ``lam`` and sigma* from ``lam_star``."""
+    sig = monic_rows(lam, n + 2)
+    sig_star = monic_rows(lam_star, max(n, 1))
+    lhs = _one_minus_x2_times(sig_star[n])
+    rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
+    return max(abs(c) for c in _poly_sub(lhs, rhs))
+
+
 def kernel_identity_residual(alpha, beta, n: int) -> float:
     """Max |coefficient| of (1-x^2) sigma~_n + sigma_{n+2} - r_n sigma_n.
 
@@ -164,19 +142,13 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     for n >= 1.  Exactly 0 for rational alpha, beta.
     """
     KMParams(float(alpha), float(beta))  # validate the parameter domain
-    a, b = _as_exact(alpha), _as_exact(beta)
-    if a is not None and b is not None:
-        alpha, beta = a, b
-    sig = monic_rows(lambda k: km_monic_lambda(alpha, beta, k), n + 2)
-    sig_t = monic_rows(lambda k: tilde_monic_lambda(alpha, beta, k), max(n, 1))
-    if n == 0:
-        r = (alpha - 1) / alpha
-    else:
-        r = (alpha - 1) * (beta - 1) / (alpha * beta)
-    lhs = _one_minus_x2_times(sig_t[n])
-    rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
-    resid = _poly_sub(lhs, rhs)
-    return float(max(abs(c) for c in resid))
+    a, b = _exact(alpha, beta)
+    r = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
+    return float(_kernel_residual(
+        lambda k: km_monic_lambda(a, b, k),
+        lambda k: tilde_monic_lambda(a, b, k),
+        n, r,
+    ))
 
 
 def sigma_ratio(alpha, beta, n: int):
@@ -187,21 +159,15 @@ def sigma_ratio(alpha, beta, n: int):
     mismatch beyond round-off.
     """
     KMParams(float(alpha), float(beta))
-    a, b = _as_exact(alpha), _as_exact(beta)
-    exact = a is not None and b is not None
-    if exact:
-        alpha, beta = a, b
-    one = Fraction(1) if exact else 1.0  # int/int would divide as float
+    a, b = _exact(alpha, beta)
+    one = type(a)(1)  # int/int would divide as float
     vals = [one, one]  # sigma_0(1), sigma_1(1)
     for k in range(1, n + 2):
-        vals.append(vals[k] - km_monic_lambda(alpha, beta, k) * vals[k - 1])
+        vals.append(vals[k] - km_monic_lambda(a, b, k) * vals[k - 1])
     ratio = vals[n + 2] / vals[n]
-    one_step = vals[n + 1] / vals[n] - km_monic_lambda(alpha, beta, n + 1)
-    if n == 0:
-        closed = (alpha - 1) / alpha
-    else:
-        closed = (alpha - 1) * (beta - 1) / (alpha * beta)
-    tol = 0 if exact else 1e-12
+    one_step = vals[n + 1] / vals[n] - km_monic_lambda(a, b, n + 1)
+    closed = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
+    tol = 0 if isinstance(a, Fraction) else 1e-12
     assert abs(ratio - closed) <= tol, (ratio, closed)
     assert abs(one_step - closed) <= tol, (one_step, closed)
     return ratio
@@ -303,16 +269,8 @@ def chebyshev_partner_residual(nmax: int) -> float:
     """
     lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)
     lam_u = lambda k: Fraction(1, 4)
-    sig = monic_rows(lam_t, nmax + 2)
-    sig_star = monic_rows(lam_u, max(nmax, 1))
-    vals = [Fraction(1), Fraction(1)]
-    for k in range(1, nmax + 2):
-        vals.append(vals[k] - lam_t(k) * vals[k - 1])
-    worst = Fraction(0)
-    for n in range(nmax + 1):
-        r = vals[n + 2] / vals[n]
-        lhs = _one_minus_x2_times(sig_star[n])
-        rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
-        resid = _poly_sub(lhs, rhs)
-        worst = max(worst, max(abs(c) for c in resid))
-    return float(worst)
+    at_one = [sum(row) for row in monic_rows(lam_t, nmax + 2)]  # sigma_n(1)
+    return float(max(
+        _kernel_residual(lam_t, lam_u, n, at_one[n + 2] / at_one[n])
+        for n in range(nmax + 1)
+    ))

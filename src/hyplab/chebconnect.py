@@ -70,40 +70,48 @@ def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
     for n in range(1, nmax):
         r = np.append(C[n], (0.0, 0.0))  # r[nmax+1] = r[nmax+2] = 0
         xr = np.zeros(nmax + 1)
-        xr[0] = 0.5 * r[1]
-        xr[1] = r[0] + 0.5 * r[2]
-        xr[2:n + 2] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
-        C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
+        # rows of sign-changing families may overflow; callers test isfinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            xr[0] = 0.5 * r[1]
+            xr[1] = r[0] + 0.5 * r[2]
+            xr[2:n + 2] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
+            C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
     return C
 
 
 def connection_row_checks(seq: CoeffSequence, nmax: int) -> dict:
-    """Residuals of the two structural identities over all rows <= nmax.
+    """Residuals of the two structural identities over the finite rows.
 
-    Returns ``{"sum_to_one": ..., "leading": ..., "parity": ...}`` with
-    the largest row-sum defect relative to the row's own scale (rows of
-    sign-changing families grow huge while still summing to 1), the
-    largest relative defect of the leading-coefficient identity, and the
-    largest wrong-parity entry.
+    Returns ``{"sum_to_one": ..., "leading": ..., "parity": ...,
+    "finite_rows": ...}``: the largest row-sum defect relative to the
+    row's own scale (rows of sign-changing families grow huge while still
+    summing to 1), the largest relative defect of the leading-coefficient
+    identity, and the largest wrong-parity entry, each taken over the
+    ``finite_rows`` leading rows whose entries are all finite (rows past
+    an overflow are left out, so every residual stays a number).
     """
     C = connection_coeffs(seq, nmax)
+    finite = np.isfinite(C).all(axis=1)
+    rows = nmax + 1 if finite.all() else int(np.argmin(finite))
+    C = C[:rows]
     scale = np.maximum(1.0, np.max(np.abs(C), axis=1))
     sum_defect = float(np.max(np.abs(C.sum(axis=1) - 1.0) / scale))
 
     lead_defect = 0.0
     prod_a = 1.0  # prod_{k=1}^{n-1} a(k)
-    for n in range(1, nmax + 1):
+    for n in range(1, rows):
         lead = C[n, n] * 2.0 ** (n - 1) * prod_a
         lead_defect = max(lead_defect, abs(lead - 1.0))
         prod_a *= seq.a(n)
 
     ks = np.arange(nmax + 1)
-    wrong = (ks[None, :] + ks[:, None]) % 2 == 1
+    wrong = (ks[:rows, None] + ks[None, :]) % 2 == 1
     parity_defect = float(np.max(np.abs(C[wrong]))) if nmax >= 1 else 0.0
     return {
         "sum_to_one": sum_defect,
         "leading": float(lead_defect),
         "parity": parity_defect,
+        "finite_rows": rows,
     }
 
 

@@ -187,7 +187,7 @@ def _report_csv_rows(report: dict):
     def walk(group: str, obj):
         if isinstance(obj, dict):
             for k in obj:
-                walk(f"{group}.{k}" if group else k, obj[k])
+                yield from walk(f"{group}.{k}" if group else k, obj[k])
         elif isinstance(obj, (list, tuple)):
             yield group, ";".join(
                 "/".join(_fmt(x) for x in v) if isinstance(v, (list, tuple))
@@ -199,14 +199,7 @@ def _report_csv_rows(report: dict):
         else:
             yield group, str(obj)
 
-    def walk_all(group, obj):
-        if isinstance(obj, dict):
-            for k in obj:
-                yield from walk_all(f"{group}.{k}" if group else k, obj[k])
-        else:
-            yield from walk(group, obj)
-
-    return list(walk_all("", report))
+    return list(walk("", report))
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -34,13 +34,13 @@ __all__ = [
     "CoefficientDomainError",
     "EvalRow",
     "HaarRangeError",
-    "HaarWeights",
     "alpha",
     "eval_basis",
     "eval_basis_grid",
     "haar",
     "haar_values",
     "monic_coeffs",
+    "monic_rows",
 ]
 
 #: Haar weights beyond this magnitude raise :class:`HaarRangeError`.
@@ -78,7 +78,8 @@ class CoeffSequence:
         c(n), whose 1 - c(n) loses all precision once c(n) nears 1.
 
     The coefficient and Haar caches fill on first access and are not
-    thread-safe.
+    thread-safe; ``_h_cache`` holds h(0..) and is extended only by
+    :func:`haar_values`.
     """
 
     family_tag: str
@@ -87,7 +88,7 @@ class CoeffSequence:
     description: str = ""
     backbone: "ConvexSeqSpec | None" = field(default=None, repr=False)
     _c_cache: list = field(default_factory=list, repr=False)
-    _haar: "HaarWeights | None" = field(default=None, repr=False)
+    _h_cache: list = field(default_factory=lambda: [1.0], repr=False)
 
     def c(self, n: int) -> float:
         """Validated recurrence coefficient c(n), n >= 1."""
@@ -125,62 +126,38 @@ class CoeffSequence:
         return out
 
 
-class HaarWeights:
-    """Lazily extended table of Haar weights of a coefficient sequence.
+def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
+    """h(0..nmax) as a float array: h(0) = 1, h(n) = h(n-1) a(n-1) / c(n).
 
-    ``values[0] = 1`` and ``values[n] = values[n-1] * a(n-1) / c(n)``.
-    Extension past :data:`HAAR_MAX` raises :class:`HaarRangeError` rather
-    than silently losing precision.
+    The weights are cached on ``seq``.  Extension past :data:`HAAR_MAX`
+    raises :class:`HaarRangeError` rather than silently losing precision.
     """
-
-    def __init__(self, seq: CoeffSequence):
-        self.seq = seq
-        self._values = [1.0]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def value(self, n: int) -> float:
-        if n < 0:
-            raise IndexError(f"h(n) is defined for n >= 0, got n={n}")
-        while len(self._values) <= n:
-            k = len(self._values)
-            h = self._values[-1] * self.seq.a(k - 1) / self.seq.c(k)
-            if not np.isfinite(h) or h > HAAR_MAX:
-                raise HaarRangeError(
-                    f"Haar weight h({k}) exceeds {HAAR_MAX:.1e} for "
-                    f"family {self.seq.family_tag!r}"
-                )
-            self._values.append(h)
-        return self._values[n]
-
-    def values(self, nmax: int) -> np.ndarray:
-        """h(0..nmax) as a float array."""
-        self.value(nmax)
-        return np.asarray(self._values[: nmax + 1])
+    if nmax < 0:
+        raise IndexError(f"h(n) is defined for n >= 0, got n={nmax}")
+    h = seq._h_cache
+    while len(h) <= nmax:
+        k = len(h)
+        value = h[-1] * seq.a(k - 1) / seq.c(k)
+        if not np.isfinite(value) or value > HAAR_MAX:
+            raise HaarRangeError(
+                f"Haar weight h({k}) exceeds {HAAR_MAX:.1e} for "
+                f"family {seq.family_tag!r}"
+            )
+        h.append(value)
+    return np.asarray(h[: nmax + 1])
 
 
 def haar(seq: CoeffSequence, n: int) -> float:
     """Haar weight h(n) of the polynomial hypergroup induced by ``seq``."""
-    if seq._haar is None:
-        seq._haar = HaarWeights(seq)
-    return seq._haar.value(n)
-
-
-def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
-    """h(0..nmax) as an array, sharing the cache used by :func:`haar`."""
-    if seq._haar is None:
-        seq._haar = HaarWeights(seq)
-    return seq._haar.values(nmax)
+    haar_values(seq, n)
+    return seq._h_cache[n]
 
 
 def alpha(seq: CoeffSequence, n: int) -> float:
     """Orthonormal recurrence coefficient alpha(n) = sqrt(c(n) a(n-1)), n >= 1."""
     if n < 1:
         raise IndexError(f"alpha(n) is defined for n >= 1, got n={n}")
-    if seq.backbone is not None:
-        return seq.backbone.lam(n - 1)
-    return float(np.sqrt(seq.c(n) * seq.a(n - 1)))
+    return float(alpha_array(seq, n)[n])
 
 
 def alpha_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
@@ -265,6 +242,29 @@ def eval_basis_grid(
     return out
 
 
+def monic_rows(lam: Callable[[int], object], nmax: int) -> list[list]:
+    """Rows 0..nmax of ascending monomial coefficients of the monic
+    sequence with x sigma_n = sigma_{n+1} + lam(n) sigma_{n-1}.
+
+    Arithmetic follows the type returned by ``lam`` (Fractions stay
+    exact; floats stay floats).
+    """
+    rows: list[list] = [[1]]
+    if nmax == 0:
+        return rows
+    rows.append([0, 1])
+    for n in range(1, nmax):
+        cur, prev = rows[n], rows[n - 1]
+        ln = lam(n)
+        nxt = [0] * (n + 2)
+        for k, coef in enumerate(cur):
+            nxt[k + 1] += coef
+        for k, coef in enumerate(prev):
+            nxt[k] -= ln * coef
+        rows.append(nxt)
+    return rows
+
+
 def monic_coeffs(seq: CoeffSequence, n: int) -> np.ndarray:
     """Monomial coefficients (ascending) of the monic polynomial sigma_n.
 
@@ -273,14 +273,5 @@ def monic_coeffs(seq: CoeffSequence, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    prev = np.array([1.0])
-    if n == 0:
-        return prev
-    cur = np.array([0.0, 1.0])
-    for k in range(1, n):
-        lam = seq.c(k) * seq.a(k - 1)
-        nxt = np.zeros(k + 2)
-        nxt[1:] = cur  # multiply by x
-        nxt[: k] -= lam * prev
-        prev, cur = cur, nxt
-    return cur
+    rows = monic_rows(lambda k: seq.c(k) * seq.a(k - 1), n)
+    return np.array(rows[n], dtype=float)

@@ -47,38 +47,45 @@ class DegreeOverflowError(IndexError):
     """A linearization row beyond the table's degree bound was requested."""
 
 
+def _rows(seq: CoeffSequence, N: int):
+    """Yield ((m, n), g(m, n; .)) for 0 <= m <= n <= N, n outer, m inner.
+
+    Only the two rows of the current n are held, so a caller that streams
+    the rows needs O(N) memory where the whole table needs O(N^3).
+    """
+    if N < 0:
+        raise ValueError(f"table bound must be >= 0, got {N}")
+    nmax = max(2 * N, 1)
+    c = seq.c_array(nmax)
+    a = seq.a_array(nmax)
+    for n in range(N + 1):
+        r_prev = np.zeros(n + 1)
+        r_prev[n] = 1.0
+        yield (0, n), r_prev
+        if n == 0:
+            continue
+        r_cur = np.zeros(n + 2)
+        r_cur[n + 1] = a[n]
+        r_cur[n - 1] = c[n]
+        yield (1, n), r_cur
+        for m in range(1, n):
+            L = r_cur.size  # degrees 0 .. m+n
+            nxt = np.zeros(L + 1)
+            nxt[1:] += a[:L] * r_cur
+            nxt[: L - 1] += c[1:L] * r_cur[1:]
+            nxt[: r_prev.size] -= c[m] * r_prev
+            nxt /= a[m]
+            r_prev, r_cur = r_cur, nxt
+            yield (m + 1, n), r_cur
+
+
 class LinearizationTable:
     """All linearization rows g(m, n; .) for 0 <= m <= n <= N."""
 
     def __init__(self, seq: CoeffSequence, N: int = DEFAULT_TABLE_N):
-        if N < 0:
-            raise ValueError(f"table bound must be >= 0, got {N}")
         self.seq = seq
         self.N = N
-        nmax = max(2 * N, 1)
-        c = seq.c_array(nmax)
-        a = seq.a_array(nmax)
-        rows: dict[tuple[int, int], np.ndarray] = {}
-        for n in range(N + 1):
-            r_prev = np.zeros(n + 1)
-            r_prev[n] = 1.0
-            rows[(0, n)] = r_prev
-            if n == 0:
-                continue
-            r_cur = np.zeros(n + 2)
-            r_cur[n + 1] = a[n]
-            r_cur[n - 1] = c[n]
-            rows[(1, n)] = r_cur
-            for m in range(1, n):
-                L = r_cur.size  # degrees 0 .. m+n
-                nxt = np.zeros(L + 1)
-                nxt[1:] += a[:L] * r_cur
-                nxt[: L - 1] += c[1:L] * r_cur[1:]
-                nxt[: r_prev.size] -= c[m] * r_prev
-                nxt /= a[m]
-                r_prev, r_cur = r_cur, nxt
-                rows[(m + 1, n)] = r_cur
-        self._rows = rows
+        self._rows = dict(_rows(seq, N))
 
     def row(self, m: int, n: int) -> np.ndarray:
         """The coefficient row of P_m P_n (length m + n + 1)."""
@@ -97,21 +104,16 @@ class LinearizationTable:
             return 0.0
         return float(row[k])
 
-    def band_entries(self):
-        """Yield (m, n, k, value) over parity-admissible band positions."""
-        for (m, n), row in self._rows.items():
-            for k in range(n - m, m + n + 1, 2):
-                yield m, n, k, row[k]
-
 
 def linearize(seq: CoeffSequence, m: int, n: int, N: int | None = None) -> np.ndarray:
     """Single linearization row g(m, n; .) as an array of length m+n+1."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    bound = max(m, n) if N is None else N
-    if max(m, n) > bound:
+    lo, hi = min(m, n), max(m, n)
+    bound = hi if N is None else N
+    if hi > bound:
         raise DegreeOverflowError(f"degrees ({m}, {n}) exceed bound N={bound}")
-    return LinearizationTable(seq, bound).row(m, n).copy()
+    return next(row for key, row in _rows(seq, hi) if key == (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,11 @@ def check_nlp(seq: CoeffSequence, N: int = 30, tol: float = NLP_TOL) -> NLPRepor
     from rounding noise).  The extreme band entries g(m,n;|m-n|) and
     g(m,n;m+n) are additionally required to be strictly positive.
     """
-    table = LinearizationTable(seq, N)
     min_coeff = np.inf
     min_witness = (0, 0, 0)
     row_sum_max_error = 0.0
     endpoints_positive = True
-    for (m, n), row in table._rows.items():
+    for (m, n), row in _rows(seq, N):
         row_sum_max_error = max(row_sum_max_error, abs(row.sum() - 1.0))
         lo = n - m
         band = row[lo : m + n + 1 : 2]

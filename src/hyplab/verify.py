@@ -11,7 +11,6 @@ tests.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,10 @@ class CriterionResult:
     title: str
     passed: bool
     detail: str
-    elapsed: float
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.key} {self.title}: {self.detail} ({self.elapsed:.1f}s)"
+        return f"[{flag}] {self.key} {self.title}: {self.detail}"
 
 
 _CLOSED_FORM_FAMILIES = [
@@ -84,17 +82,14 @@ _EPS_SWEEP = (0.2, 0.5, 0.8)
 
 def haar_closed_forms() -> CriterionResult:
     """Recurrence-accumulated h(n) vs closed forms, n <= 40, rel 1e-10."""
-    t0 = time.perf_counter()
     worst = 0.0
-    worst_at = ""
     for tag, kw in _CLOSED_FORM_FAMILIES:
         seq = make_family(tag, **kw)
         h = haar_values(seq, 40)
         for n in range(0, 41):
             ref = closed_form_haar(seq, n)
             rel = abs(h[n] - ref) / ref
-            if rel > worst:
-                worst, worst_at = rel, f"{seq!r} n={n}"
+            worst = max(worst, rel)
     passed = worst <= 1e-10
     return CriterionResult(
         "criterion-1",
@@ -102,13 +97,11 @@ def haar_closed_forms() -> CriterionResult:
         passed,
         f"{len(_CLOSED_FORM_FAMILIES)} families, n<=40, worst rel err "
         f"{worst:.2e} (tol 1e-10)",
-        time.perf_counter() - t0,
     )
 
 
 def counterexample_haar_growth() -> CriterionResult:
     """h(1) = 1+eps for both constructions; exponential growth for one."""
-    t0 = time.perf_counter()
     worst = 0.0
     growth_ok = True
     for eps in _EPS_SWEEP:
@@ -133,14 +126,12 @@ def counterexample_haar_growth() -> CriterionResult:
         passed,
         f"eps in {_EPS_SWEEP}: |h(1)-(1+eps)| worst {worst:.2e} (tol 1e-12); "
         f"monotone/floor-4/ratio-4 growth {'ok' if growth_ok else 'VIOLATED'}",
-        time.perf_counter() - t0,
     )
 
 
 def nlp_audits() -> CriterionResult:
     """Nonnegative linearization where claimed, a negative witness where
     claimed, and the two-term closed-form rows for the cosh family."""
-    t0 = time.perf_counter()
     min_ok = 0.0
     all_nonneg = True
     for tag, kw in _NLP_FAMILIES:
@@ -172,13 +163,11 @@ def nlp_audits() -> CriterionResult:
         f"{len(_NLP_FAMILIES)} families nonneg at m,n<=30 (min {min_ok:.1e}); "
         f"negative witness {witness.min_coeff:.3f} at m,n<=10; "
         f"two-term rows within {row_worst:.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def linearization_oracles() -> CriterionResult:
     """g(m,n;k) vs h(k) * integral P_m P_n P_k dmu, and Gram matrices."""
-    t0 = time.perf_counter()
     worst_g = 0.0
     worst_orth = 0.0
     for tag, kw in _FULL_MEASURE_FAMILIES:
@@ -201,13 +190,11 @@ def linearization_oracles() -> CriterionResult:
         f"{len(_FULL_MEASURE_FAMILIES)} families: max |g - h*integral| "
         f"{worst_g:.2e} (tol 1e-8); orthogonality error {worst_orth:.2e} "
         f"(tol 1e-7, atom cases included)",
-        time.perf_counter() - t0,
     )
 
 
 def rescaling_identity() -> CriterionResult:
     """Rational closed-form coefficients vs rescaled walk coefficients."""
-    t0 = time.perf_counter()
     rat = make_family("rational25")
     mod = make_family("modkm", alpha=2, beta=5)
     dev = float(
@@ -219,13 +206,11 @@ def rescaling_identity() -> CriterionResult:
         "rescaling identity",
         passed,
         f"c(n) entrywise deviation {dev:.2e} for n<=200 (tol 1e-14)",
-        time.perf_counter() - t0,
     )
 
 
 def dual_geometry() -> CriterionResult:
     """Interval geometry of structure-space estimates per family."""
-    t0 = time.perf_counter()
     problems = []
     step = 2e-4
 
@@ -289,13 +274,11 @@ def dual_geometry() -> CriterionResult:
         "two-interval edges, eps sweep, above-band {..}, discrete dual all ok"
         if passed
         else "; ".join(problems),
-        time.perf_counter() - t0,
     )
 
 
 def haar_floor_composite() -> CriterionResult:
     """Full dual coverage forces h(n) >= 2; converse failure witnessed."""
-    t0 = time.perf_counter()
     floor = 2.0 * (1.0 - 1e-9)
     covering = []
     violations = []
@@ -331,13 +314,11 @@ def haar_floor_composite() -> CriterionResult:
         f"witness min h {hmin_w:.3f} with punctured gap and atom member at 0"
         if passed
         else "; ".join(violations),
-        time.perf_counter() - t0,
     )
 
 
 def partner_identities() -> CriterionResult:
     """Kernel identity lattice, partner-measure orthogonality, densities."""
-    t0 = time.perf_counter()
     exact_worst = 0.0
     float_worst = 0.0
     for a in (2, 3, 5, 8):
@@ -379,14 +360,12 @@ def partner_identities() -> CriterionResult:
         f"exact lattice residual {exact_worst}; float n<=15 {float_worst:.2e} "
         f"(tol 1e-12); partner orthogonality {orth_worst:.2e} (tol 1e-7); "
         f"density ratio defect {ratio_worst:.2e} (tol 1e-10)",
-        time.perf_counter() - t0,
     )
 
 
 def complex_scans() -> CriterionResult:
     """Real-only complex structure for the counterexamples; a genuinely
     complex one for the cosh family."""
-    t0 = time.perf_counter()
     step = 1e-2
     problems = []
     for tag, kw in (("modkm", dict(alpha=2, beta=5)), ("convex", dict(eps=0.5))):
@@ -411,7 +390,6 @@ def complex_scans() -> CriterionResult:
         f"{nonreal.size} points filling the ellipse (semi-axes 1, tanh 1)"
         if passed
         else "; ".join(problems),
-        time.perf_counter() - t0,
     )
 
 

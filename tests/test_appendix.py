@@ -46,6 +46,42 @@ def test_kernel_identity_float_parameters():
     assert worst < 1e-12
 
 
+# float.hex() of the residual before the exact and float paths were merged
+KERNEL_RESIDUAL_HEX = {
+    (2.5, 5.5): [
+        "0x0.0p+0", "0x0.0p+0", "0x1.0p-52", "0x1.0p-52", "0x1.0p-52",
+        "0x1.0p-52", "0x1.0p-52", "0x0.0p+0", "0x1.0p-52", "0x1.0p-51",
+        "0x1.0p-51", "0x1.0p-51", "0x1.0p-51", "0x1.0p-51", "0x1.0p-51",
+        "0x1.0p-50",
+    ],
+    (3, 7.5): [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.0p-52", "0x1.0p-54", "0x1.0p-54", "0x1.0p-51", "0x1.0p-51",
+        "0x1.0p-51", "0x1.0p-50", "0x1.0p-50", "0x1.0p-49", "0x1.0p-50",
+        "0x1.0p-50",
+    ],
+}
+
+
+@pytest.mark.parametrize("a,b", sorted(KERNEL_RESIDUAL_HEX))
+def test_kernel_identity_float_residuals_pinned(a, b):
+    for n, want in enumerate(KERNEL_RESIDUAL_HEX[(a, b)]):
+        got = kernel_identity_residual(a, b, n)
+        assert type(got) is float
+        assert got == float.fromhex(want), n
+
+
+def test_float_and_mixed_parameters_stay_float():
+    for a, b in ((2.5, 5.5), (3, 7.5), (Fraction(5, 2), 3.0)):
+        for n in (1, 2, 3):
+            assert type(km_monic_lambda(a, b, n)) is float
+            assert type(tilde_monic_lambda(a, b, n)) is float
+        assert type(sigma_ratio(a, b, 2)) is float
+    assert type(TildeSeq(2.5, 5.5).initial_slope) is float
+    # the slope depends on beta alone, so a rational beta keeps it exact
+    assert TildeSeq(2.5, 5).initial_slope == Fraction(5, 4)
+
+
 @pytest.mark.parametrize("a,b,n,want", [
     (2, 5, 0, Fraction(1, 2)),
     (2, 5, 1, Fraction(2, 5)),

@@ -97,6 +97,25 @@ def test_row_checks_structure():
     assert checks["parity"] == 0.0
 
 
+@pytest.mark.parametrize("nmax", [89, 90, 100])
+def test_row_checks_skip_overflowed_rows(nmax):
+    # the convex rows overflow from row 90 on; the residuals cover rows
+    # 0..89 and stay numbers, and no overflow warning escapes
+    import warnings
+
+    seq = make_family("convex", eps=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = connection_row_checks(seq, nmax)
+        ok, worst = connection_nonneg(seq, nmax)
+    assert checks["finite_rows"] == 90
+    assert all(math.isfinite(v) for v in checks.values())
+    json.dumps(checks, allow_nan=False)
+    assert checks["sum_to_one"] == pytest.approx(5.918e-15, rel=1e-3)
+    assert checks["leading"] == pytest.approx(4.441e-16, rel=1e-3)
+    assert not ok and math.isfinite(worst)
+
+
 def test_nonneg_split():
     ok, worst_ok = connection_nonneg(make_family("grinspun", c1=0.3), 20)
     bad, worst_bad = connection_nonneg(make_family("grinspun", c1=0.7), 20)

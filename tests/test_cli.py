@@ -106,6 +106,31 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 1
 
+    def test_text_lines_end_with_detail(self):
+        from hyplab.verify import CriterionResult
+
+        r = CriterionResult("criterion-5", "rescaling identity", True, "dev 0")
+        assert r.line() == "[PASS] criterion-5 rescaling identity: dev 0"
+
+    def test_text_is_byte_stable(self, capsys):
+        first = run(capsys, "verify", "--suite", "section2")
+        second = run(capsys, "verify", "--suite", "section2")
+        assert first[0] == 0
+        assert first == second
+
+
+def test_csv_rows_flatten_nested_dicts():
+    from hyplab.cli import _fmt, _report_csv_rows
+
+    rows = _report_csv_rows(
+        {"a": {"b": {"c": 0.5}, "d": [1.5, [2.0, 3]]}, "e": "x"}
+    )
+    assert rows == [
+        ("a.b.c", _fmt(0.5)),
+        ("a.d", f"{_fmt(1.5)};{_fmt(2.0)}/{_fmt(3)}"),
+        ("e", "x"),
+    ]
+
 
 class TestFigures:
     def test_fig1_contains_example_pair(self, tmp_path):

@@ -18,6 +18,7 @@ from hyplab.core import (
     haar,
     haar_values,
     monic_coeffs,
+    monic_rows,
 )
 from hyplab.families import make_family
 
@@ -184,6 +185,105 @@ class TestHaar:
         seq = const_seq(1e-12)  # a/c ratio ~1e12 per step
         with pytest.raises(HaarRangeError):
             haar_values(seq, 40)
+
+
+def oracle_monic(seq, n):
+    """sigma_n by the numpy loop monic_coeffs once ran."""
+    prev = np.array([1.0])
+    if n == 0:
+        return prev
+    cur = np.array([0.0, 1.0])
+    for k in range(1, n):
+        lam = seq.c(k) * seq.a(k - 1)
+        nxt = np.zeros(k + 2)
+        nxt[1:] = cur
+        nxt[:k] -= lam * prev
+        prev, cur = cur, nxt
+    return cur
+
+
+def oracle_haar(seq, nmax):
+    """h(0..nmax) by the loop of the former lazily extended weight table."""
+    values = [1.0]
+    while len(values) <= nmax:
+        k = len(values)
+        h = values[-1] * seq.a(k - 1) / seq.c(k)
+        if not np.isfinite(h) or h > 1e300:
+            raise HaarRangeError(
+                f"Haar weight h({k}) exceeds {1e300:.1e} for "
+                f"family {seq.family_tag!r}"
+            )
+        values.append(h)
+    return values
+
+
+ORACLE_FAMILIES = [
+    ("cheb1", {}),
+    ("gencheb", {"alpha": -0.25, "beta": -5.0 / 6.0}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("km", {"alpha": 8.0, "beta": 5.0}),
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("rational25", {}),
+    ("convex", {"eps": 0.5}),
+]
+
+
+class TestSingleImplementations:
+    """Monic rows, Haar weights and alpha each have one implementation; the
+    loops they replaced are kept here as bitwise oracles."""
+
+    @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
+    def test_monic_coeffs_match_numpy_loop(self, tag, params):
+        seq = make_family(tag, **params)
+        for n in range(60):
+            got = monic_coeffs(seq, n)
+            assert got.dtype == float
+            assert got.tobytes() == oracle_monic(seq, n).tobytes(), n
+
+    def test_monic_rows_is_the_appendix_recurrence(self):
+        from hyplab import appendixcheck
+
+        assert appendixcheck.monic_rows is monic_rows
+
+    @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
+    def test_haar_matches_table_loop(self, tag, params):
+        seq = make_family(tag, **params)
+        want = oracle_haar(seq, 100)
+        got = haar_values(seq, 100)
+        assert got.tobytes() == np.asarray(want).tobytes()
+        fresh = make_family(tag, **params)
+        for n in (40, 0, 7, 100):
+            assert haar(fresh, n) == want[n]
+            assert type(haar(fresh, n)) is float
+
+    @pytest.mark.parametrize("a", [40.0, 80.0])
+    def test_haar_range_error_text(self, a):
+        seq = make_family("cosh", a=a)
+        with pytest.raises(HaarRangeError) as want:
+            oracle_haar(make_family("cosh", a=a), 200)
+        with pytest.raises(HaarRangeError) as got:
+            haar_values(seq, 200)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(HaarRangeError) as again:
+            haar(seq, 200)  # the cache keeps the weights below the overflow
+        assert str(again.value) == str(want.value)
+
+    def test_negative_degree_rejected(self):
+        seq = make_family("cheb1")
+        for fn in (haar, haar_values):
+            with pytest.raises(IndexError, match="got n=-1"):
+                fn(seq, -1)
+
+    @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
+    def test_alpha_matches_scalar_formula(self, tag, params):
+        seq = make_family(tag, **params)
+        for n in range(1, 100):
+            if seq.backbone is not None:
+                want = seq.backbone.lam(n - 1)
+            else:
+                want = float(np.sqrt(seq.c(n) * seq.a(n - 1)))
+            assert alpha(seq, n) == want and type(alpha(seq, n)) is float
 
 
 class TestAlpha:

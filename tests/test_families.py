@@ -17,6 +17,7 @@ from hyplab.families import (
     closed_form_haar,
     geometric_sequence,
     h1_lt_2_region,
+    haar_term_estimate,
     in_V,
     km_special_closed_forms,
     make_family,
@@ -336,6 +337,16 @@ def test_in_V_examples():
     assert not in_V(0.5, 0.5) or True  # in_V may hold; region test is below
     # the fig-1 region additionally needs alpha+beta+1 < 0
     assert (-0.25) + (-5.0 / 6.0) + 1.0 < 0.0
+
+
+def test_haar_term_estimate_nonnegative_on_V():
+    # 400 x 400 grid over (-1, 3]^2; it contains (-1/2, -1/2), where
+    # the quadratic vanishes on the boundary of V
+    grid = np.linspace(-1.0, 3.0, 401)[1:]
+    values = [haar_term_estimate(a, b) for a in grid for b in grid if in_V(a, b)]
+    assert len(values) > 78000
+    assert min(values) >= 0.0
+    assert haar_term_estimate(-0.5, -0.5) == 0.0 and in_V(-0.5, -0.5)
 
 
 @settings(max_examples=60, deadline=None)

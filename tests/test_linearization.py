@@ -2,17 +2,19 @@
 convolution algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import eval_basis, haar_values
+from hyplab.core import CoefficientDomainError, eval_basis, haar_values
 from hyplab.families import make_family
 from hyplab.linearization import (
     DegreeOverflowError,
     LinearizationTable,
+    NLPReport,
     WeightedSeq,
     check_nlp,
     convolve,
@@ -21,6 +23,124 @@ from hyplab.linearization import (
     szwarc_criterion,
     translate,
 )
+
+
+def oracle_rows(seq, N):
+    """The dict of rows the table builder filled before rows were streamed."""
+    nmax = max(2 * N, 1)
+    c = seq.c_array(nmax)
+    a = seq.a_array(nmax)
+    rows = {}
+    for n in range(N + 1):
+        r_prev = np.zeros(n + 1)
+        r_prev[n] = 1.0
+        rows[(0, n)] = r_prev
+        if n == 0:
+            continue
+        r_cur = np.zeros(n + 2)
+        r_cur[n + 1] = a[n]
+        r_cur[n - 1] = c[n]
+        rows[(1, n)] = r_cur
+        for m in range(1, n):
+            L = r_cur.size
+            nxt = np.zeros(L + 1)
+            nxt[1:] += a[:L] * r_cur
+            nxt[: L - 1] += c[1:L] * r_cur[1:]
+            nxt[: r_prev.size] -= c[m] * r_prev
+            nxt /= a[m]
+            r_prev, r_cur = r_cur, nxt
+            rows[(m + 1, n)] = r_cur
+    return rows
+
+
+def oracle_nlp(rows, N, tol=1e-12):
+    """The audit loop over the oracle's rows, as check_nlp once ran it."""
+    min_coeff, min_witness = np.inf, (0, 0, 0)
+    row_sum_max_error, endpoints_positive = 0.0, True
+    for (m, n), row in rows.items():
+        row_sum_max_error = max(row_sum_max_error, abs(row.sum() - 1.0))
+        lo = n - m
+        band = row[lo : m + n + 1 : 2]
+        k_local = int(np.argmin(band))
+        if band[k_local] < min_coeff:
+            min_coeff = float(band[k_local])
+            min_witness = (m, n, lo + 2 * k_local)
+        if not (row[lo] > tol and row[m + n] > tol):
+            endpoints_positive = False
+    return NLPReport(bool(min_coeff >= -tol), min_coeff, min_witness,
+                     row_sum_max_error, endpoints_positive, N, tol)
+
+
+STREAM_FAMILIES = [
+    ("cheb1", {}),
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}),
+    ("gencheb", {"alpha": -0.25, "beta": -5.0 / 6.0}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("km", {"alpha": 8.0, "beta": 5.0}),
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("rational25", {}),
+    ("convex", {"eps": 0.5}),
+]
+
+
+class TestStreamedRows:
+    """Table, audit and single rows all come from one row generator; each
+    must be bitwise what the dict-building loop gave."""
+
+    @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 20])
+    def test_table_and_audit_match_oracle(self, tag, params, N):
+        want = oracle_rows(make_family(tag, **params), N)
+        got = LinearizationTable(make_family(tag, **params), N)._rows
+        assert list(got) == list(want)
+        for key, row in want.items():
+            assert got[key].tobytes() == row.tobytes()
+        assert check_nlp(make_family(tag, **params), N) == oracle_nlp(want, N)
+
+    @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
+    def test_linearize_matches_oracle(self, tag, params):
+        N = 8
+        want = oracle_rows(make_family(tag, **params), N)
+        for m in range(N + 1):
+            for n in range(N + 1):
+                row = linearize(make_family(tag, **params), m, n)
+                key = (min(m, n), max(m, n))
+                assert row.tobytes() == want[key].tobytes(), (m, n)
+
+    def test_linearize_reads_only_its_own_degrees(self):
+        # c(55) of this family rounds to 1.0; row (2, 3) needs c(1..6)
+        seq = make_family("convex", eps=0.5, q=0.25)
+        row = linearize(seq, 2, 3, N=40)
+        assert row.tobytes() == oracle_rows(seq, 3)[(2, 3)].tobytes()
+        with pytest.raises(CoefficientDomainError):
+            LinearizationTable(seq, 40)
+
+    def test_audit_builds_no_table(self, monkeypatch):
+        def refuse(self, seq, N=0):
+            raise AssertionError("check_nlp built a table")
+
+        monkeypatch.setattr(LinearizationTable, "__init__", refuse)
+        rep = check_nlp(make_family("gencheb", alpha=0.5, beta=0.5), N=12)
+        assert rep.is_nonnegative and rep.N == 12
+
+    def test_audit_memory_is_linear_in_degree(self):
+        # the whole table at N = 128 holds ~10 MiB of rows; the audit holds two
+        seq = make_family("gencheb", alpha=0.5, beta=0.5)
+        seq.c_array(256)  # fill the coefficient cache outside the measurement
+        tracemalloc.start()
+        try:
+            check_nlp(seq, N=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            LinearizationTable(make_family("cheb1"), -1)
+        with pytest.raises(ValueError):
+            check_nlp(make_family("cheb1"), N=-1)
 
 
 class TestChebyshevRows:

@@ -46,7 +46,7 @@ seq = make_family("cheb1")
 theta = 1.234
 from hyplab import eval_basis
 
-vals = eval_basis(seq, 200, np.cos(theta)).values
+vals = eval_basis(seq, 200, np.cos(theta))
 drift = np.abs(vals - np.cos(np.arange(201) * theta))
 print()
 print("recurrence drift for cheb1 at x = cos(1.234):")

@@ -10,7 +10,6 @@ coefficients, orthogonalization measures and dual-space estimates.
 from .core import (
     CoeffSequence,
     CoefficientDomainError,
-    EvalRow,
     HaarRangeError,
     alpha,
     eval_basis,
@@ -26,6 +25,7 @@ from .families import (
     UnsupportedFamilyError,
     beta_for_epsilon,
     closed_form_haar,
+    closed_form_max_rel_err,
     h1_lt_2_region,
     in_V,
     km_special_closed_forms,

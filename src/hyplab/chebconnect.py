@@ -39,6 +39,7 @@ from . import measures as _measures
 from .families import UnsupportedFamilyError
 
 __all__ = [
+    "HAAR_FLOOR",
     "connection_coeffs",
     "connection_row_checks",
     "connection_nonneg",
@@ -46,6 +47,9 @@ __all__ = [
     "criterion_report",
     "minimax_probe",
 ]
+
+#: The floor h(n) >= 2 with a relative rounding allowance of 1e-9.
+HAAR_FLOOR = 2.0 * (1.0 - 1e-9)
 
 
 def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
@@ -98,11 +102,13 @@ def connection_row_checks(seq: CoeffSequence, nmax: int) -> dict:
     sum_defect = float(np.max(np.abs(C.sum(axis=1) - 1.0) / scale))
 
     lead_defect = 0.0
-    prod_a = 1.0  # prod_{k=1}^{n-1} a(k)
+    # prod_{k=1}^{n-1} a(k) = mant * 2**exp, so no factor leaves float range
+    mant, exp = 1.0, 0
     for n in range(1, rows):
-        lead = C[n, n] * 2.0 ** (n - 1) * prod_a
+        lead = math.ldexp(C[n, n] * mant, n - 1 + exp)
         lead_defect = max(lead_defect, abs(lead - 1.0))
-        prod_a *= seq.a(n)
+        mant, shift = math.frexp(mant * seq.a(n))
+        exp += shift
 
     ks = np.arange(nmax + 1)
     wrong = (ks[:rows, None] + ks[None, :]) % 2 == 1
@@ -196,29 +202,23 @@ def criterion_report(
     seq: CoeffSequence,
     *,
     nlp_verified: bool | None = None,
-    nmax_conn: int = 40,
-    profile_N: int = 400,
-    profile_step: float = 1e-3,
-    profile_tol: float = 1e-9,
-    haar_nmax: int = 50,
-    tail_N: int = 500,
-    tail_tol: float = 1e-8,
 ) -> CriterionReport:
     """Evaluate every implemented sufficient criterion for h(n) >= 2.
 
     ``nlp_verified`` should be the outcome of a linearization check (or
     None when unknown); it gates the criteria that assume nonnegative
-    linearization.  The dual-coverage and uniform-boundedness entries
-    come from a grid profile of max_n |P_n(x)|, the support entry from
-    the catalogued orthogonalization measure (None when the measure is
-    not catalogued), and the tail entries from direct coefficient
-    comparisons on [tail_N, 2 tail_N].
+    linearization.  The sizes are fixed: connection rows n <= 40, a profile
+    of max_{n<=400} |P_n(x)| on a grid of step 1e-3 for the dual-coverage
+    and uniform-boundedness entries, the catalogued orthogonalization
+    measure for the support entry (None when it is not catalogued), c(n)
+    and alpha(n) on [500, 1000] at tolerance 1e-8 for the tail entries,
+    and h(1..50) for the measured minimum.
     """
-    conn_ok, conn_worst = connection_nonneg(seq, nmax_conn)
+    conn_ok, conn_worst = connection_nonneg(seq, 40)
 
-    xs = np.arange(-1.0, 1.0 + 0.5 * profile_step, profile_step)
-    prof, dvg = _dual._profile(seq, xs, profile_N, _dual.DIVERGE_THRESHOLD)
-    dual_full = bool(np.all(prof <= 1.0 + profile_tol))
+    xs = np.arange(-1.0, 1.0 + 0.5 * 1e-3, 1e-3)
+    prof, dvg = _dual._profile(seq, xs, 400, _dual.DIVERGE_THRESHOLD)
+    dual_full = bool(np.all(prof <= 1.0 + 1e-9))
     uniform = bool(np.all(dvg == 0))
     sup_measured = float(np.max(prof))
 
@@ -236,13 +236,13 @@ def criterion_report(
             and not mspec.atoms
         )
 
-    c_conv, c_dev = _c_tail_convergent(seq, tail_N, tail_tol)
-    nevai, a_dev, a_ref = _alpha_tail_convergent(seq, tail_N, tail_tol)
+    c_conv, c_dev = _c_tail_convergent(seq, 500, 1e-8)
+    nevai, a_dev, a_ref = _alpha_tail_convergent(seq, 500, 1e-8)
 
     nevai_limit: bool | None = None
     if c_conv and nevai:
         b = 2.0 * a_ref
-        lim_c = seq.c(2 * tail_N)
+        lim_c = seq.c(1000)
         target = (1.0 - math.sqrt(max(0.0, 1.0 - b * b))) / 2.0
         nevai_limit = abs(lim_c - target) <= 1e-6
 
@@ -251,9 +251,9 @@ def criterion_report(
     )
     predicted = conn_ok or dual_full or nlp_gated
 
-    h = haar_values(seq, haar_nmax)
+    h = haar_values(seq, 50)
     haar_min = float(np.min(h[1:]))
-    floor_met = haar_min >= 2.0 * (1.0 - 1e-9)
+    floor_met = haar_min >= HAAR_FLOOR
     consistent = (not predicted) or floor_met
 
     return CriterionReport(
@@ -280,22 +280,24 @@ def criterion_report(
     )
 
 
-def minimax_probe(seq: CoeffSequence, n: int, grid: int = 20001, refine: int = 60):
+def minimax_probe(seq: CoeffSequence, n: int):
     """Estimate sup_{[-1,1]} of the monic normalization of P_n.
 
-    Scans a uniform grid, then golden-section refines around the five
-    largest local maxima of the absolute value.  Returns (sup_estimate,
+    Scans a uniform grid of 20001 points, then refines around the five
+    largest local maxima of the absolute value by 60 golden-section
+    steps each.  Returns (sup_estimate,
     2^(1-n)); the first is always >= the second for every admissible
     coefficient sequence (no monic polynomial beats the rescaled
     Chebyshev minimax).
     """
     if n < 1:
         raise ValueError("minimax probe needs n >= 1")
+    grid = 20001
     xs = np.linspace(-1.0, 1.0, grid)
     vals = np.abs(eval_basis_grid(seq, n, xs, norm="monic")[n])
 
     def f(x: float) -> float:
-        return abs(eval_basis(seq, n, x, norm="monic").values[n])
+        return abs(eval_basis(seq, n, x, norm="monic")[n])
 
     interior = np.zeros(grid, dtype=bool)
     interior[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
@@ -313,7 +315,7 @@ def minimax_probe(seq: CoeffSequence, n: int, grid: int = 20001, refine: int = 6
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
         fc, fd = f(c), f(d)
-        for _ in range(refine):
+        for _ in range(60):
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - inv_phi * (b - a)

@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CoeffSequence",
     "CoefficientDomainError",
-    "EvalRow",
     "HaarRangeError",
     "alpha",
     "eval_basis",
@@ -183,24 +182,15 @@ def inv_a_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    """Values of one basis family at a point: ``values[n]`` is degree n."""
-
-    x: float
-    norm: str
-    values: np.ndarray
-
-
-def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> EvalRow:
+def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> np.ndarray:
     """Evaluate degrees 0..N of the basis at a scalar point x.
 
-    ``norm`` selects the normalization: ``"P"`` (value 1 at x=1),
+    Returns the array whose entry n is the degree-n value.  ``norm``
+    selects the normalization: ``"P"`` (value 1 at x=1),
     ``"orthonormal"`` or ``"monic"``.  This is the one-point column of
     :func:`eval_basis_grid`.
     """
-    x = float(x)
-    return EvalRow(x, norm, eval_basis_grid(seq, N, np.array([x]), norm)[:, 0])
+    return eval_basis_grid(seq, N, np.array([float(x)]), norm)[:, 0]
 
 
 def eval_basis_grid(

@@ -17,7 +17,6 @@ the resolution of c(n) near 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +33,6 @@ __all__ = [
     "exclusion_intervals",
     "divergence_classify",
     "complex_scan",
-    "export_profile_csv",
-    "export_complex_csv",
 ]
 
 DIVERGE_THRESHOLD = 1e6
@@ -116,25 +113,19 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     out[idx] = m
 
 
-def max_abs_profile(
-    seq: CoeffSequence,
-    xs: Sequence[float],
-    N: int = 400,
-    threshold: float = DIVERGE_THRESHOLD,
-) -> np.ndarray:
+def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int = 400) -> np.ndarray:
     """Frozen-at-divergence sup_{n<=N} |P_n(x)| over a set of points."""
-    out, _ = _profile(seq, np.asarray(xs, dtype=float), N, threshold)
+    out, _ = _profile(seq, np.asarray(xs, dtype=float), N, DIVERGE_THRESHOLD)
     return out
 
 
 @dataclass(frozen=True)
 class DualEstimate:
-    """Grid classification of the structure space on [xmin, xmax]."""
+    """Grid classification of the structure space on [-1, 1]."""
 
     N: int
     grid_step: float
     tol: float
-    threshold: float
     xs: np.ndarray
     max_abs: np.ndarray
     member_mask: np.ndarray
@@ -166,24 +157,19 @@ def dual_estimate(
     N: int = 400,
     grid_step: float = 2e-4,
     tol: float = 1e-9,
-    threshold: float = DIVERGE_THRESHOLD,
-    xmin: float = -1.0,
-    xmax: float = 1.0,
 ) -> DualEstimate:
-    """Classify an even grid on [xmin, xmax] by boundedness of |P_n|.
+    """Classify an even grid on [-1, 1] by boundedness of |P_n|.
 
-    Membership evidence is ``max_abs <= 1 + tol``; the endpoints of the
-    base interval are always on the grid.
+    Membership evidence is ``max_abs <= 1 + tol``; the endpoints -1 and
+    1 are always on the grid.
     """
-    npts = int(round((xmax - xmin) / grid_step)) + 1
-    xs = np.linspace(xmin, xmax, npts)
-    prof = max_abs_profile(seq, xs, N=N, threshold=threshold)
+    xs = np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
+    prof = max_abs_profile(seq, xs, N=N)
     mask = prof <= 1.0 + tol
     return DualEstimate(
         N=N,
         grid_step=grid_step,
         tol=tol,
-        threshold=threshold,
         xs=xs,
         max_abs=prof,
         member_mask=mask,
@@ -220,11 +206,10 @@ def divergence_classify(
     x: float,
     N: int = 2000,
     tol: float = 1e-9,
-    threshold: float = DIVERGE_THRESHOLD,
 ) -> str:
     """One-point verdict: 'member_evidence', 'nonmember_diverged', or
     'undecided' (bounded at degree N but above the membership band)."""
-    prof, dvg = _profile(seq, np.array([float(x)]), N, threshold)
+    prof, dvg = _profile(seq, np.array([float(x)]), N, DIVERGE_THRESHOLD)
     if dvg[0] > 0:
         return "nonmember_diverged"
     if prof[0] <= 1.0 + tol:
@@ -239,7 +224,6 @@ def complex_scan(
     tol: float = 1e-9,
     relim: tuple = (-1.5, 1.5),
     imlim: tuple = (-1.5, 1.5),
-    threshold: float = DIVERGE_THRESHOLD,
 ):
     """Scan a complex grid for points with max_{n<=N} |P_n(z)| <= 1+tol.
 
@@ -252,28 +236,8 @@ def complex_scan(
     res = np.arange(relim[0], relim[1] + 0.5 * step, step)
     ims = np.arange(imlim[0], imlim[1] + 0.5 * step, step)
     Z = (res[None, :] + 1j * ims[:, None]).ravel()
-    prof, _ = _profile(seq, Z, N, threshold)
+    prof, _ = _profile(seq, Z, N, DIVERGE_THRESHOLD)
     prof = prof.ravel()
     alive = prof <= 1.0 + tol
     return Z[alive], prof[alive]
 
-
-def export_profile_csv(est: DualEstimate, path) -> None:
-    """Write (x, max_abs_P, classification) rows for a grid estimate."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "max_abs_P", "classification"])
-        for x, p, m in zip(est.xs, est.max_abs, est.member_mask):
-            label = "member" if m else (
-                "diverged" if p > est.threshold else "above_band"
-            )
-            w.writerow([f"{x:.12g}", f"{p:.12g}", label])
-
-
-def export_complex_csv(points: np.ndarray, max_abs: np.ndarray, path) -> None:
-    """Write surviving complex-scan points as (re, im, max_abs_P)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["re", "im", "max_abs_P"])
-        for z, p in zip(points, max_abs):
-            w.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", f"{p:.12g}"])

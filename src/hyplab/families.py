@@ -43,6 +43,7 @@ __all__ = [
     "UnsupportedFamilyError",
     "beta_for_epsilon",
     "closed_form_haar",
+    "closed_form_max_rel_err",
     "geometric_sequence",
     "h1_lt_2_region",
     "haar_term_estimate",
@@ -149,13 +150,6 @@ def _quot(x: tuple, y: tuple) -> float:
     return (m << d) / k if d >= 0 else m / (k << -d)
 
 
-def _ratio(x: tuple, y: tuple) -> Fraction:
-    """x / y as a Fraction (one gcd, on output only)."""
-    (m, e), (k, f) = x, y
-    d = e - f
-    return Fraction(m << d, k) if d >= 0 else Fraction(m, k << -d)
-
-
 @dataclass(eq=False)
 class ConvexSeqSpec:
     """Convex-sequence construction data.
@@ -186,12 +180,13 @@ class ConvexSeqSpec:
         Q_n(1) = R_n / Pi_n,       h(n) = Q_n(1)^2,
 
     each rounded once by integer true division, which is correctly
-    rounded.  No step reduces by a gcd.  The ``*_exact`` methods return
-    these values as :class:`~fractions.Fraction`.
+    rounded.  No step reduces by a gcd, and only the rounded floats
+    leave the object.  ``validate=False`` skips the checks that s stays
+    in (0, 1), strictly decreasing and convex; a non-positive Q_n(1)
+    still raises.
     """
 
     s: Callable[[int], float]
-    params: dict
     validate: bool = True
     _s_cache: list = field(default_factory=list, repr=False)
     _lam: list = field(default_factory=list, repr=False)
@@ -262,38 +257,15 @@ class ConvexSeqSpec:
             r.append(_sub(r[j], _mul(_mul(lam, lam), r[j - 1])))
             pi.append(p)
 
-    def lam_exact(self, n: int) -> Fraction:
-        """Recurrence weight lambda_n, n >= 0, as an exact rational."""
-        return _ratio(self._lam_at(n), _ONE)
-
     def lam(self, n: int) -> float:
+        """Recurrence weight lambda_n, n >= 0."""
         return _quot(self._lam_at(n), _ONE)
-
-    def q1_exact(self, n: int) -> Fraction:
-        """Q_n(1) as an exact rational."""
-        self._extend(n)
-        return _ratio(self._r[n], self._pi[n])
-
-    def q1(self, n: int) -> float:
-        self._extend(n)
-        return _quot(self._r[n], self._pi[n])
-
-    def c_exact(self, n: int) -> Fraction:
-        self._extend(n)
-        r = self._r[n]
-        return _ratio(_sub(r, self._r[n + 1]), r)
 
     def c(self, n: int) -> float:
         """Recurrence coefficient of the normalized sequence."""
         self._extend(n)
         r = self._r[n]
         return _quot(_sub(r, self._r[n + 1]), r)
-
-    def a_exact(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(1)
-        self._extend(n)
-        return _ratio(self._r[n + 1], self._r[n])
 
     def inv_a(self, n: int) -> float:
         """1/a(n), correctly rounded.
@@ -463,12 +435,10 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
         _reject_params(tag, params)
         if not unchecked and not 0.0 < q < 1.0:
             raise FamilyParameterError(f"convex requires q in (0, 1), got {q}")
-        spec = ConvexSeqSpec(
-            geometric_sequence(s0, q), dict(shown), validate=not unchecked
-        )
+        spec = ConvexSeqSpec(geometric_sequence(s0, q), validate=not unchecked)
         return CoeffSequence(
             "convex",
-            dict(shown),
+            shown,
             spec.c,
             f"convex-sequence construction, s_k = {s0:.12g} * {q:.12g}**k",
             backbone=spec,
@@ -505,7 +475,7 @@ def _reject_params(tag: str, params: dict) -> None:
 _SPEC_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?::(.*))?$")
 
 
-def parse_family_spec(spec: str, *, unchecked: bool = False) -> CoeffSequence:
+def parse_family_spec(spec: str) -> CoeffSequence:
     """Parse a ``tag:key=value,key=value`` string into a sequence.
 
     Values may be decimal (``0.5``, ``-0.8333``, ``1e-3``) or rational
@@ -531,7 +501,7 @@ def parse_family_spec(spec: str, *, unchecked: bool = False) -> CoeffSequence:
                 raise FamilyParameterError(
                     f"cannot parse value {raw!r} for {key!r} in {spec!r}"
                 ) from None
-    return make_family(tag, unchecked=unchecked, **params)
+    return make_family(tag, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +575,15 @@ def closed_form_haar(seq: CoeffSequence, n: int) -> float:
         return 1.8 * (0.5 * m + 5.0 / 6.0) ** 2
 
     raise UnsupportedFamilyError(f"no closed-form Haar weights for family {tag!r}")
+
+
+def closed_form_max_rel_err(seq: CoeffSequence, h) -> float:
+    """max_n |h[n] - closed_form_haar(seq, n)| / closed_form_haar(seq, n)."""
+    worst = 0.0
+    for n in range(len(h)):
+        ref = closed_form_haar(seq, n)
+        worst = max(worst, abs(h[n] - ref) / ref)
+    return worst
 
 
 # ---------------------------------------------------------------------------

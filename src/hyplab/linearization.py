@@ -20,6 +20,7 @@ x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -47,36 +48,41 @@ class DegreeOverflowError(IndexError):
     """A linearization row beyond the table's degree bound was requested."""
 
 
+def _degree_rows(c: np.ndarray, a: np.ndarray, n: int):
+    """Yield g(m, n; .) for m = 0..n from c and a up to degree 2n; rows of
+    one n depend only on each other, and only the two latest are held."""
+    r_prev = np.zeros(n + 1)
+    r_prev[n] = 1.0
+    yield r_prev
+    if n == 0:
+        return
+    r_cur = np.zeros(n + 2)
+    r_cur[n + 1] = a[n]
+    r_cur[n - 1] = c[n]
+    yield r_cur
+    for m in range(1, n):
+        L = r_cur.size  # degrees 0 .. m+n
+        nxt = np.zeros(L + 1)
+        nxt[1:] += a[:L] * r_cur
+        nxt[: L - 1] += c[1:L] * r_cur[1:]
+        nxt[: r_prev.size] -= c[m] * r_prev
+        nxt /= a[m]
+        r_prev, r_cur = r_cur, nxt
+        yield r_cur
+
+
 def _rows(seq: CoeffSequence, N: int):
     """Yield ((m, n), g(m, n; .)) for 0 <= m <= n <= N, n outer, m inner.
 
-    Only the two rows of the current n are held, so a caller that streams
-    the rows needs O(N) memory where the whole table needs O(N^3).
+    A caller that streams the rows needs O(N) memory where the whole
+    table needs O(N^3).
     """
     if N < 0:
         raise ValueError(f"table bound must be >= 0, got {N}")
-    nmax = max(2 * N, 1)
-    c = seq.c_array(nmax)
-    a = seq.a_array(nmax)
+    c, a = seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
     for n in range(N + 1):
-        r_prev = np.zeros(n + 1)
-        r_prev[n] = 1.0
-        yield (0, n), r_prev
-        if n == 0:
-            continue
-        r_cur = np.zeros(n + 2)
-        r_cur[n + 1] = a[n]
-        r_cur[n - 1] = c[n]
-        yield (1, n), r_cur
-        for m in range(1, n):
-            L = r_cur.size  # degrees 0 .. m+n
-            nxt = np.zeros(L + 1)
-            nxt[1:] += a[:L] * r_cur
-            nxt[: L - 1] += c[1:L] * r_cur[1:]
-            nxt[: r_prev.size] -= c[m] * r_prev
-            nxt /= a[m]
-            r_prev, r_cur = r_cur, nxt
-            yield (m + 1, n), r_cur
+        for m, row in enumerate(_degree_rows(c, a, n)):
+            yield (m, n), row
 
 
 class LinearizationTable:
@@ -105,15 +111,16 @@ class LinearizationTable:
         return float(row[k])
 
 
-def linearize(seq: CoeffSequence, m: int, n: int, N: int | None = None) -> np.ndarray:
-    """Single linearization row g(m, n; .) as an array of length m+n+1."""
+def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
+    """Single linearization row g(m, n; .) as an array of length m+n+1.
+
+    Only the rows of degree max(m, n) are generated, up to the one asked for.
+    """
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    lo, hi = min(m, n), max(m, n)
-    bound = hi if N is None else N
-    if hi > bound:
-        raise DegreeOverflowError(f"degrees ({m}, {n}) exceed bound N={bound}")
-    return next(row for key, row in _rows(seq, hi) if key == (lo, hi))
+    hi = max(m, n)
+    c, a = seq.c_array(max(2 * hi, 1)), seq.a_array(max(2 * hi, 1))
+    return next(islice(_degree_rows(c, a, hi), min(m, n), None))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ Status values on :class:`MeasureSpec`:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .quadrature import (
     MAX_LEVEL,
     START_LEVEL,
     QuadratureConvergenceError,
-    TanhSinhRule,
     default_rule,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "triple_products",
     "jacobi_spectrum",
     "spectrum_atoms",
-    "export_density_csv",
 ]
 
 
@@ -218,12 +215,13 @@ def measure_of(seq: CoeffSequence) -> MeasureSpec:
 # ---------------------------------------------------------------------------
 
 
-def _refine_piece(piece, accumulate, tol, max_level, rule):
+def _refine_piece(piece, accumulate, tol):
     """Run accumulate(x, lo, hi, wts) per level until stable; return S."""
+    rule = default_rule()
     mid = 0.5 * (piece.a + piece.b)
     half = 0.5 * (piece.b - piece.a)
     prev = None
-    for level in range(START_LEVEL, max_level + 1):
+    for level in range(START_LEVEL, MAX_LEVEL + 1):
         u, omu, opu, w = rule.level_nodes(level)
         x = mid + half * u
         lo = half * opu
@@ -238,7 +236,7 @@ def _refine_piece(piece, accumulate, tol, max_level, rule):
         prev = cur
     raise QuadratureConvergenceError(
         f"tanh-sinh did not stabilize to {tol:g} on "
-        f"({piece.a:g}, {piece.b:g}) by level {max_level}"
+        f"({piece.a:g}, {piece.b:g}) by level {MAX_LEVEL}"
     )
 
 
@@ -246,14 +244,11 @@ def integrate_positive(
     spec: MeasureSpec,
     row_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     tol: float = 1e-11,
-    max_level: int = MAX_LEVEL,
-    rule: Optional[TanhSinhRule] = None,
 ):
     """Integrate ``row_fn(x, lo, hi) * density`` over the positive-axis a.c.
     part.  ``row_fn`` may return a scalar-per-node vector or a stack of
     rows ``(k, len(x))``; atoms and mirroring are the caller's business.
     """
-    rule = rule or default_rule()
     total = None
     for piece in spec.pieces:
         def acc(x, lo, hi, wts, _p=piece):
@@ -261,7 +256,7 @@ def integrate_positive(
             vals = np.atleast_2d(row_fn(x, lo, hi))
             return vals @ (rho * wts)
 
-        part = _refine_piece(piece, acc, tol, max_level, rule)
+        part = _refine_piece(piece, acc, tol)
         total = part if total is None else total + part
     if total is None:
         total = np.zeros(1)
@@ -413,25 +408,3 @@ def spectrum_atoms(seq: CoeffSequence, N: int):
     order = np.argsort(vals)
     return vals[order], np.abs(vecs[-1, order])
 
-
-def export_density_csv(
-    spec: MeasureSpec,
-    path,
-    points_per_piece: int = 400,
-) -> None:
-    """Write (x, density) samples over the full symmetric support.
-
-    Atoms are not sampled here; callers list them separately.
-    """
-    xs: list[float] = []
-    for piece in spec.pieces:
-        inner = np.linspace(piece.a, piece.b, points_per_piece + 2)[1:-1]
-        xs.extend(inner.tolist())
-        xs.extend((-inner).tolist())
-    xs = sorted(set(xs))
-    dens = spec.density(np.asarray(xs))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "density"])
-        for x, d in zip(xs, dens):
-            w.writerow([f"{x:.12g}", f"{d:.12g}"])

@@ -30,25 +30,23 @@ class TanhSinhRule:
     """Cached node tables per refinement level on the canonical (-1, 1).
 
     ``level_nodes(level)`` returns ``(u, omu, opu, w)`` for the nodes that
-    are new at that level: all multiples of h = 2**-START_LEVEL at the
-    start level, odd multiples of h = 2**-level afterwards.  ``omu`` and
-    ``opu`` are 1 - u and 1 + u in stable form; ``w`` is du/dt at the
-    node (callers multiply by the step h themselves).
+    are new at that level: all multiples t of h = 2**-START_LEVEL with
+    |t| <= T_MAX at the start level, the odd multiples of h = 2**-level
+    afterwards.  ``omu`` and ``opu`` are 1 - u and 1 + u in stable form;
+    ``w`` is du/dt at the node (callers multiply by the step h themselves).
     """
 
-    def __init__(self, t_max: float = T_MAX, max_level: int = MAX_LEVEL):
-        self.t_max = t_max
-        self.max_level = max_level
+    def __init__(self):
         self._cache: dict[int, tuple] = {}
 
     def level_nodes(self, level: int):
         if level not in self._cache:
             h = 2.0**-level
             if level == START_LEVEL:
-                k = np.arange(-int(self.t_max / h), int(self.t_max / h) + 1)
+                k = np.arange(-int(T_MAX / h), int(T_MAX / h) + 1)
                 t = k * h
             else:
-                kmax = int(self.t_max / h)
+                kmax = int(T_MAX / h)
                 k = np.arange(-kmax, kmax + 1)
                 t = k[k % 2 != 0] * h
             g = 0.5 * np.pi * np.sinh(t)

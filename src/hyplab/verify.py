@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebconnect import HAAR_FLOOR
 from .core import haar_values
 from .families import (
     KMParams,
     beta_for_epsilon,
-    closed_form_haar,
+    closed_form_max_rel_err,
     make_family,
 )
 from . import appendixcheck as _appendix
@@ -85,11 +86,7 @@ def haar_closed_forms() -> CriterionResult:
     worst = 0.0
     for tag, kw in _CLOSED_FORM_FAMILIES:
         seq = make_family(tag, **kw)
-        h = haar_values(seq, 40)
-        for n in range(0, 41):
-            ref = closed_form_haar(seq, n)
-            rel = abs(h[n] - ref) / ref
-            worst = max(worst, rel)
+        worst = max(worst, closed_form_max_rel_err(seq, haar_values(seq, 40)))
     passed = worst <= 1e-10
     return CriterionResult(
         "criterion-1",
@@ -279,7 +276,6 @@ def dual_geometry() -> CriterionResult:
 
 def haar_floor_composite() -> CriterionResult:
     """Full dual coverage forces h(n) >= 2; converse failure witnessed."""
-    floor = 2.0 * (1.0 - 1e-9)
     covering = []
     violations = []
     for tag, kw in _CLOSED_FORM_FAMILIES:
@@ -288,7 +284,7 @@ def haar_floor_composite() -> CriterionResult:
         if est.intervals == ((-1.0, 1.0),):
             covering.append(f"{tag}{kw.get('alpha', '')}" if kw else tag)
             hmin = float(np.min(haar_values(seq, 50)[1:]))
-            if hmin < floor:
+            if hmin < HAAR_FLOOR:
                 violations.append(f"{seq!r}: min h = {hmin}")
 
     witness = make_family("modkm", alpha=8, beta=5)
@@ -299,7 +295,7 @@ def haar_floor_composite() -> CriterionResult:
     punctured = any(
         0.0 < x < 0.13 for x in est.xs[est.member_mask]
     )
-    witness_ok = hmin_w >= floor and gap_present and zero_member and not punctured
+    witness_ok = hmin_w >= HAAR_FLOOR and gap_present and zero_member and not punctured
     if not witness_ok:
         violations.append(
             f"converse witness: hmin={hmin_w:.3f} gap={gap_present} "

@@ -32,7 +32,7 @@ def test_rows_reproduce_values():
     from hyplab.core import eval_basis
 
     for x in (-0.7, 0.2, 0.95):
-        vals = eval_basis(seq, 12, x).values
+        vals = eval_basis(seq, 12, x)
         tvals = np.array([cheb_eval(k, x) for k in range(13)])
         assert np.allclose(C @ tvals, vals, rtol=1e-12, atol=1e-12)
 
@@ -116,6 +116,50 @@ def test_row_checks_skip_overflowed_rows(nmax):
     assert not ok and math.isfinite(worst)
 
 
+ROW_CHECK_FAMILIES = [
+    ("cheb1", {}, 400),
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}, 400),
+    ("gencheb", {"alpha": -0.25, "beta": -5.0 / 6.0}, 400),
+    ("cosh", {"a": 1.0}, 400),
+    ("grinspun", {"c1": 0.7}, 400),
+    ("km", {"alpha": 8.0, "beta": 5.0}, 400),
+    ("modkm", {"alpha": 2.0, "beta": 5.0}, 400),
+    ("rational25", {}, 400),
+    ("convex", {"eps": 0.5}, 100),
+]
+
+
+def reference_leading(seq, nmax):
+    """The leading-coefficient defect with 2 ** (n - 1) and prod a(k)
+    formed as plain floats: the oracle wherever neither leaves the float
+    range (2.0 ** (n - 1) raises OverflowError from n = 1026 on)."""
+    C = connection_coeffs(seq, nmax)
+    rows = connection_row_checks(seq, nmax)["finite_rows"]
+    lead_defect = 0.0
+    prod_a = 1.0
+    for n in range(1, rows):
+        lead = C[n, n] * 2.0 ** (n - 1) * prod_a
+        lead_defect = max(lead_defect, abs(lead - 1.0))
+        prod_a *= seq.a(n)
+    return float(lead_defect)
+
+
+@pytest.mark.parametrize("tag,params,nmax", ROW_CHECK_FAMILIES)
+def test_leading_defect_bitwise_equals_plain_float_oracle(tag, params, nmax):
+    seq = make_family(tag, **params)
+    got = connection_row_checks(seq, nmax)["leading"]
+    assert got.hex() == reference_leading(seq, nmax).hex()
+
+
+def test_row_checks_past_float_range_of_two_to_the_n():
+    # 2.0 ** 1025 overflows; the split mantissa/exponent product does not
+    checks = connection_row_checks(make_family("cheb1"), 1100)
+    assert checks["finite_rows"] == 1101
+    assert all(math.isfinite(v) for v in checks.values())
+    assert checks["leading"] == 0.0
+    json.dumps(checks, allow_nan=False)
+
+
 def test_nonneg_split():
     ok, worst_ok = connection_nonneg(make_family("grinspun", c1=0.3), 20)
     bad, worst_bad = connection_nonneg(make_family("grinspun", c1=0.7), 20)
@@ -144,8 +188,7 @@ def test_nonneg_for_nlp_families():
 
 class TestCriterionReport:
     def test_full_interval_family(self):
-        rep = criterion_report(make_family("cosh", a=1.0), nlp_verified=True,
-                               profile_N=200, profile_step=2e-3)
+        rep = criterion_report(make_family("cosh", a=1.0), nlp_verified=True)
         assert rep.dual_full_interval
         assert rep.predicted
         assert rep.haar_min >= 2.0 - 1e-9
@@ -154,8 +197,7 @@ class TestCriterionReport:
 
     def test_counterexample_family(self):
         rep = criterion_report(make_family("modkm", alpha=2.0, beta=5.0),
-                               nlp_verified=True,
-                               profile_N=200, profile_step=2e-3)
+                               nlp_verified=True)
         assert not rep.predicted       # no sufficient criterion fires
         assert not rep.haar_floor_met  # h(1) = 1.8 < 2
         assert rep.consistent          # ...which is exactly consistent
@@ -164,8 +206,7 @@ class TestCriterionReport:
         # bounded polynomials alone must not predict the floor when the
         # product formula has negative weights
         seq = make_family("grinspun", c1=0.7)
-        rep = criterion_report(seq, nlp_verified=False,
-                               profile_N=200, profile_step=2e-3)
+        rep = criterion_report(seq, nlp_verified=False)
         assert rep.uniform_bound
         assert not rep.predicted
         assert rep.haar_min < 2.0
@@ -173,13 +214,11 @@ class TestCriterionReport:
 
     def test_custom_sequence_has_no_support_verdict(self):
         seq = make_family("custom", cfunc=lambda n: 0.45)
-        rep = criterion_report(seq, nlp_verified=None,
-                               profile_N=100, profile_step=5e-3)
+        rep = criterion_report(seq, nlp_verified=None)
         assert rep.support_symmetric_interval is None
 
     def test_lines_render(self):
-        rep = criterion_report(make_family("cheb1"), nlp_verified=True,
-                               profile_N=100, profile_step=5e-3)
+        rep = criterion_report(make_family("cheb1"), nlp_verified=True)
         text = "\n".join(rep.lines())
         assert "min h(n)" in text and "consistent" in text
 

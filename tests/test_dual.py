@@ -14,8 +14,6 @@ from hyplab.dual import (
     complex_scan,
     divergence_classify,
     dual_estimate,
-    export_complex_csv,
-    export_profile_csv,
     max_abs_profile,
     exclusion_bound,
     exclusion_intervals,
@@ -138,7 +136,7 @@ def test_exclusion_intervals_match_degree_two_root(build):
     assert haar(seq, 1) == pytest.approx(1.0 + eps, rel=1e-12)
     assert exclusion_bound(seq) == pytest.approx(cut, rel=1e-12)
     for x in (cut, ncut):
-        vals = eval_basis(seq, 2, x).values
+        vals = eval_basis(seq, 2, x)
         assert vals[2] == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -189,43 +187,12 @@ class TestComplexScan:
         assert np.all(np.abs(surv.imag) <= 0.02)
 
 
-def test_export_profile_csv(tmp_path):
-    est = dual_estimate(make_family("modkm", alpha=2.0, beta=5.0), N=200,
-                        grid_step=5e-3, tol=1e-9)
-    path = tmp_path / "profile.csv"
-    export_profile_csv(est, path)
-    text = path.read_text()
-    lines = text.splitlines()
-    assert lines[0].startswith("x,")
-    assert len(lines) == est.xs.size + 1
-    assert "\r" not in text
-    assert "member" in text and "diverged" in text
-
-
-def test_export_profile_csv_bounded_family(tmp_path):
-    # a family with bounded polynomials never earns the 'diverged' label
-    est = dual_estimate(make_family("grinspun", c1=0.7), N=100,
-                        grid_step=5e-3, tol=1e-9)
-    path = tmp_path / "profile.csv"
-    export_profile_csv(est, path)
-    text = path.read_text()
-    assert "above_band" in text and "diverged" not in text
-
-
-def test_export_complex_csv(tmp_path):
-    pts, prof = complex_scan(make_family("cosh", a=1.0), N=60, step=0.2)
-    path = tmp_path / "cx.csv"
-    export_complex_csv(pts, prof, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == pts.size + 1
-
-
 def test_threshold_freeze_does_not_flip_members():
     # raising the divergence threshold must not change who is a member
     seq = make_family("modkm", alpha=8.0, beta=5.0)
     xs = np.linspace(-1, 1, 101)
-    lo = max_abs_profile(seq, xs, N=200, threshold=1e4)
-    hi = max_abs_profile(seq, xs, N=200, threshold=1e8)
+    lo, _ = dual._profile(seq, xs, 200, 1e4)
+    hi, _ = dual._profile(seq, xs, 200, 1e8)
     assert np.array_equal(lo <= 1.0 + 1e-9, hi <= 1.0 + 1e-9)
 
 

@@ -221,7 +221,7 @@ def test_s0_for_epsilon_consistency():
     eps = 0.5
     s0 = s0_for_epsilon(eps)
     # h(1) = Q_1(1)^2 = 1/lambda_0^2 = 1/(1-s0)^2, wired through the ConvexSeqSpec object
-    spec = ConvexSeqSpec(s=geometric_sequence(s0, 0.5), params={})
+    spec = ConvexSeqSpec(s=geometric_sequence(s0, 0.5))
     assert spec.haar(1) == pytest.approx(1.0 + eps, abs=1e-12)
 
 
@@ -234,46 +234,46 @@ class TestConvexExact:
         seq = make_family("convex", eps=0.5, q=0.5)
         self.spec = seq.backbone
         self.seq = seq
+        self.s = geometric_sequence(s0_for_epsilon(0.5), 0.5)
 
     def test_boundary_identity(self):
-        # lam(2n-1) + lam(2n) = lam(2n+2) holds exactly for every n
+        # lam(2n-1) + lam(2n) = lam(2n+2) holds exactly for every n, and
+        # the backbone's weights are those of the rational recurrence
+        lam, _ = _fraction_backbone(self.s, 122)
         for n in range(1, 60):
-            lhs = self.spec.lam_exact(2 * n - 1) + self.spec.lam_exact(2 * n)
-            assert lhs == self.spec.lam_exact(2 * n + 2)
-
-    def test_weights_are_exact_fractions(self):
-        v = self.spec.lam_exact(7)
-        assert isinstance(v, Fraction)
-        # floats are dyadic, so all denominators are powers of two
-        assert v.denominator & (v.denominator - 1) == 0
+            assert lam[2 * n - 1] + lam[2 * n] == lam[2 * n + 2]
+        for j in range(122):
+            assert self.spec.lam(j) == float(lam[j])
 
     def test_c_stays_in_open_interval_deep(self):
+        lam, q = _fraction_backbone(self.s, 399)
         for n in (1, 50, 105, 200, 399):
-            c = self.spec.c_exact(n)
+            c = lam[n - 1] * q[n - 1] / q[n]
             assert 0 < c < 1
+            assert self.spec.c(n) == float(c)
 
     def test_inv_a_representable_past_float_resolution(self):
         # float c(n) rounds to exactly 1.0 past n ~ 105 (and is rejected by
         # the domain guard), but 1/a(n) stays a representable float
         from hyplab.core import CoefficientDomainError
 
-        assert float(self.spec.c_exact(201)) == 1.0
+        assert self.spec.c(201) == 1.0
         with pytest.raises(CoefficientDomainError):
             self.seq.c(201)
         inv = self.spec.inv_a(201)
         assert np.isfinite(inv) and inv > 1e20
 
     def test_haar_matches_q1_square(self):
+        _, q = _fraction_backbone(self.s, 11)
         for n in range(12):
-            q = self.spec.q1_exact(n)
-            assert self.spec.haar(n) == pytest.approx(float(q * q), rel=1e-15)
+            assert self.spec.haar(n) == pytest.approx(float(q[n] ** 2), rel=1e-15)
 
     def test_rejects_nonconvex_sequence(self):
         # s_k = s0 * (0.9)^k has positive second difference; a concave one
         # must be refused
         concave = lambda k: 0.4 * (1.0 - 0.1 * k) if k < 9 else 0.01
         with pytest.raises(FamilyParameterError):
-            spec = ConvexSeqSpec(s=concave, params={})
+            spec = ConvexSeqSpec(s=concave)
             spec.lam(6)
 
 
@@ -305,7 +305,6 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
         a, b = q1[n - 1], q1[n]
         num = lam[n - 1].numerator * a.numerator * b.denominator
         den = lam[n - 1].denominator * a.denominator * b.numerator
-        assert spec.q1_exact(n) == b
         assert spec.c(n).hex() == (num / den).hex()
         assert spec.inv_a(n).hex() == (den / (den - num)).hex()
         try:

@@ -111,10 +111,35 @@ class TestStreamedRows:
     def test_linearize_reads_only_its_own_degrees(self):
         # c(55) of this family rounds to 1.0; row (2, 3) needs c(1..6)
         seq = make_family("convex", eps=0.5, q=0.25)
-        row = linearize(seq, 2, 3, N=40)
+        row = linearize(seq, 2, 3)
         assert row.tobytes() == oracle_rows(seq, 3)[(2, 3)].tobytes()
         with pytest.raises(CoefficientDomainError):
             LinearizationTable(seq, 40)
+
+    def test_linearize_generates_only_rows_of_its_top_degree(self, monkeypatch):
+        # every generated row is one np.zeros in the linearization module;
+        # row (lo, hi) needs the rows (0..lo, hi) and nothing of lower degree
+        from hyplab import linearization
+
+        made = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, shape, *args, **kwargs):
+                made.append(shape)
+                return np.zeros(shape, *args, **kwargs)
+
+        seq = make_family("gencheb", alpha=0.5, beta=0.5)
+        want = oracle_rows(seq, 64)
+        monkeypatch.setattr(linearization, "np", CountingNumpy())
+        for m, n in ((0, 64), (64, 5), (17, 40), (40, 40), (0, 0)):
+            made.clear()
+            row = linearize(seq, m, n)
+            lo, hi = min(m, n), max(m, n)
+            assert len(made) == lo + 1, (m, n)
+            assert row.tobytes() == want[(lo, hi)].tobytes(), (m, n)
 
     def test_audit_builds_no_table(self, monkeypatch):
         def refuse(self, seq, N=0):
@@ -201,7 +226,7 @@ def test_pointwise_product_identity(table):
     seq = make_family("gencheb", alpha=-0.25, beta=-5.0 / 6.0)
     t = LinearizationTable(seq, N=16)
     for x in (-0.8, 0.05, 0.6):
-        vals = eval_basis(seq, 16, x).values
+        vals = eval_basis(seq, 16, x)
         for m, n in ((2, 3), (4, 4), (1, 7), (8, 8)):
             lhs = vals[m] * vals[n]
             row = t.row(m, n)

@@ -156,6 +156,8 @@ def alpha(seq: CoeffSequence, n: int) -> float:
     """Orthonormal recurrence coefficient alpha(n) = sqrt(c(n) a(n-1)), n >= 1."""
     if n < 1:
         raise IndexError(f"alpha(n) is defined for n >= 1, got n={n}")
+    if seq.backbone is not None:
+        return float(seq.backbone.lam(n - 1))
     return float(alpha_array(seq, n)[n])
 
 

@@ -9,12 +9,15 @@ g(m, n; k) -- "NLP" -- is what turns the index set into a discrete
 hypergroup: translation, convolution and the l1(h) norm below are the
 standard hypergroup structure built from these coefficients.
 
-Rows are computed by induction on m inside a fixed n:
+Rows are computed by induction on m,
 
     P_{m+1} P_n = (x (P_m P_n) - c(m) P_{m-1} P_n) / a(m),
 
 where multiplication by x acts termwise through the three-term recurrence
-x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1).
+x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1).  Rows of one n
+depend only on each other, so a block of consecutive degrees n advances
+together: each step of m is one update of a zero-padded 2-D array whose
+row i holds g(m, n0 + i; .) and whose columns are the degrees.
 """
 
 from __future__ import annotations
@@ -48,41 +51,55 @@ class DegreeOverflowError(IndexError):
     """A linearization row beyond the table's degree bound was requested."""
 
 
-def _degree_rows(c: np.ndarray, a: np.ndarray, n: int):
-    """Yield g(m, n; .) for m = 0..n from c and a up to degree 2n; rows of
-    one n depend only on each other, and only the two latest are held."""
-    r_prev = np.zeros(n + 1)
-    r_prev[n] = 1.0
-    yield r_prev
-    if n == 0:
-        return
-    r_cur = np.zeros(n + 2)
-    r_cur[n + 1] = a[n]
-    r_cur[n - 1] = c[n]
-    yield r_cur
-    for m in range(1, n):
-        L = r_cur.size  # degrees 0 .. m+n
-        nxt = np.zeros(L + 1)
-        nxt[1:] += a[:L] * r_cur
-        nxt[: L - 1] += c[1:L] * r_cur[1:]
-        nxt[: r_prev.size] -= c[m] * r_prev
-        nxt /= a[m]
-        r_prev, r_cur = r_cur, nxt
-        yield r_cur
+_BLOCK = 32  # degrees n per block: the rows of one block share each step
 
 
-def _rows(seq: CoeffSequence, N: int):
-    """Yield ((m, n), g(m, n; .)) for 0 <= m <= n <= N, n outer, m inner.
+def _block_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
+    """Yield (m, first, rows) for m = 0 .. n1 - 1 over the degrees n0 <= n < n1.
 
-    A caller that streams the rows needs O(N) memory where the whole
-    table needs O(N^3).
+    ``rows[i, k]`` is g(m, n0 + i; k) for the live rows i >= first (those
+    with n >= m); column k is degree k, zero outside the band.  Each step
+    allocates one array and only the two latest are held.  Every entry takes
+    the elementwise operations, in the order, of the recurrence run for one
+    n alone; the terms added here that it leaves out are exact zeros, so
+    each row is bitwise what that run gives.
     """
+    B, W = n1 - n0, 2 * n1 - 1
+    ns = np.arange(n0, n1)
+    r_cur = np.zeros((B, W))
+    r_cur[ns - n0, ns] = 1.0
+    yield 0, 0, r_cur
+    if n1 == 1:  # the block holds n = 0 alone
+        return
+    first = max(0, 1 - n0)
+    live = ns[first:]
+    r_prev, r_cur = r_cur, np.zeros((B, W))
+    r_cur[live - n0, live + 1] = a[live]
+    r_cur[live - n0, live - 1] = c[live]
+    yield 1, first, r_cur
+    for m in range(1, n1 - 1):
+        first = max(0, m + 1 - n0)
+        # row m + 1 of the live degrees can be nonzero at degrees lo .. hi-1
+        lo, hi = n0 + first - m - 1, n1 + m + 1
+        nxt = np.zeros((B, W))
+        out, cur = nxt[first:, lo:hi], r_cur[first:]
+        out[:, 1:] += a[lo : hi - 1] * cur[:, lo : hi - 1]
+        out[:, :-1] += c[lo + 1 : hi] * cur[:, lo + 1 : hi]
+        out -= c[m] * r_prev[first:, lo:hi]
+        out /= a[m]
+        r_prev, r_cur = r_cur, nxt
+        yield m + 1, first, r_cur
+
+
+def _blocks(seq: CoeffSequence, N: int):
+    """Yield (n0, n1, steps) per block n0 <= n < n1 of the degrees 0 .. N, in
+    order, with ``steps`` from :func:`_block_rows`."""
     if N < 0:
         raise ValueError(f"table bound must be >= 0, got {N}")
     c, a = seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
-    for n in range(N + 1):
-        for m, row in enumerate(_degree_rows(c, a, n)):
-            yield (m, n), row
+    for n0 in range(0, N + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, N + 1)
+        yield n0, n1, _block_rows(c, a, n0, n1)
 
 
 class LinearizationTable:
@@ -91,7 +108,15 @@ class LinearizationTable:
     def __init__(self, seq: CoeffSequence, N: int = DEFAULT_TABLE_N):
         self.seq = seq
         self.N = N
-        self._rows = dict(_rows(seq, N))
+        self._rows = {}
+        for n0, n1, steps in _blocks(seq, N):
+            block = [[] for _ in range(n0, n1)]
+            for m, first, rows in steps:
+                for i in range(first, n1 - n0):
+                    # a compact copy: a view would pin the whole block array
+                    block[i].append(rows[i, : m + n0 + i + 1].copy())
+            for i, n_rows in enumerate(block):
+                self._rows.update(((m, n0 + i), row) for m, row in enumerate(n_rows))
 
     def row(self, m: int, n: int) -> np.ndarray:
         """The coefficient row of P_m P_n (length m + n + 1)."""
@@ -118,9 +143,10 @@ def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    hi = max(m, n)
+    lo, hi = min(m, n), max(m, n)
     c, a = seq.c_array(max(2 * hi, 1)), seq.a_array(max(2 * hi, 1))
-    return next(islice(_degree_rows(c, a, hi), min(m, n), None))
+    _, _, rows = next(islice(_block_rows(c, a, hi, hi + 1), lo, None))
+    return rows[0, : lo + hi + 1].copy()
 
 
 @dataclass(frozen=True)
@@ -148,16 +174,40 @@ def check_nlp(seq: CoeffSequence, N: int = 30, tol: float = NLP_TOL) -> NLPRepor
     min_witness = (0, 0, 0)
     row_sum_max_error = 0.0
     endpoints_positive = True
-    for (m, n), row in _rows(seq, N):
-        row_sum_max_error = max(row_sum_max_error, abs(row.sum() - 1.0))
-        lo = n - m
-        band = row[lo : m + n + 1 : 2]
-        k_local = int(np.argmin(band))
-        if band[k_local] < min_coeff:
-            min_coeff = float(band[k_local])
-            min_witness = (m, n, lo + 2 * k_local)
-        if not (row[lo] > tol and row[m + n] > tol):
-            endpoints_positive = False
+    add = np.add.reduce
+    for n0, n1, steps in _blocks(seq, N):
+        # per (n, m) of the block: the band minimum and the place of its first
+        # occurrence in the band
+        band_min = np.full((n1 - n0, n1), np.inf)
+        band_k = np.zeros((n1 - n0, n1), dtype=np.intp)
+        for m, first, rows in steps:
+            ns = range(n0 + first, n1)
+            # numpy's pairwise sum depends on the length: one exact-length
+            # row at a time keeps each sum bitwise what the row alone gives
+            sums = np.fromiter(
+                (add(row[: m + n + 1]) for row, n in zip(rows[first:], ns)),
+                float, len(ns),
+            )
+            err = np.fmax.reduce(np.abs(sums - 1.0))  # a NaN sum is never adopted
+            if err > row_sum_max_error:
+                row_sum_max_error = float(err)
+            # degrees n - m, n - m + 2, ..., n + m of each live row n: row i
+            # starts at flat index i * W + (n0 + i - m) of the (B, W) array
+            starts = (rows.shape[1] + 1) * np.arange(first, n1 - n0) + (n0 - m)
+            band = rows.reshape(-1).take(starts[:, None] + 2 * np.arange(m + 1))
+            k = band.argmin(axis=1)  # a row's first minimum, or its first NaN
+            band_min[first:, m] = np.take_along_axis(band, k[:, None], 1)[:, 0]
+            band_k[first:, m] = k
+            if not ((band[:, 0] > tol).all() and (band[:, -1] > tol).all()):
+                endpoints_positive = False
+        # a NaN minimum is never adopted; the first strict minimum in n-outer,
+        # m-inner order is the one a running `<` over the rows would keep
+        band_min[np.isnan(band_min)] = np.inf
+        j = int(band_min.argmin())
+        if band_min.flat[j] < min_coeff:
+            i, m = divmod(j, n1)
+            min_coeff = float(band_min.flat[j])
+            min_witness = (m, n0 + i, n0 + i - m + 2 * int(band_k.flat[j]))
     return NLPReport(
         is_nonnegative=bool(min_coeff >= -tol),
         min_coeff=min_coeff,

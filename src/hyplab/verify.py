@@ -141,7 +141,7 @@ def nlp_audits() -> CriterionResult:
     row_worst = 0.0
     for a in (0.5, 1.0):
         seq = make_family("cosh", a=a)
-        tab = _lin.LinearizationTable(seq, N=24)
+        tab = _lin.LinearizationTable(seq, N=12)
         for m in range(1, 13):
             for n in range(m, 13):
                 row = tab.row(m, n)
@@ -169,7 +169,7 @@ def linearization_oracles() -> CriterionResult:
     worst_orth = 0.0
     for tag, kw in _FULL_MEASURE_FAMILIES:
         seq = make_family(tag, **kw)
-        tab = _lin.LinearizationTable(seq, N=24)
+        tab = _lin.LinearizationTable(seq, N=12)
         T = _measures.triple_products(seq, 12)
         h = haar_values(seq, 24)
         for m in range(13):

@@ -287,6 +287,19 @@ class TestSingleImplementations:
 
 
 class TestAlpha:
+    def test_backbone_alpha_is_one_lambda(self, monkeypatch):
+        # alpha(n) reads lambda(n - 1) alone, bitwise what alpha_array holds
+        seq = make_family("convex", eps=0.5)
+        want = alpha_array(seq, 300)
+        calls = []
+        lam = seq.backbone.lam
+        monkeypatch.setattr(seq.backbone, "lam", lambda n: calls.append(n) or lam(n))
+        for n in range(1, 301):
+            calls.clear()
+            got = alpha(seq, n)
+            assert calls == [n - 1]
+            assert np.float64(got).tobytes() == want[n].tobytes(), n
+
     def test_alpha_squared_is_lambda(self):
         seq = make_family("km", alpha=2.0, beta=5.0)
         for n in range(1, 15):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import CoefficientDomainError, eval_basis, haar_values
+from hyplab.core import CoeffSequence, CoefficientDomainError, eval_basis, haar_values
 from hyplab.families import make_family
 from hyplab.linearization import (
+    _BLOCK,
     DegreeOverflowError,
     LinearizationTable,
     NLPReport,
@@ -97,6 +98,54 @@ class TestStreamedRows:
         for key, row in want.items():
             assert got[key].tobytes() == row.tobytes()
         assert check_nlp(make_family(tag, **params), N) == oracle_nlp(want, N)
+
+    @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
+    @pytest.mark.parametrize("N", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100])
+    def test_block_seams_match_oracle(self, tag, params, N):
+        # rows of degrees n advance in blocks of _BLOCK; bounds just below,
+        # at and past a block end must give the rows and audit of one n at a time
+        try:
+            want = oracle_rows(make_family(tag, **params), N)
+        except CoefficientDomainError:
+            # convex(eps=0.5): c(107) rounds to 1.0, so every reader of
+            # c(1..2N) refuses from N = 54 on
+            assert tag == "convex" and 2 * N >= 107
+            with pytest.raises(CoefficientDomainError):
+                LinearizationTable(make_family(tag, **params), N)
+            with pytest.raises(CoefficientDomainError):
+                check_nlp(make_family(tag, **params), N)
+            return
+        got = LinearizationTable(make_family(tag, **params), N)._rows
+        assert list(got) == list(want)
+        for key, row in want.items():
+            assert got[key].tobytes() == row.tobytes(), key
+        assert check_nlp(make_family(tag, **params), N) == oracle_nlp(want, N)
+
+    def test_audit_tie_keeps_the_first_row(self):
+        # every cheb1 row (m, n) with 2 <= m <= n has an interior zero; the
+        # witness is the first of them in n-outer, m-inner order
+        N = 2 * _BLOCK + 1
+        rep = check_nlp(make_family("cheb1"), N)
+        assert rep.min_coeff == 0.0 and rep.min_witness == (2, 2, 2)
+        assert rep == oracle_nlp(oracle_rows(make_family("cheb1"), N), N)
+
+    @pytest.mark.parametrize("N", [_BLOCK + 1, 2 * _BLOCK + 1])
+    def test_non_finite_rows_match_oracle(self, N):
+        # a(n) = 2**-52 divides every step: rows overflow to inf, then NaN
+        def seq():
+            return CoeffSequence("custom", {}, lambda n: 1 - 2**-52)
+
+        with np.errstate(all="ignore"):
+            want = oracle_rows(seq(), N)
+            got = LinearizationTable(seq(), N)._rows
+            rep = check_nlp(seq(), N)
+            assert rep == oracle_nlp(want, N)
+        assert any(np.isinf(row).any() for row in want.values())
+        assert any(np.isnan(row).any() for row in want.values())
+        assert list(got) == list(want)
+        for key, row in want.items():
+            assert got[key].tobytes() == row.tobytes(), key
+        assert rep.min_coeff == -np.inf and not rep.endpoints_positive
 
     @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
     def test_linearize_matches_oracle(self, tag, params):
@@ -284,6 +333,14 @@ class TestNLP:
         assert rep.is_nonnegative
         assert rep.min_coeff > -1e-12
         assert rep.row_sum_max_error < 1e-11
+
+    @pytest.mark.parametrize("tag,params", [
+        ("gencheb", {"alpha": 0.5, "beta": 0.5}),  # some row sum misses 1
+        ("cheb1", {}),  # every row sum is exactly 1
+    ])
+    def test_row_sum_error_is_a_python_float(self, tag, params):
+        rep = check_nlp(make_family(tag, **params), N=20)
+        assert type(rep.row_sum_max_error) is float
 
     def test_grinspun_above_half_fails(self):
         rep = check_nlp(make_family("grinspun", c1=0.7), N=10)

@@ -15,12 +15,12 @@ For the Karlin--McGregor walk coefficients the partner sequence is the
 classical walk-polynomial variant with modified initial slope
 P~_1(x) = beta x / (beta - 1), whose monic recurrence differs from the
 original in the single weight lambda~_1 = (beta-1)/(alpha beta).  The
-checks here build both sides in exact rational arithmetic whenever
-alpha and beta are rational (every identity residual is then exactly 0)
-and in floating point otherwise, and they confirm numerically that the
-partner sequence really is orthogonal under mu* — including the
-atom-at-zero case alpha > beta, where the partner atom mass is
-(alpha-beta)/(alpha-1).
+checks here build both sides exactly whenever alpha and beta are
+rational, as integer polynomials over a common denominator (every
+identity residual is then exactly 0), and in floating point otherwise,
+and they confirm numerically that the partner sequence really is
+orthogonal under mu* — including the atom-at-zero case alpha > beta,
+where the partner atom mass is (alpha-beta)/(alpha-1).
 """
 
 from __future__ import annotations
@@ -125,14 +125,58 @@ def _one_minus_x2_times(p: Sequence) -> list:
     return out
 
 
+def _scaled_monic_rows(mu: Sequence[int], D: int, nmax: int) -> list[list[int]]:
+    """Integer rows rho_0..rho_nmax with sigma_k = rho_k / D^(k // 2), for the
+    monic weights lambda_k = mu[k] / D (``mu[0]`` is unused).
+
+    The power of D steps up at every even degree, so
+    rho_{k+1} = x D rho_k - mu_k rho_{k-1} for odd k and
+    rho_{k+1} = x rho_k - mu_k rho_{k-1} for even k.
+    """
+    rows = [[1], [0, 1]]
+    for k in range(1, nmax):
+        cur, prev = rows[k], rows[k - 1]
+        s = D if k % 2 else 1
+        nxt = [0] + [s * coef for coef in cur]
+        for j, coef in enumerate(prev):
+            nxt[j] -= mu[k] * coef
+        rows.append(nxt)
+    return rows[: nmax + 1]
+
+
 def _kernel_residual(lam, lam_star, n: int, r):
     """Max |coefficient| of (1-x^2) sigma*_n + sigma_{n+2} - r sigma_n,
-    with sigma from the monic weights ``lam`` and sigma* from ``lam_star``."""
-    sig = monic_rows(lam, n + 2)
-    sig_star = monic_rows(lam_star, max(n, 1))
-    lhs = _one_minus_x2_times(sig_star[n])
-    rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
-    return max(abs(c) for c in _poly_sub(lhs, rhs))
+    with sigma from the monic weights ``lam`` and sigma* from ``lam_star``.
+
+    Exact (a Fraction) when r is rational: with D the common denominator
+    of the weights and r = p/q, the residual scaled by q D^(n//2 + 1) has
+    integer coefficients.  Floating point otherwise.
+    """
+    if not isinstance(r, Rational):
+        sig = monic_rows(lam, n + 2)
+        sig_star = monic_rows(lam_star, max(n, 1))
+        lhs = _one_minus_x2_times(sig_star[n])
+        rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
+        return max(abs(c) for c in _poly_sub(lhs, rhs))
+    lams = [Fraction(lam(k)) for k in range(1, n + 2)]
+    lams_star = [Fraction(lam_star(k)) for k in range(1, n)]
+    D = math.lcm(*(v.denominator for v in (*lams, *lams_star)))
+
+    def scaled(weights):  # [unused, D lambda_1, D lambda_2, ...]
+        return [0] + [v.numerator * (D // v.denominator) for v in weights]
+
+    rho = _scaled_monic_rows(scaled(lams), D, n + 2)
+    rho_star = _scaled_monic_rows(scaled(lams_star), D, n)[n]
+    p, q = r.numerator, r.denominator
+    # q D (1 - x^2) rho*_n + q rho_{n+2} - p D rho_n, coefficient by coefficient
+    qD, pD = q * D, p * D
+    resid = [q * c for c in rho[n + 2]]
+    for j, c in enumerate(rho_star):
+        resid[j] += qD * c
+        resid[j + 2] -= qD * c
+    for j, c in enumerate(rho[n]):
+        resid[j] -= pD * c
+    return Fraction(max(abs(c) for c in resid), q * D ** (n // 2 + 1))
 
 
 def kernel_identity_residual(alpha, beta, n: int) -> float:
@@ -144,10 +188,14 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     KMParams(float(alpha), float(beta))  # validate the parameter domain
     a, b = _exact(alpha, beta)
     r = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
+    # the three distinct weights of km_monic_lambda and tilde_monic_lambda
+    first, even, odd = 1 / a, (a - 1) / (a * b), (b - 1) / (a * b)
+
+    def lam(k):
+        return first if k == 1 else even if k % 2 == 0 else odd
+
     return float(_kernel_residual(
-        lambda k: km_monic_lambda(a, b, k),
-        lambda k: tilde_monic_lambda(a, b, k),
-        n, r,
+        lam, lambda k: odd if k == 1 else lam(k), n, r
     ))
 
 
@@ -168,8 +216,11 @@ def sigma_ratio(alpha, beta, n: int):
     one_step = vals[n + 1] / vals[n] - km_monic_lambda(a, b, n + 1)
     closed = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
     tol = 0 if isinstance(a, Fraction) else 1e-12
-    assert abs(ratio - closed) <= tol, (ratio, closed)
-    assert abs(one_step - closed) <= tol, (one_step, closed)
+    # raised, not asserted, so the check also runs under python -O
+    if not abs(ratio - closed) <= tol:
+        raise AssertionError((ratio, closed))
+    if not abs(one_step - closed) <= tol:
+        raise AssertionError((one_step, closed))
     return ratio
 
 

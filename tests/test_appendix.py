@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyplab import appendixcheck
 from hyplab.appendixcheck import (
     TildeSeq,
+    _kernel_residual,
     chebyshev_partner_residual,
     kernel_identity_residual,
     km_monic_lambda,
@@ -35,7 +37,7 @@ def test_monic_lambda_spot_values():
 
 @pytest.mark.parametrize("a,b", LATTICE)
 def test_kernel_identity_exact_on_lattice(a, b):
-    for n in range(13):
+    for n in range(41):
         assert kernel_identity_residual(a, b, n) == 0.0
 
 
@@ -131,6 +133,64 @@ def test_mustar_orthogonality(a, b):
 
 def test_chebyshev_partner_is_exact():
     assert chebyshev_partner_residual(12) == 0.0
+
+
+def fraction_kernel_residual(lam, lam_star, n, r):
+    """The kernel-identity residual on Fraction polynomial rows, as it was
+    computed before the integer-over-common-denominator path."""
+    sig = monic_rows(lam, n + 2)
+    sig_star = monic_rows(lam_star, max(n, 1))
+    lhs = list(sig_star[n]) + [0, 0]
+    for k, coef in enumerate(sig_star[n]):
+        lhs[k + 2] -= coef
+    resid = [x - r * y for x, y in zip(lhs, sig[n] + [0, 0])]
+    resid = [x + y for x, y in zip(resid, sig[n + 2])]
+    return max(abs(c) for c in resid)
+
+
+RATIONAL_PARAMS = [(2, 5), (8, 3), (Fraction(5, 2), Fraction(15, 2))]
+
+
+@pytest.mark.parametrize("a,b", RATIONAL_PARAMS)
+def test_integer_path_matches_fraction_oracle_off_the_identity(a, b):
+    # a perturbed ratio and swapped weights leave nonzero residuals, which
+    # the integer path must reproduce exactly
+    lam = lambda k: km_monic_lambda(a, b, k)
+    lam_star = lambda k: tilde_monic_lambda(a, b, k)
+    for n in range(31):
+        r = sigma_ratio(a, b, n)
+        for args in (
+            (lam, lam_star, n, r + Fraction(1, 7 + n)),
+            (lam, lam_star, n, Fraction(1, 3)),
+            (lam_star, lam, n, r),
+        ):
+            got = _kernel_residual(*args)
+            want = fraction_kernel_residual(*args)
+            assert type(got) is Fraction and got == want, (n, args[3])
+            assert got != 0
+            assert float(got).hex() == float(want).hex()
+
+
+def test_chebyshev_pair_with_a_wrong_ratio():
+    lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)
+    lam_u = lambda k: Fraction(1, 4)
+    for n in range(31):
+        # r_n = 1/4 for n >= 1 and 1/2 at n = 0; perturb it
+        r = (Fraction(1, 2) if n == 0 else Fraction(1, 4)) - Fraction(1, 1000)
+        got = _kernel_residual(lam_t, lam_u, n, r)
+        assert got == fraction_kernel_residual(lam_t, lam_u, n, r) != 0
+        assert _kernel_residual(lam_u, lam_t, n, r) == fraction_kernel_residual(
+            lam_u, lam_t, n, r)
+
+
+def test_sigma_ratio_mismatch_raises(monkeypatch):
+    # an explicit raise, so the check survives python -O
+    monkeypatch.setattr(
+        appendixcheck, "km_monic_lambda",
+        lambda a, b, n: km_monic_lambda(a, b, n) * Fraction(101, 100),
+    )
+    with pytest.raises(AssertionError):
+        sigma_ratio(2, 5, 3)
 
 
 class TestTildeDensity:

@@ -51,3 +51,13 @@ def test_package_imports_resolve_to_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(hyplab, alias.name) is getattr(module, alias.name)
+
+
+def test_no_assert_statements_in_the_package():
+    # assert statements vanish under python -O; runtime checks must raise
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

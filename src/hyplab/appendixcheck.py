@@ -125,32 +125,16 @@ def _one_minus_x2_times(p: Sequence) -> list:
     return out
 
 
-def _scaled_monic_rows(mu: Sequence[int], D: int, nmax: int) -> list[list[int]]:
-    """Integer rows rho_0..rho_nmax with sigma_k = rho_k / D^(k // 2), for the
-    monic weights lambda_k = mu[k] / D (``mu[0]`` is unused).
-
-    The power of D steps up at every even degree, so
-    rho_{k+1} = x D rho_k - mu_k rho_{k-1} for odd k and
-    rho_{k+1} = x rho_k - mu_k rho_{k-1} for even k.
-    """
-    rows = [[1], [0, 1]]
-    for k in range(1, nmax):
-        cur, prev = rows[k], rows[k - 1]
-        s = D if k % 2 else 1
-        nxt = [0] + [s * coef for coef in cur]
-        for j, coef in enumerate(prev):
-            nxt[j] -= mu[k] * coef
-        rows.append(nxt)
-    return rows[: nmax + 1]
-
-
 def _kernel_residual(lam, lam_star, n: int, r):
     """Max |coefficient| of (1-x^2) sigma*_n + sigma_{n+2} - r sigma_n,
     with sigma from the monic weights ``lam`` and sigma* from ``lam_star``.
 
-    Exact (a Fraction) when r is rational: with D the common denominator
-    of the weights and r = p/q, the residual scaled by q D^(n//2 + 1) has
-    integer coefficients.  Floating point otherwise.
+    Exact (a Fraction) when r and the weights are rational, on the integer
+    rows tau_k(y) = D^k sigma_k(y / D): with D the common denominator of
+    the weights, tau is monic with the integer weights D^2 lambda_k, and
+    coefficient j of sigma_k is tau_{k,j} / D^(k-j).  For r = p/q the
+    residual scaled by q D^(n+2) then has integer coefficients.  Floating
+    point otherwise.
     """
     if not isinstance(r, Rational):
         sig = monic_rows(lam, n + 2)
@@ -158,25 +142,29 @@ def _kernel_residual(lam, lam_star, n: int, r):
         lhs = _one_minus_x2_times(sig_star[n])
         rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
         return max(abs(c) for c in _poly_sub(lhs, rhs))
-    lams = [Fraction(lam(k)) for k in range(1, n + 2)]
-    lams_star = [Fraction(lam_star(k)) for k in range(1, n)]
+    lams = [lam(k) for k in range(1, n + 2)]
+    lams_star = [lam_star(k) for k in range(1, n)]
     D = math.lcm(*(v.denominator for v in (*lams, *lams_star)))
+    D2 = D * D
 
-    def scaled(weights):  # [unused, D lambda_1, D lambda_2, ...]
-        return [0] + [v.numerator * (D // v.denominator) for v in weights]
+    def scaled(weights):  # k -> D^2 lambda_k, an integer
+        mu = [v.numerator * (D2 // v.denominator) for v in weights]
+        return lambda k: mu[k - 1]
 
-    rho = _scaled_monic_rows(scaled(lams), D, n + 2)
-    rho_star = _scaled_monic_rows(scaled(lams_star), D, n)[n]
+    tau = monic_rows(scaled(lams), n + 2)
+    tau_star = monic_rows(scaled(lams_star), n)[n]
     p, q = r.numerator, r.denominator
-    # q D (1 - x^2) rho*_n + q rho_{n+2} - p D rho_n, coefficient by coefficient
-    qD, pD = q * D, p * D
-    resid = [q * c for c in rho[n + 2]]
-    for j, c in enumerate(rho_star):
-        resid[j] += qD * c
-        resid[j + 2] -= qD * c
-    for j, c in enumerate(rho[n]):
-        resid[j] -= pD * c
-    return Fraction(max(abs(c) for c in resid), q * D ** (n // 2 + 1))
+    # coefficient j of q D^(n+2) times the residual is D^j times
+    # q D^2 tau*_{n,j} - q tau*_{n,j-2} + q tau_{n+2,j} - p D^2 tau_{n,j}
+    resid = [q * c for c in tau[n + 2]]
+    for j, c in enumerate(tau_star):
+        resid[j] += q * D2 * c
+        resid[j + 2] -= q * c
+    for j, c in enumerate(tau[n]):
+        resid[j] -= p * D2 * c
+    return Fraction(
+        max(abs(c) * D**j for j, c in enumerate(resid)), q * D ** (n + 2)
+    )
 
 
 def kernel_identity_residual(alpha, beta, n: int) -> float:
@@ -188,14 +176,15 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     KMParams(float(alpha), float(beta))  # validate the parameter domain
     a, b = _exact(alpha, beta)
     r = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
-    # the three distinct weights of km_monic_lambda and tilde_monic_lambda
-    first, even, odd = 1 / a, (a - 1) / (a * b), (b - 1) / (a * b)
+    # the weights repeat from k = 2 on with period 2: read them once
+    w = {k: km_monic_lambda(a, b, k) for k in (1, 2, 3)}
+    w_star_1 = tilde_monic_lambda(a, b, 1)
 
     def lam(k):
-        return first if k == 1 else even if k % 2 == 0 else odd
+        return w[1] if k == 1 else w[2 + k % 2]
 
     return float(_kernel_residual(
-        lam, lambda k: odd if k == 1 else lam(k), n, r
+        lam, lambda k: w_star_1 if k == 1 else lam(k), n, r
     ))
 
 

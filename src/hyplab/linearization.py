@@ -268,35 +268,17 @@ def translate(
     K = v.size - 1
     out_top = K + n
     if table is None:
-        rows = _rows_at(seq, n, out_top)
+        table = LinearizationTable(seq, out_top)
     elif table.N < out_top:
         raise DegreeOverflowError(
             f"translate needs rows up to degree {out_top}, table has N={table.N}"
         )
-    else:
-        rows = (table.row(m, n) for m in range(out_top + 1))
     out = np.zeros(out_top + 1, dtype=v.dtype)
-    for m, row in enumerate(rows):
+    for m in range(out_top + 1):
+        row = table.row(m, n)
         width = min(row.size, v.size)
         out[m] = np.dot(row[:width], v[:width])
     return WeightedSeq(out)
-
-
-def _rows_at(seq: CoeffSequence, n: int, top: int):
-    """Yield the rows g(m, n; .) for m = 0 .. top, where top >= n.
-
-    Rows m < n are the first steps of the block of degrees starting at n;
-    rows m >= n are g(n, m; .), step n of the blocks of degrees n .. top.
-    No block goes past step n.
-    """
-    c, a = seq.c_array(max(2 * top, 1)), seq.a_array(max(2 * top, 1))
-    for n0 in range(n, top + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, top + 1)
-        for m, _, rows in islice(_block_rows(c, a, n0, n1), n + 1):
-            if n0 == n and m < n:
-                yield rows[0, : m + n + 1]
-        for i in range(n1 - n0):
-            yield rows[i, : n + n0 + i + 1]
 
 
 def convolve(

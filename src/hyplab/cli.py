@@ -12,7 +12,9 @@ deterministic: fixed grids, fixed degree bounds, no randomness, so a
 repeated invocation is byte-identical.
 
 Exit codes: 0 all enabled checks passed, 1 configuration error, 2 at
-least one check failed (the failing check is named on stderr).
+least one check failed (the failing check is named on stderr) or a
+numerical failure stopped the run (its error class, the command and the
+family are named on stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import haar_values
+from .core import CoefficientDomainError, HaarRangeError, haar_values
 from .families import (
     FamilyParameterError,
     UnsupportedFamilyError,
@@ -36,6 +38,7 @@ from .families import (
     make_family,
     parse_family_spec,
 )
+from .quadrature import QuadratureConvergenceError
 from . import chebconnect as _cheb
 from . import dual as _dual
 from . import linearization as _lin
@@ -336,7 +339,7 @@ def cmd_verify(args) -> int:
                     {
                         "key": r.key,
                         "title": r.title,
-                        "passed": bool(r.passed),
+                        "passed": r.passed,
                         "detail": r.detail,
                     }
                     for r in results
@@ -432,6 +435,13 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (HaarRangeError, QuadratureConvergenceError, CoefficientDomainError) as exc:
+        where = f"hyplab {args.command}"
+        if args.command == "report":
+            where += f" --family {args.family}"
+        print(f"numerical failure: {type(exc).__name__} in {where}: {exc}",
+              file=sys.stderr)
+        return 2
     except (FamilyParameterError, UnsupportedFamilyError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

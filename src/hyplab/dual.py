@@ -222,22 +222,38 @@ def complex_scan(
     N: int = 400,
     step: float = 4e-3,
     tol: float = 1e-9,
-    relim: tuple = (-1.5, 1.5),
+    re_max: float = 1.5,
     imlim: tuple = (-1.5, 1.5),
 ):
     """Scan a complex grid for points with max_{n<=N} |P_n(z)| <= 1+tol.
 
     Returns ``(points, max_abs)``: surviving grid points and the running
-    sup there.  The real axis carries the real structure space; anything
-    surviving off the axis witnesses a strictly larger complex object.
-    The result over-approximates the true object: a point diverging only
-    beyond degree N is still reported.
+    sup there, in row-major order (rows by ascending Im z).  The real
+    axis carries the real structure space; anything surviving off the
+    axis witnesses a strictly larger complex object.  The result
+    over-approximates the true object: a point diverging only beyond
+    degree N is still reported.
+
+    The grid's real parts are the ``n`` points spaced ``step`` apart and
+    centred on 0, ``res = (k - (n - 1)/2) * step`` for ``k < n``, where
+    ``n`` is the size of ``arange(-re_max, re_max + step/2, step)``; they
+    are mirror-symmetric bit for bit (``res[::-1] == -res``).  The
+    imaginary parts are ``arange(imlim[0], imlim[1] + step/2, step)``.
+
+    Only the columns with Re z >= 0 are profiled; the others are their
+    mirror images.  The fold is exact: P_n has real coefficients and the
+    parity of n, so P_n(-conj(z)) = (-1)^n conj(P_n(z)), and every step
+    of the recurrence rounds the mirrored operands to the negated or
+    conjugated result because IEEE rounding is sign-symmetric.  The
+    profile at -conj(z) therefore equals the profile at z bitwise,
+    freezing included.
     """
-    res = np.arange(relim[0], relim[1] + 0.5 * step, step)
+    n = np.arange(-re_max, re_max + 0.5 * step, step).size
+    res = (np.arange(n) - 0.5 * (n - 1)) * step
     ims = np.arange(imlim[0], imlim[1] + 0.5 * step, step)
-    Z = (res[None, :] + 1j * ims[:, None]).ravel()
-    prof, _ = _profile(seq, Z, N, DIVERGE_THRESHOLD)
-    prof = prof.ravel()
+    Z = res[None, :] + 1j * ims[:, None]
+    half, _ = _profile(seq, Z[:, n // 2:], N, DIVERGE_THRESHOLD)
+    prof = np.concatenate((half[:, ::-1][:, : n // 2], half), axis=1).ravel()
+    Z = Z.ravel()
     alive = prof <= 1.0 + tol
     return Z[alive], prof[alive]
-

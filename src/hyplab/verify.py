@@ -43,6 +43,10 @@ class CriterionResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # checks compare numpy floats; keep a plain bool either way
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.key} {self.title}: {self.detail}"
@@ -81,12 +85,26 @@ _NLP_FAMILIES = [
 _EPS_SWEEP = (0.2, 0.5, 0.8)
 
 
+def _fold(pick, start, values):
+    """The running ``acc = pick(acc, v)`` over ``values`` from ``start``,
+    except that a NaN value is returned at once: ``max(0.0, nan)`` is
+    0.0, so a plain running max() or min() would pass a NaN measurement.
+    """
+    acc = start
+    for v in values:
+        if v != v:
+            return v
+        acc = pick(acc, v)
+    return acc
+
+
 def haar_closed_forms() -> CriterionResult:
     """Recurrence-accumulated h(n) vs closed forms, n <= 40, rel 1e-10."""
-    worst = 0.0
+    errs = []
     for tag, kw in _CLOSED_FORM_FAMILIES:
         seq = make_family(tag, **kw)
-        worst = max(worst, closed_form_max_rel_err(seq, haar_values(seq, 40)))
+        errs.append(closed_form_max_rel_err(seq, haar_values(seq, 40)))
+    worst = _fold(max, 0.0, errs)
     passed = worst <= 1e-10
     return CriterionResult(
         "criterion-1",
@@ -99,14 +117,14 @@ def haar_closed_forms() -> CriterionResult:
 
 def counterexample_haar_growth() -> CriterionResult:
     """h(1) = 1+eps for both constructions; exponential growth for one."""
-    worst = 0.0
+    defects = []
     growth_ok = True
     for eps in _EPS_SWEEP:
         inner = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
-        worst = max(worst, abs(haar_values(inner, 1)[1] - (1.0 + eps)))
+        defects.append(abs(haar_values(inner, 1)[1] - (1.0 + eps)))
         conv = make_family("convex", eps=eps)
         spec = conv.backbone
-        worst = max(worst, abs(spec.haar(1) - (1.0 + eps)))
+        defects.append(abs(spec.haar(1) - (1.0 + eps)))
         h = [spec.haar(n) for n in range(0, 61)]
         if not all(h[n] < h[n + 1] for n in range(0, 60)):
             growth_ok = False
@@ -116,6 +134,7 @@ def counterexample_haar_growth() -> CriterionResult:
             spec.haar(2 * n + 2) / spec.haar(2 * n) > 4.0 for n in range(1, 26)
         ):
             growth_ok = False
+    worst = _fold(max, 0.0, defects)
     passed = worst <= 1e-12 and growth_ok
     return CriterionResult(
         "criterion-2",
@@ -129,16 +148,17 @@ def counterexample_haar_growth() -> CriterionResult:
 def nlp_audits() -> CriterionResult:
     """Nonnegative linearization where claimed, a negative witness where
     claimed, and the two-term closed-form rows for the cosh family."""
-    min_ok = 0.0
+    mins = []
     all_nonneg = True
     for tag, kw in _NLP_FAMILIES:
         rep = _lin.check_nlp(make_family(tag, **kw), N=30)
         all_nonneg &= rep.is_nonnegative
-        min_ok = min(min_ok, rep.min_coeff)
+        mins.append(rep.min_coeff)
+    min_ok = _fold(min, 0.0, mins)
     witness = _lin.check_nlp(make_family("grinspun", c1=0.7), N=10)
     witness_found = witness.min_coeff < -1e-12
 
-    row_worst = 0.0
+    defects = []
     for a in (0.5, 1.0):
         seq = make_family("cosh", a=a)
         tab = _lin.LinearizationTable(seq, N=12)
@@ -151,7 +171,8 @@ def nlp_audits() -> CriterionResult:
                         expect = math.cosh(a * k) / (
                             2.0 * math.cosh(a * m) * math.cosh(a * n)
                         )
-                    row_worst = max(row_worst, abs(row[k] - expect))
+                    defects.append(abs(row[k] - expect))
+    row_worst = _fold(max, 0.0, defects)
     passed = all_nonneg and witness_found and row_worst <= 1e-12
     return CriterionResult(
         "criterion-3",
@@ -176,15 +197,16 @@ def _g_defect(tab: _lin.LinearizationTable, T: np.ndarray, h: np.ndarray) -> flo
 def linearization_oracles() -> CriterionResult:
     """g(m,n;k) vs h(k) * integral P_m P_n P_k dmu, and Gram matrices."""
     defects = []
-    worst_orth = 0.0
+    orth = []
     for tag, kw in _FULL_MEASURE_FAMILIES:
         seq = make_family(tag, **kw)
         tab = _lin.LinearizationTable(seq, N=12)
         T = _measures.triple_products(seq, 12)
         h = haar_values(seq, 24)
         defects.append(_g_defect(tab, T, h))
-        worst_orth = max(worst_orth, _measures.orthogonality_error(seq, N=12))
+        orth.append(_measures.orthogonality_error(seq, N=12))
     worst_g = float(np.max(defects))  # a NaN defect is kept, and fails the check
+    worst_orth = _fold(max, 0.0, orth)
     passed = worst_g <= 1e-8 and worst_orth <= 1e-7
     return CriterionResult(
         "criterion-4",
@@ -200,8 +222,9 @@ def rescaling_identity() -> CriterionResult:
     """Rational closed-form coefficients vs rescaled walk coefficients."""
     rat = make_family("rational25")
     mod = make_family("modkm", alpha=2, beta=5)
+    # c(0) is NaN in both sequences; a NaN from n >= 1 fails the check
     dev = float(
-        np.nanmax(np.abs(rat.c_array(200) - mod.c_array(200)))
+        np.max(np.abs(rat.c_array(200)[1:] - mod.c_array(200)[1:]))
     )
     passed = dev <= 1e-14
     return CriterionResult(
@@ -321,33 +344,30 @@ def haar_floor_composite() -> CriterionResult:
 
 def partner_identities() -> CriterionResult:
     """Kernel identity lattice, partner-measure orthogonality, densities."""
-    exact_worst = 0.0
-    float_worst = 0.0
-    for a in (2, 3, 5, 8):
-        for b in (2, 3, 5, 8):
-            for n in range(0, 13):
-                exact_worst = max(
-                    exact_worst, _appendix.kernel_identity_residual(a, b, n)
-                )
-            for n in range(13, 16):
-                float_worst = max(
-                    float_worst,
-                    _appendix.kernel_identity_residual(float(a), float(b), n),
-                )
+    lattice = [(a, b) for a in (2, 3, 5, 8) for b in (2, 3, 5, 8)]
+    exact_worst = _fold(max, 0.0, (
+        _appendix.kernel_identity_residual(a, b, n)
+        for a, b in lattice for n in range(0, 13)
+    ))
+    float_worst = _fold(max, 0.0, (
+        _appendix.kernel_identity_residual(float(a), float(b), n)
+        for a, b in lattice for n in range(13, 16)
+    ))
     cheb_resid = _appendix.chebyshev_partner_residual(12)
 
-    orth_worst = 0.0
-    ratio_worst = 0.0
+    orth = []
+    ratios = []
     for a, b in ((2, 5), (5, 5), (8, 5)):
-        orth_worst = max(orth_worst, _appendix.mustar_orthogonality(a, b, N=8))
+        orth.append(_appendix.mustar_orthogonality(a, b, N=8))
         p = KMParams(float(a), float(b))
         lo = p.gamma2 + 0.15 * (p.gamma1 - p.gamma2)
         hi = p.gamma2 + 0.85 * (p.gamma1 - p.gamma2)
         xs = np.linspace(lo, hi, 25)
-        ratio_worst = max(
-            ratio_worst,
-            float(np.max(np.abs(_appendix.tilde_density_ratio(a, b, xs) - 1.0))),
+        ratios.append(
+            float(np.max(np.abs(_appendix.tilde_density_ratio(a, b, xs) - 1.0)))
         )
+    orth_worst = _fold(max, 0.0, orth)
+    ratio_worst = _fold(max, 0.0, ratios)
     passed = (
         exact_worst == 0.0
         and cheb_resid == 0.0

@@ -57,3 +57,97 @@ def test_nan_triple_product_fails_criterion_4(monkeypatch):
     result = verify.linearization_oracles()
     assert not result.passed
     assert "max |g - h*integral| nan" in result.detail
+
+
+# --- a NaN measurement fails its criterion ---------------------------------
+# max(0.0, nan) is 0.0, so each fold below once passed a NaN; every test
+# turns one measurement into NaN and expects the check to fail
+
+def test_nan_closed_form_error_fails_criterion_1(monkeypatch):
+    err = verify.closed_form_max_rel_err
+
+    def with_nan(seq, h):
+        return np.nan if seq.family_tag == "cosh" else err(seq, h)
+
+    monkeypatch.setattr(verify, "closed_form_max_rel_err", with_nan)
+    result = verify.haar_closed_forms()
+    assert result.passed is False
+    assert "worst rel err nan" in result.detail
+
+
+def test_nan_haar_weight_fails_criterion_2(monkeypatch):
+    monkeypatch.setattr(verify, "haar_values", lambda seq, n: np.full(n + 1, np.nan))
+    result = verify.counterexample_haar_growth()
+    assert result.passed is False
+    assert "worst nan" in result.detail
+
+
+def test_nan_two_term_row_fails_criterion_3(monkeypatch):
+    row = verify._lin.LinearizationTable.row
+
+    def with_nan(tab, m, n):
+        out = np.array(row(tab, m, n))
+        if (m, n) == (2, 3):
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(verify._lin.LinearizationTable, "row", with_nan)
+    result = verify.nlp_audits()
+    assert result.passed is False
+    assert "two-term rows within nan" in result.detail
+
+
+def test_nan_orthogonality_error_fails_criterion_4(monkeypatch):
+    orthogonality_error = verify._measures.orthogonality_error
+
+    def with_nan(seq, N):
+        return np.nan if seq.family_tag == "km" else orthogonality_error(seq, N)
+
+    monkeypatch.setattr(verify._measures, "orthogonality_error", with_nan)
+    result = verify.linearization_oracles()
+    assert result.passed is False
+    assert "orthogonality error nan" in result.detail
+
+
+def test_nan_coefficient_fails_criterion_5(monkeypatch):
+    make_family = verify.make_family
+
+    def with_nan(tag, **kw):
+        seq = make_family(tag, **kw)
+        if tag == "rational25":
+            c_array = seq.c_array
+
+            def c_nan(nmax):
+                c = c_array(nmax)
+                c[7] = np.nan
+                return c
+
+            seq.c_array = c_nan
+        return seq
+
+    monkeypatch.setattr(verify, "make_family", with_nan)
+    result = verify.rescaling_identity()
+    assert result.passed is False
+    assert "deviation nan" in result.detail
+
+
+def _nan_when(fn, pred):
+    return lambda *args, **kw: np.nan if pred(*args) else fn(*args, **kw)
+
+
+@pytest.mark.parametrize("target,pred,shown", [
+    ("kernel_identity_residual", lambda a, b, n: type(a) is int and n == 5,
+     "exact lattice residual nan"),
+    ("kernel_identity_residual", lambda a, b, n: type(a) is float and n == 14,
+     "float n<=15 nan"),
+    ("mustar_orthogonality", lambda a, b: a == 5,
+     "partner orthogonality nan"),
+    ("tilde_density_ratio", lambda a, b, xs: a == 8,
+     "density ratio defect nan"),
+], ids=["exact", "float", "orthogonality", "density"])
+def test_nan_measurement_fails_criterion_8(monkeypatch, target, pred, shown):
+    fn = getattr(verify._appendix, target)
+    monkeypatch.setattr(verify._appendix, target, _nan_when(fn, pred))
+    result = verify.partner_identities()
+    assert result.passed is False
+    assert shown in result.detail

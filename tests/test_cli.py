@@ -87,6 +87,25 @@ class TestErrors:
         assert code == 1
 
 
+class TestNumericalFailure:
+    # a numerical failure inside a command is named on one stderr line and
+    # exits 2, without a traceback
+    @pytest.mark.parametrize("spec,extra,error", [
+        ("cosh:a=40", (), "HaarRangeError"),
+        ("gencheb:alpha=-0.9,beta=-0.9", (), "QuadratureConvergenceError"),
+        # c(107) of convex rounds to 1.0 in float
+        ("convex:eps=0.5", ("--max-degree", "150"), "CoefficientDomainError"),
+    ])
+    def test_report_names_the_failure(self, capsys, spec, extra, error):
+        code, out, err = run(capsys, "report", "--family", spec, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"numerical failure: {error} in hyplab report --family {spec}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_appendix_suite_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "appendix")

@@ -170,7 +170,7 @@ def test_divergence_classify_convex_at_default_degree():
 class TestComplexScan:
     def test_cosh_keeps_the_ellipse(self):
         pts, prof = complex_scan(make_family("cosh", a=1.0), N=150,
-                                 step=0.05, relim=(-1.2, 1.2),
+                                 step=0.05, re_max=1.2,
                                  imlim=(-1.0, 1.0))
         off_axis = pts[(np.abs(pts.imag) > 0.05) & (prof <= 1.0 + 1e-9)]
         assert off_axis.size > 0
@@ -181,7 +181,7 @@ class TestComplexScan:
 
     def test_counterexample_confined_to_axis(self):
         pts, prof = complex_scan(make_family("modkm", alpha=2.0, beta=5.0),
-                                 N=400, step=0.02, relim=(-1.2, 1.2),
+                                 N=400, step=0.02, re_max=1.2,
                                  imlim=(-0.5, 0.5))
         surv = pts[prof <= 1.0 + 1e-9]
         assert np.all(np.abs(surv.imag) <= 0.02)
@@ -282,6 +282,61 @@ def test_profile_oracle_reaches_freeze_and_compression():
     assert np.count_nonzero(dvg) > dual._BLOCK
     assert np.all(dvg[-3:] > 0) and np.any(dvg[:-3] == 0)
     assert np.any((dvg > 0) & (dvg % 16 != 1))  # crossed between compressions
+
+
+# --- the folded complex scan against the full grid -------------------------
+
+FOLD_FAMILIES = [
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("convex", {"eps": 0.5}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}),
+]
+
+# (step, imlim): 301 columns at 1e-2, 376 at 8e-3; an asymmetric imlim
+FOLD_GRIDS = [(1e-2, (-1.5, 1.5)), (8e-3, (-1.5, 1.5)), (8e-3, (-0.6, 1.0))]
+
+
+def symmetric_grid(step, re_max, imlim):
+    n = np.arange(-re_max, re_max + 0.5 * step, step).size
+    res = (np.arange(n) - 0.5 * (n - 1)) * step
+    ims = np.arange(imlim[0], imlim[1] + 0.5 * step, step)
+    return res, ims
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 17, 400])
+@pytest.mark.parametrize("tag,params", FOLD_FAMILIES)
+def test_complex_scan_fold_bitwise_equals_full_grid(tag, params, N, monkeypatch):
+    seq = make_family(tag, **params)
+    profile = dual._profile
+    calls = []
+
+    def recording_profile(seq, zs, N, threshold):
+        calls.append(zs.copy())
+        return profile(seq, zs, N, threshold)
+
+    monkeypatch.setattr(dual, "_profile", recording_profile)
+    parities = set()
+    for step, imlim in FOLD_GRIDS:
+        res, ims = symmetric_grid(step, 1.5, imlim)
+        n = res.size
+        parities.add(n % 2)
+        assert np.array_equal(res[::-1], -res)
+        Z = (res[None, :] + 1j * ims[:, None]).ravel()
+        full, _ = profile(seq, Z, N, DIVERGE_THRESHOLD)
+        alive = full <= 1.0 + 1e-9
+
+        calls.clear()
+        pts, prof = complex_scan(seq, N=N, step=step, imlim=imlim)
+        assert np.array_equal(pts, Z[alive]), (step, imlim)
+        assert np.array_equal(prof, full[alive]), (step, imlim)
+        # only the half-plane Re z >= 0 is profiled
+        assert len(calls) == 1
+        assert calls[0].shape == (ims.size, n - n // 2)
+        assert np.array_equal(calls[0].real[0], res[n // 2:])
+        assert np.array_equal(calls[0].imag[:, 0], ims)
+    assert parities == {0, 1}  # odd and even column counts
 
 
 # --- interval merging against the two-loop version -------------------------

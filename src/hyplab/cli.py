@@ -11,7 +11,8 @@ Output is CSV or JSON only (plotting stays external).  All runs are
 deterministic: fixed grids, fixed degree bounds, no randomness, so a
 repeated invocation is byte-identical.
 
-Exit codes: 0 all enabled checks passed, 1 configuration error, 2 at
+Exit codes: 0 all enabled checks passed, 1 configuration error (one
+stderr line, an option value out of its range included), 2 at
 least one check failed (the failing check is named on stderr) or a
 numerical failure stopped the run (its error class, the command and the
 family are named on stderr).
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -390,8 +392,27 @@ def cmd_explore(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, like every other configuration error
+        self.exit(2, f"configuration error: {self.prog}: {message}\n")
+
+
+def _checked(kind, ok, what):
+    """argparse type that parses with ``kind`` and rejects values not ``ok``."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the type in argparse's messages
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hyplab",
         description=__doc__.split("\n\n")[0],
     )
@@ -399,9 +420,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="aggregated checks for one family")
     rep.add_argument("--family", required=True, metavar="TAG:K=V,...")
-    rep.add_argument("--max-degree", type=int, default=40)
-    rep.add_argument("--grid-step", type=float, default=2e-4)
-    rep.add_argument("--tol", type=float, default=1e-9)
+    rep.add_argument("--max-degree", default=40, type=_checked(
+        int, lambda v: v >= 0, "an integer >= 0"))
+    rep.add_argument("--grid-step", default=2e-4, type=_checked(
+        float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"))
+    rep.add_argument("--tol", default=1e-9, type=_checked(
+        float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"))
     rep.add_argument("--out", default=None)
     rep.add_argument("--format", choices=("json", "csv"), default="json")
     rep.set_defaults(fn=cmd_report)

@@ -398,13 +398,52 @@ def spectrum_atoms(seq: CoeffSequence, N: int):
     eigenvector, so the point persists as a genuine atom of the
     infinite operator; boundary-dominated artifacts show tails of
     order 1/sqrt(N).
+
+    The zero diagonal of J couples only positions of opposite parity, so
+    J^2 restricted to the positions N-1, N-3, ... is a tridiagonal S of
+    order ceil(N/2): at position p the diagonal is alpha_p^2 +
+    alpha_{p+1}^2 and the entry to p+2 is alpha_{p+1} alpha_{p+2}.  Each
+    unit eigenvector u of S gives the J-eigenpair (u +- Ju/sigma)/sqrt(2)
+    with eigenvalue +-sigma, sigma = ||J u||, and tail |u_{N-1}|/sqrt(2).
+    sigma is taken as ||J u|| and not as the square root of S's
+    eigenvalue, which would turn a rounding of 1e-17 near 0 into 3e-9;
+    the vectors with sigma below 1% of the largest are re-separated by an
+    SVD of J on their span, since S tells them apart only to rounding of
+    its largest eigenvalue.  For odd N, S has one more row than the other
+    parity, so its smallest-sigma vector is the kernel of J: eigenvalue
+    exactly 0.0 and tail |u_{N-1}|, not split.  The spectrum is exactly
+    symmetric.  Tails carry errors of order eps / min(gap_lambda,
+    gap_mu), where gap_mu is the distance from lambda^2 to the other
+    squared eigenvalues; the eigenvector storage is ceil(N/2)^2 instead
+    of N^2.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
 
-    off = alpha_array(seq, N - 1)[1:]
-    vals, vecs = eigh_tridiagonal(np.zeros(N), off)
-    order = np.argsort(vals)
-    return vals[order], np.abs(vecs[-1, order])
+    al = np.zeros(N + 1)
+    al[1:N] = alpha_array(seq, N - 1)[1:]
+    p = np.arange((N - 1) % 2, N, 2)
+    up, up2 = al[p[:-1] + 1], al[p[:-1] + 2]
+    _, U = eigh_tridiagonal(al[p] ** 2 + al[p + 1] ** 2, up * up2)
+    # J u on the other parity: position p + 1 from rows p and p + 2, and
+    # position 0 from row 1 alone when N is even
+    JU = up[:, None] * U[:-1] + up2[:, None] * U[1:]
+    if N % 2 == 0:
+        JU = np.vstack((al[1] * U[:1], JU))
+    sigma = np.sqrt(np.einsum("ij,ij->j", JU, JU))
+    last = U[-1].copy()
+    # S mixes the vectors whose sigma^2 sit within rounding of each other;
+    # an SVD of J on their span separates them again (Rayleigh-Ritz)
+    small = np.flatnonzero(sigma < 1e-2 * sigma.max())
+    if small.size > 1:
+        _, sigma[small], vh = np.linalg.svd(JU[:, small], full_matrices=False)
+        last[small] = last[small] @ vh.T
+    order = np.argsort(sigma)
+    s, t = sigma[order], np.abs(last[order]) / math.sqrt(2.0)
+    if N % 2:
+        # the kernel of J is one eigenvector, its tail not split
+        s[0], t[0] = 0.0, abs(last[order[0]])
+        return np.concatenate((-s[:0:-1], s)), np.concatenate((t[:0:-1], t))
+    return np.concatenate((-s[::-1], s)), np.concatenate((t[::-1], t))
 

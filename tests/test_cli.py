@@ -86,6 +86,37 @@ class TestErrors:
         code, _, _ = run(capsys, "figure", "--figure", "fig9")
         assert code == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--grid-step", "0"),
+        ("--grid-step", "-2e-4"),
+        ("--grid-step", "inf"),
+        ("--grid-step", "nan"),
+        ("--max-degree", "-1"),
+        ("--max-degree", "1.5"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+        ("--tol", "inf"),
+    ])
+    def test_out_of_range_option_is_config_error(self, capsys, option, value):
+        code, out, err = run(capsys, "report", "--family", "cheb1",
+                             option, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"configuration error: hyplab report: argument {option}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--max-degree", "0"),
+        ("--tol", "0"),
+    ])
+    def test_range_edges_are_accepted(self, capsys, option, value):
+        code, out, _ = run(capsys, "report", "--family", "cheb1",
+                           option, value)
+        assert code == 0
+        assert json.loads(out)["all_checks_passed"] is True
+
 
 class TestNumericalFailure:
     # a numerical failure inside a command is named on one stderr line and

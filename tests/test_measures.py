@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from hyplab.core import eval_basis_grid, haar_values
+from hyplab.core import alpha_array, eval_basis_grid, haar_values
 from hyplab.families import UnsupportedFamilyError, make_family
 from hyplab.linearization import LinearizationTable
 from hyplab.measures import (
@@ -167,6 +170,82 @@ class TestSpectrum:
         # the measure is discrete with atoms AT +-1, so the truncation pins
         # its extreme eigenvalues there (within float resolution)
         assert np.max(np.abs(eig)) <= 1.0 + 1e-14
+
+
+def oracle_atoms(seq, N):
+    """Order-N eigenvectors of J itself: the path spectrum_atoms avoids."""
+    vals, vecs = eigh_tridiagonal(np.zeros(N), alpha_array(seq, N - 1)[1:])
+    order = np.argsort(vals)
+    return vals[order], np.abs(vecs[-1, order])
+
+
+def assert_atoms_match_oracle(seq, N):
+    evs, tails = spectrum_atoms(seq, N)
+    want, want_tails = oracle_atoms(seq, N)
+    assert evs.shape == tails.shape == (N,)
+    assert np.max(np.abs(evs - want)) <= 1e-13
+    assert np.array_equal(evs, -evs[::-1])
+    if N % 2:
+        assert evs[N // 2] == 0.0
+    # tails are conditioned by the gaps of J and of the half-size J^2
+    # block: gap_mu is the distance from lambda_j^2 to the other squared
+    # eigenvalues, the mirror -lambda_j left out
+    gap_lam = np.array([np.min(np.abs(np.delete(want, j) - want[j]))
+                        for j in range(N)])
+    gap_mu = np.full(N, np.inf)
+    sq = want * want
+    for j in range(N):
+        rest = np.delete(sq, sorted({j, N - 1 - j}))
+        if rest.size:
+            gap_mu[j] = np.min(np.abs(rest - sq[j]))
+    gap = np.maximum(np.minimum(gap_lam, gap_mu), 1e-300)
+    assert np.all(np.abs(tails - want_tails) <= 1e-12 + 1e-14 / gap)
+    # oracle-free: the squared tails are row N-1 of an orthogonal matrix
+    # and reproduce J[N-1, N-1] = 0 and (J^2)[N-1, N-1] = alpha_{N-1}^2
+    w = tails * tails
+    last = alpha_array(seq, N - 1)[N - 1]
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert abs(np.dot(w, evs)) <= 1e-12
+    assert abs(np.dot(w, evs * evs) - last * last) <= 1e-12
+
+
+ATOM_CASES = [
+    *(("modkm", {"alpha": 2.0, "beta": 5.0}, N) for N in (2, 3, 250, 999, 1000)),
+    *(("convex", {"eps": 0.5}, N) for N in (400, 800)),
+    *(("km", {"alpha": 8.0, "beta": 5.0}, N) for N in (150, 151)),
+    *(("cheb1", {}, N) for N in (80, 81)),
+    ("cosh", {"a": 1.0}, 500),
+    ("grinspun", {"c1": 0.7}, 400),
+]
+
+
+@pytest.mark.parametrize("tag,params,N", ATOM_CASES)
+def test_spectrum_atoms_match_full_eigenvectors(tag, params, N, family):
+    assert_atoms_match_oracle(family(tag, **params), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.02, max_value=0.98),
+                min_size=1, max_size=119))
+def test_spectrum_atoms_on_custom_sequences(cs):
+    seq = make_family("custom", cfunc=lambda n: cs[n - 1])
+    assert_atoms_match_oracle(seq, len(cs) + 1)
+
+
+def test_spectrum_atoms_separates_the_small_eigenvalues():
+    # J has eigenvalues 0 and +-2.9e-8 here; the J^2 block tells their
+    # squares apart only to rounding, so its eigenvectors for them come
+    # out mixed, and sigma = ||J u|| read off the mixed vectors misses
+    # 2.9e-8 by 1.3e-9
+    level = {"l": 0.02, "m": 0.5, "h": 0.98}
+    cs = [level[ch] for ch in "mhlmlhhhlhlhmhhmhlhlhlmlhh"]
+    assert_atoms_match_oracle(
+        make_family("custom", cfunc=lambda n: cs[n - 1]), len(cs) + 1)
+
+
+def test_spectrum_atoms_needs_two_rows(family):
+    with pytest.raises(ValueError):
+        spectrum_atoms(family("cheb1"), 1)
 
 
 def test_inner_product_with_atoms(measure):

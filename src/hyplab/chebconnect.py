@@ -40,16 +40,21 @@ from .families import UnsupportedFamilyError
 
 __all__ = [
     "HAAR_FLOOR",
+    "PROFILE_DEGREE",
     "connection_coeffs",
     "connection_row_checks",
     "connection_nonneg",
     "CriterionReport",
+    "criterion_grid",
     "criterion_report",
     "minimax_probe",
 ]
 
 #: The floor h(n) >= 2 with a relative rounding allowance of 1e-9.
 HAAR_FLOOR = 2.0 * (1.0 - 1e-9)
+
+#: Degree to which :func:`criterion_report` profiles its grid.
+PROFILE_DEGREE = 400
 
 
 def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
@@ -181,10 +186,10 @@ class CriterionReport:
 
 def _c_tail_convergent(seq: CoeffSequence, N: int, tol: float) -> tuple[bool, float]:
     try:
-        ref = seq.c(2 * N)
-        dev = max(abs(seq.c(n) - ref) for n in range(N, 2 * N + 1))
+        c = seq.c_array(2 * N)
     except CoefficientDomainError:
         return False, math.inf
+    dev = float(np.max(np.abs(c[N:] - c[2 * N])))
     return dev <= tol, dev
 
 
@@ -198,26 +203,44 @@ def _alpha_tail_convergent(seq: CoeffSequence, N: int, tol: float) -> tuple[bool
     return dev <= tol, dev, float(ref)
 
 
+def criterion_grid() -> np.ndarray:
+    """The fixed grid of :func:`criterion_report`'s dual entries:
+    ``arange(-1, 1 + 5e-4, 1e-3)``, 2001 points."""
+    return np.arange(-1.0, 1.0 + 0.5 * 1e-3, 1e-3)
+
+
 def criterion_report(
     seq: CoeffSequence,
     *,
     nlp_verified: bool | None = None,
+    profile: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CriterionReport:
     """Evaluate every implemented sufficient criterion for h(n) >= 2.
 
     ``nlp_verified`` should be the outcome of a linearization check (or
     None when unknown); it gates the criteria that assume nonnegative
     linearization.  The sizes are fixed: connection rows n <= 40, a profile
-    of max_{n<=400} |P_n(x)| on a grid of step 1e-3 for the dual-coverage
-    and uniform-boundedness entries, the catalogued orthogonalization
-    measure for the support entry (None when it is not catalogued), c(n)
-    and alpha(n) on [500, 1000] at tolerance 1e-8 for the tail entries,
-    and h(1..50) for the measured minimum.
+    of max_{n<=400} |P_n(x)| on :func:`criterion_grid` for the
+    dual-coverage and uniform-boundedness entries, the catalogued
+    orthogonalization measure for the support entry (None when it is not
+    catalogued), c(n) and alpha(n) on [500, 1000] at tolerance 1e-8 for
+    the tail entries, and h(1..50) for the measured minimum.
+
+    The profile freezes at ``DIVERGE_THRESHOLD``, not at the membership
+    band: ``uniform_bound`` and ``profile_sup`` read frozen non-members.
+    A caller that has already profiled the grid, e.g. together with other
+    points in one ``dual._profile`` call, passes ``profile``: the pair
+    ``(max_abs, diverged_at)`` of ``dual._profile(seq, criterion_grid(),
+    PROFILE_DEGREE, DIVERGE_THRESHOLD)``.  Since each point's profile
+    depends only on its own path, the slice of a larger call is bitwise
+    the profile of the grid alone.
     """
     conn_ok, conn_worst = connection_nonneg(seq, 40)
 
-    xs = np.arange(-1.0, 1.0 + 0.5 * 1e-3, 1e-3)
-    prof, dvg = _dual._profile(seq, xs, 400, _dual.DIVERGE_THRESHOLD)
+    if profile is None:
+        profile = _dual._profile(seq, criterion_grid(), PROFILE_DEGREE,
+                                 _dual.DIVERGE_THRESHOLD)
+    prof, dvg = profile
     dual_full = bool(np.all(prof <= 1.0 + 1e-9))
     uniform = bool(np.all(dvg == 0))
     sup_measured = float(np.max(prof))

@@ -26,7 +26,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +68,45 @@ def _jsonable(obj):
     return obj
 
 
+def _criteria_block(crit: _cheb.CriterionReport) -> dict:
+    return {
+        "connection_nonneg": crit.connection_nonneg,
+        "dual_full_interval": crit.dual_full_interval,
+        "uniform_bound": crit.uniform_bound,
+        "support_symmetric_interval": crit.support_symmetric_interval,
+        "c_convergent": crit.c_convergent,
+        "nevai_class": crit.nevai_class,
+        "nevai_limit_consistent": crit.nevai_limit_consistent,
+        "haar_floor_predicted": crit.predicted,
+        "haar_min": crit.haar_min,
+        "haar_floor_met": crit.haar_floor_met,
+        "details": {k: float(v) for k, v in crit.details.items()},
+    }
+
+
+def _dual_block(est: _dual.DualEstimate) -> dict:
+    return {
+        "N": est.N,
+        "grid_step": est.grid_step,
+        "tolerance": est.tol,
+        "intervals": [[float(a), float(b)] for a, b in est.intervals],
+        "member_count": int(est.member_mask.sum()),
+    }
+
+
 def build_report(
     family: str,
     max_degree: int = 40,
     grid_step: float = 2e-4,
     tol: float = 1e-9,
 ) -> dict:
-    """Aggregate report for one family; every check carries its tolerance."""
+    """Aggregate report for one family; every check carries its tolerance.
+
+    The criteria and the dual estimate read one real profile, to degree
+    ``PROFILE_DEGREE``, of :func:`criterion_grid` and :func:`estimate_grid`
+    concatenated; each reads its own slice, which is bitwise what
+    ``criterion_report`` and ``dual_estimate`` would profile on their own.
+    """
     seq = parse_family_spec(family)
     report: dict = {
         "family": seq.family_tag,
@@ -115,20 +146,16 @@ def build_report(
         "tolerance": nlp.tol,
     }
 
-    crit = _cheb.criterion_report(seq, nlp_verified=nlp.is_nonnegative)
-    report["criteria"] = {
-        "connection_nonneg": crit.connection_nonneg,
-        "dual_full_interval": crit.dual_full_interval,
-        "uniform_bound": crit.uniform_bound,
-        "support_symmetric_interval": crit.support_symmetric_interval,
-        "c_convergent": crit.c_convergent,
-        "nevai_class": crit.nevai_class,
-        "nevai_limit_consistent": crit.nevai_limit_consistent,
-        "haar_floor_predicted": crit.predicted,
-        "haar_min": crit.haar_min,
-        "haar_floor_met": crit.haar_floor_met,
-        "details": {k: float(v) for k, v in crit.details.items()},
-    }
+    N = _cheb.PROFILE_DEGREE
+    xs_crit = _cheb.criterion_grid()
+    xs_dual = _dual.estimate_grid(grid_step)
+    prof, dvg = _dual._profile(seq, np.concatenate((xs_crit, xs_dual)), N,
+                               _dual.DIVERGE_THRESHOLD)
+    k = xs_crit.size
+
+    crit = _cheb.criterion_report(seq, nlp_verified=nlp.is_nonnegative,
+                                  profile=(prof[:k], dvg[:k]))
+    report["criteria"] = _criteria_block(crit)
     checks.append(
         {
             "name": "criteria_consistent",
@@ -138,14 +165,8 @@ def build_report(
         }
     )
 
-    est = _dual.dual_estimate(seq, N=400, grid_step=grid_step, tol=tol)
-    report["dual"] = {
-        "N": est.N,
-        "grid_step": est.grid_step,
-        "tolerance": est.tol,
-        "intervals": [[float(a), float(b)] for a, b in est.intervals],
-        "member_count": int(est.member_mask.sum()),
-    }
+    est = _dual.classify_profile(xs_dual, prof[k:], N, grid_step, tol)
+    report["dual"] = _dual_block(est)
 
     try:
         mspec = _measures.measure_of(seq)
@@ -257,19 +278,15 @@ def write_figure(which: str, outdir: str | Path = ".") -> list[Path]:
 
     if which == "fig1":
         # parameter region with nonnegative linearization and negative
-        # coefficient sum, on a grid containing the documented example pair
-        step = Fraction(1, 60)
+        # coefficient sum, on a grid containing the documented example pair;
+        # -i / 60 is the correctly rounded value of the rational -i/60
         path = outdir / "fig1_region.csv"
-        rows = []
-        for i in range(1, 60):
-            alpha = -i * step
-            for j in range(1, 60):
-                beta = -j * step
-                flag = int(
-                    in_V(float(alpha), float(beta))
-                    and float(alpha) + float(beta) + 1.0 < 0.0
-                )
-                rows.append([_fmt(alpha), _fmt(beta), flag])
+        grid = [(-i / 60, _fmt(-i / 60)) for i in range(1, 60)]
+        rows = [
+            [sa, sb, int(in_V(alpha, beta) and alpha + beta + 1.0 < 0.0)]
+            for alpha, sa in grid
+            for beta, sb in grid
+        ]
         _write_csv(path, ["alpha", "beta", "in_region"], rows)
         written.append(path)
 
@@ -398,6 +415,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"configuration error: {self.prog}: {message}\n")
 
 
+#: Smallest ``report --grid-step``: its grid has 2,000,001 points (16 MB).
+_MIN_GRID_STEP = 1e-6
+
+
 def _checked(kind, ok, what):
     """argparse type that parses with ``kind`` and rejects values not ``ok``."""
 
@@ -423,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--max-degree", default=40, type=_checked(
         int, lambda v: v >= 0, "an integer >= 0"))
     rep.add_argument("--grid-step", default=2e-4, type=_checked(
-        float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"))
+        float, lambda v: math.isfinite(v) and v >= _MIN_GRID_STEP,
+        f"a finite number >= {_MIN_GRID_STEP:g}"))
     rep.add_argument("--tol", default=1e-9, type=_checked(
         float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"))
     rep.add_argument("--out", default=None)

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hyplab import chebconnect, cli, dual
 from hyplab.cli import build_report, explore_rows, main, write_figure
+from hyplab.families import in_V, parse_family_spec
+from hyplab.linearization import check_nlp
 
 
 def run(capsys, *argv):
@@ -91,6 +95,10 @@ class TestErrors:
         ("--grid-step", "-2e-4"),
         ("--grid-step", "inf"),
         ("--grid-step", "nan"),
+        # a grid of more than 2,000,001 points: 1e-9 asks for 2e9 points
+        ("--grid-step", "1e-9"),
+        ("--grid-step", "9.99e-7"),
+        ("--grid-step", "5e-324"),
         ("--max-degree", "-1"),
         ("--max-degree", "1.5"),
         ("--tol", "nan"),
@@ -116,6 +124,13 @@ class TestErrors:
                            option, value)
         assert code == 0
         assert json.loads(out)["all_checks_passed"] is True
+
+    def test_smallest_grid_step_is_accepted(self):
+        # parsed only: a report on 2,000,001 points takes over a second
+        args = cli._build_parser().parse_args(
+            ["report", "--family", "cheb1", "--grid-step", "1e-6"])
+        assert args.grid_step == 1e-6
+        assert dual.estimate_grid(args.grid_step).size == 2_000_001
 
 
 class TestNumericalFailure:
@@ -190,6 +205,22 @@ class TestFigures:
         hits = [r for r in rows if r.startswith("-0.25,-0.8333")]
         assert len(hits) == 1 and hits[0].endswith(",1")
 
+    def test_fig1_rows_match_rational_grid(self, tmp_path):
+        # the Fraction loop the float grid replaced, kept as the oracle
+        step = Fraction(1, 60)
+        want = ["alpha,beta,in_region"]
+        for i in range(1, 60):
+            alpha = -i * step
+            for j in range(1, 60):
+                beta = -j * step
+                flag = int(
+                    in_V(float(alpha), float(beta))
+                    and float(alpha) + float(beta) + 1.0 < 0.0
+                )
+                want.append(f"{cli._fmt(alpha)},{cli._fmt(beta)},{flag}")
+        (path,) = write_figure("fig1", tmp_path)
+        assert path.read_text().splitlines() == want
+
     def test_fig2_constant_row(self, tmp_path):
         (path,) = write_figure("fig2", tmp_path)
         rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
@@ -240,3 +271,38 @@ def test_build_report_direct():
     r = build_report("cosh:a=0.5", max_degree=10)
     assert r["criteria"]["haar_floor_predicted"] is True
     assert r["criteria"]["haar_floor_met"] is True
+
+
+# one instance per named family
+REPORT_FAMILIES = [
+    "cheb1", "gencheb:alpha=-1/4,beta=-5/6", "cosh:a=1/2", "grinspun:c1=3/10",
+    "km:alpha=2,beta=5", "modkm:alpha=2,beta=5", "rational25", "convex:eps=1/2",
+]
+
+
+@pytest.mark.parametrize("grid_step,tol", [(2e-4, 1e-9), (1e-3, 1e-6)])
+@pytest.mark.parametrize("spec", REPORT_FAMILIES)
+def test_report_shares_one_profile(spec, grid_step, tol, monkeypatch):
+    # the report profiles both grids in one call; its criteria and dual
+    # blocks equal those of the two standalone functions
+    seq = parse_family_spec(spec)
+    crit = chebconnect.criterion_report(
+        seq, nlp_verified=check_nlp(seq, N=20).is_nonnegative)
+    est = dual.dual_estimate(seq, N=400, grid_step=grid_step, tol=tol)
+
+    profile = dual._profile
+    calls = []
+
+    def recording_profile(*args):
+        calls.append(args[1].size)
+        return profile(*args)
+
+    monkeypatch.setattr(dual, "_profile", recording_profile)
+    r = build_report(spec, grid_step=grid_step, tol=tol)
+    assert calls == [chebconnect.criterion_grid().size + est.xs.size]
+
+    def dumped(block):
+        return json.dumps(cli._jsonable(block), sort_keys=True)
+
+    assert dumped(r["criteria"]) == dumped(cli._criteria_block(crit))
+    assert dumped(r["dual"]) == dumped(cli._dual_block(est))

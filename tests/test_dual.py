@@ -284,6 +284,36 @@ def test_profile_oracle_reaches_freeze_and_compression():
     assert np.any((dvg > 0) & (dvg % 16 != 1))  # crossed between compressions
 
 
+@pytest.mark.parametrize("N", [0, 2, 17, 400])
+def test_profile_folds_real_points_by_magnitude(N, monkeypatch):
+    # every distinct |x| reaches the kernel once, and the scattered results
+    # equal the unfolded kernel's at +-0.0, NaN, +-inf and duplicates
+    seq = make_family("modkm", alpha=2.0, beta=5.0)
+    xs = np.concatenate((
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 1.0],
+        np.linspace(-1.5, 1.5, 591),
+    )).reshape(20, 30)
+    block = dual._profile_block
+    seen = []
+
+    def recording_block(z, *args):
+        seen.append(z.copy())
+        return block(z, *args)
+
+    monkeypatch.setattr(dual, "_profile_block", recording_block)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_max, want_dvg = reference_profile(seq, xs, N, DIVERGE_THRESHOLD)
+        got_max, got_dvg = dual._profile(seq, xs, N, DIVERGE_THRESHOLD)
+    assert got_max.shape == xs.shape and got_dvg.shape == xs.shape
+    assert np.array_equal(got_max, want_max, equal_nan=True)
+    assert np.array_equal(got_dvg, want_dvg)
+
+    iterated = np.concatenate(seen)
+    assert np.array_equal(iterated, np.unique(np.abs(xs)), equal_nan=True)
+    assert iterated.size == np.unique(iterated).size  # each |x| once
+    assert iterated.size < xs.size
+
+
 # --- the folded complex scan against the full grid -------------------------
 
 FOLD_FAMILIES = [
@@ -296,6 +326,10 @@ FOLD_FAMILIES = [
 
 # (step, imlim): 301 columns at 1e-2, 376 at 8e-3; an asymmetric imlim
 FOLD_GRIDS = [(1e-2, (-1.5, 1.5)), (8e-3, (-1.5, 1.5)), (8e-3, (-0.6, 1.0))]
+
+# (tol, the threshold complex_scan passes to _profile)
+SCAN_TOLS = [(0.0, 1.0), (1e-9, 1.0 + 1e-9), (1e-3, 1.0 + 1e-3),
+             (1e7, DIVERGE_THRESHOLD)]
 
 
 def symmetric_grid(step, re_max, imlim):
@@ -313,7 +347,7 @@ def test_complex_scan_fold_bitwise_equals_full_grid(tag, params, N, monkeypatch)
     calls = []
 
     def recording_profile(seq, zs, N, threshold):
-        calls.append(zs.copy())
+        calls.append((zs.copy(), threshold))
         return profile(seq, zs, N, threshold)
 
     monkeypatch.setattr(dual, "_profile", recording_profile)
@@ -325,17 +359,22 @@ def test_complex_scan_fold_bitwise_equals_full_grid(tag, params, N, monkeypatch)
         assert np.array_equal(res[::-1], -res)
         Z = (res[None, :] + 1j * ims[:, None]).ravel()
         full, _ = profile(seq, Z, N, DIVERGE_THRESHOLD)
-        alive = full <= 1.0 + 1e-9
+        # the scan freezes at the band 1 + tol, below 1e6 unless tol is huge
+        for tol, threshold in SCAN_TOLS:
+            alive = full <= 1.0 + tol
 
-        calls.clear()
-        pts, prof = complex_scan(seq, N=N, step=step, imlim=imlim)
-        assert np.array_equal(pts, Z[alive]), (step, imlim)
-        assert np.array_equal(prof, full[alive]), (step, imlim)
-        # only the half-plane Re z >= 0 is profiled
-        assert len(calls) == 1
-        assert calls[0].shape == (ims.size, n - n // 2)
-        assert np.array_equal(calls[0].real[0], res[n // 2:])
-        assert np.array_equal(calls[0].imag[:, 0], ims)
+            calls.clear()
+            pts, prof = complex_scan(seq, N=N, step=step, tol=tol,
+                                     imlim=imlim)
+            assert np.array_equal(pts, Z[alive]), (step, imlim, tol)
+            assert np.array_equal(prof, full[alive]), (step, imlim, tol)
+            # only the half-plane Re z >= 0 is profiled
+            assert len(calls) == 1
+            assert calls[0][1] == threshold
+            zs = calls[0][0]
+            assert zs.shape == (ims.size, n - n // 2)
+            assert np.array_equal(zs.real[0], res[n // 2:])
+            assert np.array_equal(zs.imag[:, 0], ims)
     assert parities == {0, 1}  # odd and even column counts
 
 

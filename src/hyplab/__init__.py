@@ -79,7 +79,6 @@ from .appendixcheck import (
     kernel_identity_residual,
     km_monic_lambda,
     mustar_orthogonality,
-    sigma_ratio,
     tilde_density,
     tilde_density_ratio,
     tilde_monic_lambda,

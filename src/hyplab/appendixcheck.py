@@ -43,7 +43,6 @@ __all__ = [
     "tilde_monic_lambda",
     "monic_rows",
     "kernel_identity_residual",
-    "sigma_ratio",
     "mustar_orthogonality",
     "tilde_density",
     "tilde_density_ratio",
@@ -188,31 +187,6 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     ))
 
 
-def sigma_ratio(alpha, beta, n: int):
-    """sigma_{n+2}(1) / sigma_n(1), evaluated then checked closed-form.
-
-    Also verifies the one-step form sigma_{n+1}(1)/sigma_n(1) -
-    lambda_{n+1} of the same quantity.  Raises AssertionError on any
-    mismatch beyond round-off.
-    """
-    KMParams(float(alpha), float(beta))
-    a, b = _exact(alpha, beta)
-    one = type(a)(1)  # int/int would divide as float
-    vals = [one, one]  # sigma_0(1), sigma_1(1)
-    for k in range(1, n + 2):
-        vals.append(vals[k] - km_monic_lambda(a, b, k) * vals[k - 1])
-    ratio = vals[n + 2] / vals[n]
-    one_step = vals[n + 1] / vals[n] - km_monic_lambda(a, b, n + 1)
-    closed = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
-    tol = 0 if isinstance(a, Fraction) else 1e-12
-    # raised, not asserted, so the check also runs under python -O
-    if not abs(ratio - closed) <= tol:
-        raise AssertionError((ratio, closed))
-    if not abs(one_step - closed) <= tol:
-        raise AssertionError((one_step, closed))
-    return ratio
-
-
 def _poly_eval_grid(coeffs: Sequence, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x, dtype=float)
     for c in reversed(list(coeffs)):
@@ -220,12 +194,13 @@ def _poly_eval_grid(coeffs: Sequence, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def mustar_orthogonality(alpha: float, beta: float, N: int, tol: float = 1e-11) -> float:
+def mustar_orthogonality(alpha: float, beta: float, N: int) -> float:
     """Max |int sigma~_m sigma~_n dmu*| over 0 <= m < n <= N.
 
     mu* is (1/a(1)) (1-x^2) dmu with mu the catalogued walk-polynomial
     measure, so the atom-at-zero case alpha > beta exercises the
-    discrete part as well.
+    discrete part as well.  Each integral is one
+    :func:`measures.inner_product`.
     """
     km = make_family("km", alpha=alpha, beta=beta)
     spec = _measures.measure_of(km)
@@ -246,7 +221,6 @@ def mustar_orthogonality(alpha: float, beta: float, N: int, tol: float = 1e-11) 
                     * (1.0 - x * x)
                     / a1
                 ),
-                tol=tol,
             )
             worst = max(worst, abs(val))
     return worst

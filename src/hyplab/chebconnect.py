@@ -56,6 +56,9 @@ HAAR_FLOOR = 2.0 * (1.0 - 1e-9)
 #: Degree to which :func:`criterion_report` profiles its grid.
 PROFILE_DEGREE = 400
 
+#: A connection coefficient below -CONNECTION_TOL counts as negative.
+CONNECTION_TOL = 1e-12
+
 
 def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
     """Lower-triangular matrix C with C[n, k] the T_k-coefficient of P_n.
@@ -126,8 +129,9 @@ def connection_row_checks(seq: CoeffSequence, nmax: int) -> dict:
     }
 
 
-def connection_nonneg(seq: CoeffSequence, nmax: int, tol: float = 1e-12):
-    """(bool, worst entry): are all connection coefficients >= -tol?
+def connection_nonneg(seq: CoeffSequence, nmax: int):
+    """(bool, worst entry): are all connection coefficients of the rows
+    n <= nmax >= -CONNECTION_TOL?
 
     Rows that overflow to inf or NaN fail the check; the worst entry is
     the smallest finite one, so it stays a number.
@@ -135,7 +139,7 @@ def connection_nonneg(seq: CoeffSequence, nmax: int, tol: float = 1e-12):
     C = connection_coeffs(seq, nmax)
     finite = np.isfinite(C)
     worst = float(C[finite].min())
-    return bool(finite.all()) and worst >= -tol, worst
+    return bool(finite.all()) and worst >= -CONNECTION_TOL, worst
 
 
 @dataclass
@@ -184,23 +188,20 @@ class CriterionReport:
         ]
 
 
-def _c_tail_convergent(seq: CoeffSequence, N: int, tol: float) -> tuple[bool, float]:
-    try:
-        c = seq.c_array(2 * N)
-    except CoefficientDomainError:
-        return False, math.inf
-    dev = float(np.max(np.abs(c[N:] - c[2 * N])))
-    return dev <= tol, dev
+def _tail_convergent(read, N: int) -> tuple[bool, float, float]:
+    """(converged, deviation, limit) of the array ``read(2N)`` on [N, 2N].
 
-
-def _alpha_tail_convergent(seq: CoeffSequence, N: int, tol: float) -> tuple[bool, float, float]:
+    The deviation is max |v(n) - v(2N)| over N <= n <= 2N, and the tail
+    counts as convergent within 1e-8; the limit is v(2N).  A coefficient
+    outside its domain gives (False, inf, nan).
+    """
     try:
-        al = alpha_array(seq, 2 * N)
+        v = read(2 * N)
     except CoefficientDomainError:
         return False, math.inf, math.nan
-    ref = al[2 * N]
-    dev = float(np.max(np.abs(al[N:] - ref)))
-    return dev <= tol, dev, float(ref)
+    ref = v[2 * N]
+    dev = float(np.max(np.abs(v[N:] - ref)))
+    return dev <= 1e-8, dev, float(ref)
 
 
 def criterion_grid() -> np.ndarray:
@@ -259,8 +260,8 @@ def criterion_report(
             and not mspec.atoms
         )
 
-    c_conv, c_dev = _c_tail_convergent(seq, 500, 1e-8)
-    nevai, a_dev, a_ref = _alpha_tail_convergent(seq, 500, 1e-8)
+    c_conv, c_dev, _ = _tail_convergent(seq.c_array, 500)
+    nevai, a_dev, a_ref = _tail_convergent(lambda n: alpha_array(seq, n), 500)
 
     nevai_limit: bool | None = None
     if c_conv and nevai:

@@ -12,7 +12,8 @@ deterministic: fixed grids, fixed degree bounds, no randomness, so a
 repeated invocation is byte-identical.
 
 Exit codes: 0 all enabled checks passed, 1 configuration error (one
-stderr line, an option value out of its range included), 2 at
+stderr line, an option value out of its range or an ``--out`` path that
+cannot be written included), 2 at
 least one check failed (the failing check is named on stderr) or a
 numerical failure stopped the run (its error class, the command and the
 family are named on stderr).
@@ -490,6 +491,12 @@ def main(argv=None) -> int:
         return 2
     except (FamilyParameterError, UnsupportedFamilyError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if exc.filename is None:  # not a path the command was given
+            raise
+        print(f"configuration error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 1
 
 

@@ -240,18 +240,14 @@ def exclusion_intervals(eps: float) -> tuple:
     return ((-1.0, -cut), (cut, 1.0))
 
 
-def divergence_classify(
-    seq: CoeffSequence,
-    x: float,
-    N: int = 2000,
-    tol: float = 1e-9,
-) -> str:
-    """One-point verdict: 'member_evidence', 'nonmember_diverged', or
-    'undecided' (bounded at degree N but above the membership band)."""
+def divergence_classify(seq: CoeffSequence, x: float, N: int = 2000) -> str:
+    """One-point verdict: 'member_evidence' (max |P_n(x)| <= 1 + 1e-9 for
+    n <= N), 'nonmember_diverged', or 'undecided' (bounded at degree N
+    but above the membership band)."""
     prof, dvg = _profile(seq, np.array([float(x)]), N, DIVERGE_THRESHOLD)
     if dvg[0] > 0:
         return "nonmember_diverged"
-    if prof[0] <= 1.0 + tol:
+    if prof[0] <= 1.0 + 1e-9:
         return "member_evidence"
     return "undecided"
 

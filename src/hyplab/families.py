@@ -301,8 +301,13 @@ def _gencheb_c(alpha: float, beta: float) -> Callable[[int], float]:
 
 def _cosh_c(a: float) -> Callable[[int], float]:
     # cosh(a(n-1)) / (2 cosh(an) cosh(a)), written with negative exponents
-    # only so it stays finite for arbitrarily large n.
-    two_cosh_a = 2.0 * math.cosh(a)
+    # only so it stays finite for arbitrarily large n.  Past a = 710.47,
+    # cosh(a) overflows: 2 cosh(a) is then inf, as its product already is
+    # from a = 710, so c(n) = 0.0 and the lazy domain check names it.
+    try:
+        two_cosh_a = 2.0 * math.cosh(a)
+    except OverflowError:
+        two_cosh_a = math.inf
 
     def cfun(n: int) -> float:
         num = 1.0 + math.exp(-2.0 * a * (n - 1))

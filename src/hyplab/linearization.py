@@ -44,7 +44,10 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_N = 64
+#: A linearization coefficient below -NLP_TOL is a genuine negative.
 NLP_TOL = 1e-12
+#: Degree to which :func:`szwarc_criterion` checks c(n).
+SZWARC_N = 200
 
 
 class DegreeOverflowError(IndexError):
@@ -162,13 +165,14 @@ class NLPReport:
     tol: float
 
 
-def check_nlp(seq: CoeffSequence, N: int = 30, tol: float = NLP_TOL) -> NLPReport:
+def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
     """Audit all rows with m, n <= N for nonnegativity and row sums.
 
-    A coefficient below ``-tol`` counts as a genuine negative (the audit
-    tolerance separates true failures, which are order one in practice,
-    from rounding noise).  The extreme band entries g(m,n;|m-n|) and
-    g(m,n;m+n) are additionally required to be strictly positive.
+    A coefficient below ``-NLP_TOL`` counts as a genuine negative (the
+    audit tolerance separates true failures, which are order one in
+    practice, from rounding noise).  The extreme band entries
+    g(m,n;|m-n|) and g(m,n;m+n) are additionally required to be above
+    ``NLP_TOL``.  The report carries the tolerance as ``tol``.
     """
     min_coeff = np.inf
     min_witness = (0, 0, 0)
@@ -198,7 +202,7 @@ def check_nlp(seq: CoeffSequence, N: int = 30, tol: float = NLP_TOL) -> NLPRepor
             k = band.argmin(axis=1)  # a row's first minimum, or its first NaN
             band_min[first:, m] = np.take_along_axis(band, k[:, None], 1)[:, 0]
             band_k[first:, m] = k
-            if not ((band[:, 0] > tol).all() and (band[:, -1] > tol).all()):
+            if not ((band[:, 0] > NLP_TOL).all() and (band[:, -1] > NLP_TOL).all()):
                 endpoints_positive = False
         # a NaN minimum is never adopted; the first strict minimum in n-outer,
         # m-inner order is the one a running `<` over the rows would keep
@@ -209,13 +213,13 @@ def check_nlp(seq: CoeffSequence, N: int = 30, tol: float = NLP_TOL) -> NLPRepor
             min_coeff = float(band_min.flat[j])
             min_witness = (m, n0 + i, n0 + i - m + 2 * int(band_k.flat[j]))
     return NLPReport(
-        is_nonnegative=bool(min_coeff >= -tol),
+        is_nonnegative=bool(min_coeff >= -NLP_TOL),
         min_coeff=min_coeff,
         min_witness=min_witness,
         row_sum_max_error=row_sum_max_error,
         endpoints_positive=endpoints_positive,
         N=N,
-        tol=tol,
+        tol=NLP_TOL,
     )
 
 
@@ -315,13 +319,15 @@ class SzwarcReport:
     N: int
 
 
-def szwarc_criterion(seq: CoeffSequence, N: int = 200) -> SzwarcReport:
+def szwarc_criterion(seq: CoeffSequence) -> SzwarcReport:
     """Check c(n) <= 1/2 with both parity subsequences nondecreasing.
 
-    Satisfying the criterion on every n (it is checked here for n <= N)
-    guarantees nonnegative linearization of products.  ``violated_at``
-    names the first offending index and the reason.
+    Satisfying the criterion on every n (it is checked here for
+    n <= ``SZWARC_N``, reported as ``N``) guarantees nonnegative
+    linearization of products.  ``violated_at`` names the first offending
+    index and the reason: ``("bound", n)`` or ``("monotone", n)``.
     """
+    N = SZWARC_N
     slack = 1e-14
     c = seq.c_array(N)
     for n in range(1, N + 1):

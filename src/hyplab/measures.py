@@ -12,7 +12,11 @@ Status values on :class:`MeasureSpec`:
 * ``"full"`` - density (and any atom) known in closed form,
 * ``"atoms_unknown"`` - purely discrete measure located numerically
   through truncated Jacobi spectra,
-* ``"density_unknown"`` - only a support hint is available.
+* ``"density_unknown"`` - neither density nor atoms are catalogued.
+
+The integrals below run tanh-sinh to the fixed stopping tolerance
+:data:`QUAD_TOL`, and :func:`triple_products` to
+:data:`TRIPLE_QUAD_TOL`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ __all__ = [
     "spectrum_atoms",
 ]
 
+#: tanh-sinh stopping tolerance of the mass, moment, inner-product and
+#: Gram integrals.
+QUAD_TOL = 1e-11
+#: tanh-sinh stopping tolerance of :func:`triple_products`.
+TRIPLE_QUAD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DensityPiece:
@@ -59,11 +69,9 @@ class DensityPiece:
 @dataclass
 class MeasureSpec:
     family_tag: str
-    params: dict
     status: str
     pieces: list[DensityPiece] = field(default_factory=list)
     atoms: list[tuple[float, float]] = field(default_factory=list)
-    support_hint: Optional[list[tuple[float, float]]] = None
 
     @property
     def atom_mass(self) -> float:
@@ -126,7 +134,6 @@ def _km_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
             )
 
         pieces = [DensityPiece(0.0, g1, fn)]
-        support = [(-g1, g1)]
     else:
         def fn(x, lo, hi):
             one_minus = (1.0 - g1) + hi
@@ -136,11 +143,9 @@ def _km_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
             )
 
         pieces = [DensityPiece(g2, g1, fn)]
-        support = [(-g1, -g2), (g2, g1)]
         if al > be:
             atoms.append((0.0, (al - be) / al))
-            support = [(-g1, -g2), (0.0, 0.0), (g2, g1)]
-    return MeasureSpec(seq.family_tag, dict(seq.params), "full", pieces, atoms, support)
+    return MeasureSpec(seq.family_tag, "full", pieces, atoms)
 
 
 def _modkm_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
@@ -156,7 +161,6 @@ def _modkm_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
             )
 
         pieces = [DensityPiece(0.0, 1.0, fn)]
-        support = [(-1.0, 1.0)]
     else:
         def fn(x, lo, hi):
             dm = (1.0 - g1) + g1 * hi
@@ -166,11 +170,9 @@ def _modkm_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
             )
 
         pieces = [DensityPiece(cut, 1.0, fn)]
-        support = [(-1.0, -cut), (cut, 1.0)]
         if al > be:
             atoms.append((0.0, (al - be) / al))
-            support = [(-1.0, -cut), (0.0, 0.0), (cut, 1.0)]
-    return MeasureSpec(seq.family_tag, dict(seq.params), "full", pieces, atoms, support)
+    return MeasureSpec(seq.family_tag, "full", pieces, atoms)
 
 
 def measure_of(seq: CoeffSequence) -> MeasureSpec:
@@ -181,16 +183,12 @@ def measure_of(seq: CoeffSequence) -> MeasureSpec:
     """
     tag = seq.family_tag
     if tag == "cheb1":
-        return MeasureSpec(tag, {}, "full", _cheb1_pieces(), [], [(-1.0, 1.0)])
+        return MeasureSpec(tag, "full", _cheb1_pieces())
     if tag == "gencheb":
         a, b = seq.params["alpha"], seq.params["beta"]
-        return MeasureSpec(tag, dict(seq.params), "full",
-                           _gencheb_pieces(a, b), [], [(-1.0, 1.0)])
+        return MeasureSpec(tag, "full", _gencheb_pieces(a, b))
     if tag == "cosh":
-        a = seq.params["a"]
-        gam = 1.0 / math.cosh(a)
-        return MeasureSpec(tag, dict(seq.params), "full",
-                           _cosh_pieces(a), [], [(-gam, gam)])
+        return MeasureSpec(tag, "full", _cosh_pieces(seq.params["a"]))
     if tag in ("km", "modkm"):
         p = KMParams(seq.params["alpha"], seq.params["beta"])
         return _km_spec(seq, p) if tag == "km" else _modkm_spec(seq, p)
@@ -198,13 +196,11 @@ def measure_of(seq: CoeffSequence) -> MeasureSpec:
         p = KMParams(2.0, 5.0)
         spec = _modkm_spec(seq, p)
         spec.family_tag = "rational25"
-        spec.params = {}
         return spec
     if tag == "grinspun":
-        return MeasureSpec(tag, dict(seq.params), "density_unknown",
-                           [], [], [(-1.0, 1.0)])
+        return MeasureSpec(tag, "density_unknown")
     if tag == "convex":
-        return MeasureSpec(tag, dict(seq.params), "atoms_unknown", [], [], None)
+        return MeasureSpec(tag, "atoms_unknown")
     raise UnsupportedFamilyError(
         f"no closed-form measure registered for family {tag!r}"
     )
@@ -243,11 +239,12 @@ def _refine_piece(piece, accumulate, tol):
 def integrate_positive(
     spec: MeasureSpec,
     row_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    tol: float = 1e-11,
+    tol: float,
 ):
     """Integrate ``row_fn(x, lo, hi) * density`` over the positive-axis a.c.
-    part.  ``row_fn`` may return a scalar-per-node vector or a stack of
-    rows ``(k, len(x))``; atoms and mirroring are the caller's business.
+    part, refining each piece until it is stable to ``tol``.  ``row_fn``
+    may return a scalar-per-node vector or a stack of rows ``(k, len(x))``;
+    atoms and mirroring are the caller's business.
     """
     total = None
     for piece in spec.pieces:
@@ -265,39 +262,33 @@ def integrate_positive(
     return total if total.size > 1 else float(total[0])
 
 
-def measure_mass(spec: MeasureSpec, tol: float = 1e-11) -> float:
+def measure_mass(spec: MeasureSpec) -> float:
     """Total mass (a.c. part doubled by symmetry, plus atoms)."""
     if spec.status != "full":
         raise UnsupportedFamilyError(
             f"mass needs a closed-form density (status {spec.status!r})"
         )
-    ac = integrate_positive(spec, lambda x, lo, hi: np.ones_like(x), tol=tol)
+    ac = integrate_positive(spec, lambda x, lo, hi: np.ones_like(x), tol=QUAD_TOL)
     return 2.0 * ac + spec.atom_mass
 
 
-def second_moment(spec: MeasureSpec, tol: float = 1e-11) -> float:
-    ac = integrate_positive(spec, lambda x, lo, hi: x * x, tol=tol)
+def second_moment(spec: MeasureSpec) -> float:
+    """Integral of x^2 against the full measure."""
+    ac = integrate_positive(spec, lambda x, lo, hi: x * x, tol=QUAD_TOL)
     return 2.0 * ac + sum(m * t * t for t, m in spec.atoms)
 
 
-def inner_product(
-    spec: MeasureSpec,
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    tol: float = 1e-11,
-) -> float:
-    """Integral of f*g (or f alone) against the full measure."""
+def inner_product(spec: MeasureSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral of f against the full measure (f(x) + f(-x) on the a.c.
+    half-axis pieces, plus f at the atoms)."""
 
-    def combined(x):
-        v = np.asarray(f(x), dtype=float)
-        if g is not None:
-            v = v * np.asarray(g(x), dtype=float)
-        return v
+    def vals(x):
+        return np.asarray(f(x), dtype=float)
 
     ac = integrate_positive(
-        spec, lambda x, lo, hi: combined(x) + combined(-x), tol=tol
+        spec, lambda x, lo, hi: vals(x) + vals(-x), tol=QUAD_TOL
     )
-    at = sum(m * float(combined(np.array([t]))[0]) for t, m in spec.atoms)
+    at = sum(m * float(vals(np.array([t]))[0]) for t, m in spec.atoms)
     return ac + at
 
 
@@ -305,9 +296,11 @@ def basis_gram(
     seq: CoeffSequence,
     N: int,
     spec: Optional[MeasureSpec] = None,
-    tol: float = 1e-11,
 ) -> np.ndarray:
-    """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N."""
+    """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N.
+
+    ``spec`` defaults to :func:`measure_of` of ``seq``.
+    """
     spec = spec or measure_of(seq)
     if spec.status != "full":
         raise UnsupportedFamilyError(
@@ -318,7 +311,7 @@ def basis_gram(
         B = eval_basis_grid(seq, N, x)
         return np.einsum("in,jn->ijn", B, B).reshape((N + 1) ** 2, x.size)
 
-    pos = np.asarray(integrate_positive(spec, rows, tol=tol))
+    pos = np.asarray(integrate_positive(spec, rows, tol=QUAD_TOL))
     pos = pos.reshape(N + 1, N + 1)
     par = (-1.0) ** (np.add.outer(np.arange(N + 1), np.arange(N + 1)))
     G = pos * (1.0 + par)
@@ -332,26 +325,21 @@ def orthogonality_error(
     seq: CoeffSequence,
     N: int = 12,
     spec: Optional[MeasureSpec] = None,
-    tol: float = 1e-11,
 ) -> float:
-    """max |G[m,n] - delta_mn / h(n)| over m, n <= N."""
-    G = basis_gram(seq, N, spec=spec, tol=tol)
+    """max |G[m,n] - delta_mn / h(n)| over m, n <= N (see :func:`basis_gram`)."""
+    G = basis_gram(seq, N, spec=spec)
     target = np.diag(1.0 / haar_values(seq, N))
     return float(np.max(np.abs(G - target)))
 
 
-def triple_products(
-    seq: CoeffSequence,
-    M: int,
-    spec: Optional[MeasureSpec] = None,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """T[m, n, k] = integral of P_m P_n P_k dmu for m, n <= M, k <= 2M.
+def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
+    """T[m, n, k] = integral of P_m P_n P_k dmu for m, n <= M, k <= 2M,
+    against :func:`measure_of` of ``seq``.
 
     Together with the Haar weights this is the quadrature-side oracle for
     product-linearization coefficients: g(m, n; k) = h(k) * T[m, n, k].
     """
-    spec = spec or measure_of(seq)
+    spec = measure_of(seq)
     if spec.status != "full":
         raise UnsupportedFamilyError(
             f"triple products need a closed-form density (family {spec.family_tag!r})"
@@ -364,7 +352,7 @@ def triple_products(
         prod = np.einsum("in,jn,kn->ijkn", Bm, Bm, B)
         return prod.reshape((M + 1) * (M + 1) * (K + 1), x.size)
 
-    pos = np.asarray(integrate_positive(spec, rows, tol=tol))
+    pos = np.asarray(integrate_positive(spec, rows, tol=TRIPLE_QUAD_TOL))
     T = pos.reshape(M + 1, M + 1, K + 1)
     idx = np.add.outer(np.add.outer(np.arange(M + 1), np.arange(M + 1)),
                        np.arange(K + 1))

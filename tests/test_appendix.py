@@ -1,13 +1,12 @@
 """The reweighted-measure partner construction: kernel identities, monic
-weight swaps, value ratios, densities.  Integer parameters run in exact
-rational arithmetic, so most residuals here are literally zero."""
+weight swaps, densities.  Integer parameters run in exact rational
+arithmetic, so most residuals here are literally zero."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hyplab import appendixcheck
 from hyplab.appendixcheck import (
     TildeSeq,
     _kernel_residual,
@@ -16,7 +15,6 @@ from hyplab.appendixcheck import (
     km_monic_lambda,
     monic_rows,
     mustar_orthogonality,
-    sigma_ratio,
     tilde_density,
     tilde_density_ratio,
     tilde_monic_lambda,
@@ -78,27 +76,9 @@ def test_float_and_mixed_parameters_stay_float():
         for n in (1, 2, 3):
             assert type(km_monic_lambda(a, b, n)) is float
             assert type(tilde_monic_lambda(a, b, n)) is float
-        assert type(sigma_ratio(a, b, 2)) is float
     assert type(TildeSeq(2.5, 5.5).initial_slope) is float
     # the slope depends on beta alone, so a rational beta keeps it exact
     assert TildeSeq(2.5, 5).initial_slope == Fraction(5, 4)
-
-
-@pytest.mark.parametrize("a,b,n,want", [
-    (2, 5, 0, Fraction(1, 2)),
-    (2, 5, 1, Fraction(2, 5)),
-    (5, 5, 1, Fraction(16, 25)),
-])
-def test_sigma_ratio_closed_values(a, b, n, want):
-    assert sigma_ratio(a, b, n) == want
-
-
-def test_sigma_ratio_general_formula():
-    # (alpha-1)/alpha at n=0, then (alpha-1)(beta-1)/(alpha beta)
-    for a, b in ((3, 8), (8, 3)):
-        assert sigma_ratio(a, b, 0) == Fraction(a - 1, a)
-        for n in (1, 2, 6):
-            assert sigma_ratio(a, b, n) == Fraction((a - 1) * (b - 1), a * b)
 
 
 def test_tilde_seq_validation():
@@ -157,8 +137,10 @@ def test_integer_path_matches_fraction_oracle_off_the_identity(a, b):
     # the integer path must reproduce exactly
     lam = lambda k: km_monic_lambda(a, b, k)
     lam_star = lambda k: tilde_monic_lambda(a, b, k)
+    fa, fb = Fraction(a), Fraction(b)
     for n in range(31):
-        r = sigma_ratio(a, b, n)
+        # r_n in closed form, as kernel_identity_residual takes it
+        r = (fa - 1) / fa if n == 0 else (fa - 1) * (fb - 1) / (fa * fb)
         for args in (
             (lam, lam_star, n, r + Fraction(1, 7 + n)),
             (lam, lam_star, n, Fraction(1, 3)),
@@ -181,16 +163,6 @@ def test_chebyshev_pair_with_a_wrong_ratio():
         assert got == fraction_kernel_residual(lam_t, lam_u, n, r) != 0
         assert _kernel_residual(lam_u, lam_t, n, r) == fraction_kernel_residual(
             lam_u, lam_t, n, r)
-
-
-def test_sigma_ratio_mismatch_raises(monkeypatch):
-    # an explicit raise, so the check survives python -O
-    monkeypatch.setattr(
-        appendixcheck, "km_monic_lambda",
-        lambda a, b, n: km_monic_lambda(a, b, n) * Fraction(101, 100),
-    )
-    with pytest.raises(AssertionError):
-        sigma_ratio(2, 5, 3)
 
 
 class TestTildeDensity:

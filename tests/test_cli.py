@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyplab import chebconnect, cli, dual
+from hyplab import chebconnect, cli, dual, verify
 from hyplab.cli import build_report, explore_rows, main, write_figure
 from hyplab.families import in_V, parse_family_spec
 from hyplab.linearization import check_nlp
@@ -141,6 +141,10 @@ class TestNumericalFailure:
         ("gencheb:alpha=-0.9,beta=-0.9", (), "QuadratureConvergenceError"),
         # c(107) of convex rounds to 1.0 in float
         ("convex:eps=0.5", ("--max-degree", "150"), "CoefficientDomainError"),
+        # cosh(a) overflows past a = 710.47: c(1) is 0.0, as at a = 710
+        ("cosh:a=710.5", (), "CoefficientDomainError"),
+        ("cosh:a=1000", (), "CoefficientDomainError"),
+        ("cosh:a=1e300", (), "CoefficientDomainError"),
     ])
     def test_report_names_the_failure(self, capsys, spec, extra, error):
         code, out, err = run(capsys, "report", "--family", spec, *extra)
@@ -150,6 +154,49 @@ class TestNumericalFailure:
             f"numerical failure: {error} in hyplab report --family {spec}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestUnwritableOut:
+    # an --out path that cannot be written is a configuration error
+    @pytest.mark.parametrize("argv", [
+        ("report", "--family", "cheb1"),
+        ("verify", "--suite", "appendix"),
+        ("explore",),
+    ])
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == (f"configuration error: cannot write {target}: "
+                       "No such file or directory\n")
+
+    def test_figure_dir_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run(capsys, "figure", "--figure", "fig2",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"configuration error: cannot write {target}: File exists\n"
+
+
+class TestFailedChecks:
+    def test_report_names_each_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli._measures, "measure_mass", lambda spec: 3.0)
+        code, out, err = run(capsys, "report", "--family", "cheb1")
+        assert code == 2
+        assert json.loads(out)["all_checks_passed"] is False
+        assert err == ("check failed: measure_mass measured 2.000e+00 "
+                       "tolerance 1.0e-09\n")
+
+    def test_verify_names_the_first_failing_criterion(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify._appendix, "chebyshev_partner_residual",
+                            lambda nmax: 1.0)
+        code, out, err = run(capsys, "verify", "--suite", "appendix")
+        assert code == 2
+        assert out.startswith("[FAIL] criterion-8 ")
+        assert err == "first failing criterion: criterion-8\n"
 
 
 class TestVerify:

@@ -240,6 +240,10 @@ class TestChebyshevRows:
         assert t.g(3, 8, 5) == pytest.approx(0.5)
         assert t.g(3, 8, 11) == pytest.approx(0.5)
         assert t.g(3, 8, 7) == 0.0
+        # outside the band 0 .. m + n of the row
+        assert t.g(3, 8, -1) == 0.0
+        assert t.g(3, 8, 12) == 0.0
+        assert t.g(8, 3, 12) == 0.0
 
 
 def test_row_sums_to_one(table):
@@ -365,6 +369,14 @@ class TestSzwarc:
         rep = szwarc_criterion(make_family("grinspun", c1=0.7))
         assert not rep.applies
         assert rep.violated_at is not None
+
+    def test_reports_monotonicity_violation(self):
+        # c(n) <= 1/2 throughout, but the odd subsequence drops at n = 3
+        seq = make_family("custom", cfunc=lambda n: 0.3 if n == 3 else 0.4)
+        rep = szwarc_criterion(seq)
+        assert not rep.applies
+        assert rep.violated_at == ("monotone", 3)
+        assert rep.N == 200
 
     def test_sufficiency_spotcheck(self):
         # every family the criterion accepts must pass the direct audit

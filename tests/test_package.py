@@ -61,3 +61,67 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def _defaulted_parameters():
+    """(callee, parameter, call position or None) per defaulted parameter
+    of a public function; a public method is called by its own name and
+    ``__init__`` by its class's, both without ``self``."""
+    for name in MODULES:
+        module = importlib.import_module(f"hyplab.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in tree.body:
+            if getattr(node, "name", None) not in module.__all__:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaults_of(node.name, node, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        yield from _defaults_of(node.name, item, 1)
+                    elif not item.name.startswith("_"):
+                        yield from _defaults_of(item.name, item, 1)
+
+
+def _defaults_of(callee, fn, skip):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield callee, arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def test_every_default_is_set_by_some_caller():
+    # a parameter that every call leaves at its default is a constant in
+    # disguise; a call with *args or **kwargs counts as setting all of them
+    root = Path(__file__).resolve().parent.parent
+    calls = {}
+    for path in (
+        *Path(hyplab.__file__).resolve().parent.glob("*.py"),
+        *(root / "tests").glob("*.py"),
+        *(root / "demos").glob("*.py"),
+    ):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                float("inf") if starred else len(node.args),
+                {k.arg for k in node.keywords},
+            ))
+    unset = [
+        f"{callee}({param})"
+        for callee, param, pos in _defaulted_parameters()
+        if not any(
+            param in kws or None in kws or (pos is not None and npos > pos)
+            for npos, kws in calls.get(callee, ())
+        )
+    ]
+    assert not unset

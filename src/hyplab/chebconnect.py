@@ -242,7 +242,7 @@ def criterion_report(
         profile = _dual._profile(seq, criterion_grid(), PROFILE_DEGREE,
                                  _dual.DIVERGE_THRESHOLD)
     prof, dvg = profile
-    dual_full = bool(np.all(prof <= 1.0 + 1e-9))
+    dual_full = bool(np.all(prof <= 1.0 + _dual.MEMBER_TOL))
     uniform = bool(np.all(dvg == 0))
     sup_measured = float(np.max(prof))
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -99,7 +101,7 @@ def build_report(
     family: str,
     max_degree: int = 40,
     grid_step: float = 2e-4,
-    tol: float = 1e-9,
+    tol: float = _dual.MEMBER_TOL,
 ) -> dict:
     """Aggregate report for one family; every check carries its tolerance.
 
@@ -224,6 +226,15 @@ def _report_csv_rows(report: dict):
             yield group, str(obj)
 
     return list(walk("", report))
+
+
+def _check_out(out: str) -> None:
+    """Raise, before any work, the error that writing ``out`` would end in
+    when its directory is missing."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -447,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--grid-step", default=2e-4, type=_checked(
         float, lambda v: math.isfinite(v) and v >= _MIN_GRID_STEP,
         f"a finite number >= {_MIN_GRID_STEP:g}"))
-    rep.add_argument("--tol", default=1e-9, type=_checked(
+    rep.add_argument("--tol", default=_dual.MEMBER_TOL, type=_checked(
         float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"))
     rep.add_argument("--out", default=None)
     rep.add_argument("--format", choices=("json", "csv"), default="json")
@@ -481,6 +492,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        # figure --out is a directory that figure creates
+        if args.command != "figure" and args.out not in (None, "-"):
+            _check_out(args.out)
         return args.fn(args)
     except (HaarRangeError, QuadratureConvergenceError, CoefficientDomainError) as exc:
         where = f"hyplab {args.command}"

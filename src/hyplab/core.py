@@ -10,13 +10,12 @@ with a(n) = 1 - c(n), a(0) = 1, and the normalization P_n(1) = 1.  The
 induced Haar weights are h(0) = 1 and h(n) = h(n-1) * a(n-1) / c(n); they
 coincide with 1 / integral(P_n^2 dmu) for the orthogonalization measure mu.
 
-Three normalizations of the same basis are supported:
+Two normalizations of the same basis are evaluated:
 
-* ``"P"``           -- P_n(1) = 1 (the hypergroup normalization),
-* ``"orthonormal"`` -- p_n = sqrt(h(n)) P_n, recurrence coefficients
-  alpha(n) = sqrt(c(n) * a(n-1)),
-* ``"monic"``       -- sigma_n with leading coefficient 1, recurrence
-  x sigma_n = sigma_{n+1} + alpha(n)^2 sigma_{n-1}.
+* ``"P"``     -- P_n(1) = 1 (the hypergroup normalization),
+* ``"monic"`` -- sigma_n with leading coefficient 1, recurrence
+  x sigma_n = sigma_{n+1} + alpha(n)^2 sigma_{n-1}, where alpha(n) =
+  sqrt(c(n) a(n-1)) drives the orthonormal basis sqrt(h(n)) P_n.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = [
 #: Haar weights beyond this magnitude raise :class:`HaarRangeError`.
 HAAR_MAX = 1e300
 
-_NORMS = ("P", "orthonormal", "monic")
+_NORMS = ("P", "monic")
 
 
 class CoefficientDomainError(ValueError):
@@ -188,9 +187,8 @@ def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> np.ndar
     """Evaluate degrees 0..N of the basis at a scalar point x.
 
     Returns the array whose entry n is the degree-n value.  ``norm``
-    selects the normalization: ``"P"`` (value 1 at x=1),
-    ``"orthonormal"`` or ``"monic"``.  This is the one-point column of
-    :func:`eval_basis_grid`.
+    selects the normalization: ``"P"`` (value 1 at x=1) or ``"monic"``.
+    This is the one-point column of :func:`eval_basis_grid`.
     """
     return eval_basis_grid(seq, N, np.array([float(x)]), norm)[:, 0]
 
@@ -202,8 +200,7 @@ def eval_basis_grid(
 
     Returns an array of shape ``(N+1, len(x))`` whose row n holds the
     degree-n values on the grid.  Only the coefficients the recurrence
-    uses are requested: c(1..N-1) for ``"P"`` and ``"monic"``, alpha(1..N)
-    for ``"orthonormal"``.
+    uses are requested: c(1..N-1).
     """
     if norm not in _NORMS:
         raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
@@ -214,17 +211,10 @@ def eval_basis_grid(
     out[0] = 1.0
     if N == 0:
         return out
-    if norm == "orthonormal":
-        al = alpha_array(seq, N)
-        out[1] = x / al[1]
-        for n in range(1, N):
-            out[n + 1] = (x * out[n] - al[n] * out[n - 1]) / al[n + 1]
-        return out
     out[1] = x
     if N == 1:
         return out
-    c = seq.c_array(N - 1)
-    a = seq.a_array(N - 1)
+    c, a = seq.c_array(N - 1), seq.a_array(N - 1)
     if norm == "P":
         for n in range(1, N):
             out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]

@@ -26,6 +26,7 @@ from .core import CoeffSequence, inv_a_array
 
 __all__ = [
     "DIVERGE_THRESHOLD",
+    "MEMBER_TOL",
     "DualEstimate",
     "max_abs_profile",
     "estimate_grid",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 DIVERGE_THRESHOLD = 1e6
+#: A point with max |P_n| <= 1 + MEMBER_TOL is taken as a member.
+MEMBER_TOL = 1e-9
 _COMPRESS_EVERY = 16
 _BLOCK = 16384
 
@@ -142,7 +145,6 @@ class DualEstimate:
     grid_step: float
     tol: float
     xs: np.ndarray
-    max_abs: np.ndarray
     member_mask: np.ndarray
     intervals: tuple
 
@@ -174,13 +176,10 @@ def estimate_grid(grid_step: float) -> np.ndarray:
 
 
 def classify_profile(
-    xs: np.ndarray,
-    max_abs: np.ndarray,
-    N: int,
-    grid_step: float,
-    tol: float,
+    xs: np.ndarray, max_abs: np.ndarray, N: int, grid_step: float, tol: float
 ) -> DualEstimate:
-    """The :class:`DualEstimate` of a profile already taken on ``xs``.
+    """The :class:`DualEstimate` of a profile already taken on ``xs``, with
+    members where ``max_abs <= 1 + tol``.
 
     ``max_abs`` must be ``max_abs_profile(seq, xs, N)``; a caller that
     profiles ``xs`` together with other points reads its slice here.
@@ -191,29 +190,22 @@ def classify_profile(
         grid_step=grid_step,
         tol=tol,
         xs=xs,
-        max_abs=max_abs,
         member_mask=mask,
         intervals=_merge_intervals(xs, mask),
     )
 
 
-def dual_estimate(
-    seq: CoeffSequence,
-    N: int = 400,
-    grid_step: float = 2e-4,
-    tol: float = 1e-9,
-) -> DualEstimate:
+def dual_estimate(seq: CoeffSequence, N: int = 400, grid_step: float = 2e-4) -> DualEstimate:
     """Classify an even grid on [-1, 1] by boundedness of |P_n|.
 
-    Membership evidence is ``max_abs <= 1 + tol``; the endpoints -1 and
-    1 are always on the grid (:func:`estimate_grid`).  The profile keeps
-    the threshold ``DIVERGE_THRESHOLD``, because ``max_abs`` is returned
-    for non-members too.  It iterates only the distinct |x| of the grid
-    (see ``_profile``): ``linspace(-1, 1, 10001)`` has an exact mirror
-    for 36% of its points and needs 8198 magnitudes.
+    Membership evidence is ``max_abs <= 1 + MEMBER_TOL``; the endpoints
+    -1 and 1 are always on the grid (:func:`estimate_grid`).  The profile
+    iterates only the distinct |x| of the grid (see ``_profile``):
+    ``linspace(-1, 1, 10001)`` has an exact mirror for 36% of its points
+    and needs 8198 magnitudes.
     """
     xs = estimate_grid(grid_step)
-    return classify_profile(xs, max_abs_profile(seq, xs, N=N), N, grid_step, tol)
+    return classify_profile(xs, max_abs_profile(seq, xs, N=N), N, grid_step, MEMBER_TOL)
 
 
 def exclusion_bound(seq: CoeffSequence) -> float:
@@ -241,26 +233,20 @@ def exclusion_intervals(eps: float) -> tuple:
 
 
 def divergence_classify(seq: CoeffSequence, x: float, N: int = 2000) -> str:
-    """One-point verdict: 'member_evidence' (max |P_n(x)| <= 1 + 1e-9 for
-    n <= N), 'nonmember_diverged', or 'undecided' (bounded at degree N
+    """One-point verdict: 'member_evidence' (max |P_n(x)| <= 1 + MEMBER_TOL
+    for n <= N), 'nonmember_diverged', or 'undecided' (bounded at degree N
     but above the membership band)."""
     prof, dvg = _profile(seq, np.array([float(x)]), N, DIVERGE_THRESHOLD)
     if dvg[0] > 0:
         return "nonmember_diverged"
-    if prof[0] <= 1.0 + 1e-9:
+    if prof[0] <= 1.0 + MEMBER_TOL:
         return "member_evidence"
     return "undecided"
 
 
-def complex_scan(
-    seq: CoeffSequence,
-    N: int = 400,
-    step: float = 4e-3,
-    tol: float = 1e-9,
-    re_max: float = 1.5,
-    imlim: tuple = (-1.5, 1.5),
-):
-    """Scan a complex grid for points with max_{n<=N} |P_n(z)| <= 1+tol.
+def complex_scan(seq: CoeffSequence, N: int = 400, step: float = 4e-3):
+    """Scan the square |Re z|, |Im z| <= 1.5 for grid points with
+    max_{n<=N} |P_n(z)| <= 1 + MEMBER_TOL.
 
     Returns ``(points, max_abs)``: surviving grid points and the running
     sup there, in row-major order (rows by ascending Im z).  The real
@@ -269,11 +255,9 @@ def complex_scan(
     over-approximates the true object: a point diverging only beyond
     degree N is still reported.
 
-    The grid's real parts are the ``n`` points spaced ``step`` apart and
-    centred on 0, ``res = (k - (n - 1)/2) * step`` for ``k < n``, where
-    ``n`` is the size of ``arange(-re_max, re_max + step/2, step)``; they
-    are mirror-symmetric bit for bit (``res[::-1] == -res``).  The
-    imaginary parts are ``arange(imlim[0], imlim[1] + step/2, step)``.
+    The imaginary parts are ``ims = arange(-1.5, 1.5 + step/2, step)``;
+    the real parts are ``res = (k - (n - 1)/2) * step`` for ``k < n =
+    ims.size``, mirror-symmetric bit for bit (``res[::-1] == -res``).
 
     Only the columns with Re z >= 0 are profiled; the others are their
     mirror images.  The fold is exact: P_n has real coefficients and the
@@ -283,21 +267,18 @@ def complex_scan(
     profile at -conj(z) therefore equals the profile at z bitwise,
     freezing included.
 
-    Points freeze at the membership band ``min(1 + tol,
-    DIVERGE_THRESHOLD)``, since only survivors are returned.  This is
-    exact: a survivor never exceeds 1 + tol, so its path is the same as
-    under ``DIVERGE_THRESHOLD``, and a point that crosses 1 + tol has a
-    running max above 1 + tol under both thresholds and survives under
-    neither.  The ``min`` keeps ``DIVERGE_THRESHOLD`` for ``tol >= 1e6 -
-    1``, where a point frozen at 1e6 can still survive.
+    Points freeze at the band ``1 + MEMBER_TOL``, since only survivors are
+    returned.  This is exact: a survivor never exceeds the band, so its
+    path is the one under ``DIVERGE_THRESHOLD``, and a point that crosses
+    the band has a running max above it under both thresholds.
     """
-    n = np.arange(-re_max, re_max + 0.5 * step, step).size
+    band = 1.0 + MEMBER_TOL
+    ims = np.arange(-1.5, 1.5 + 0.5 * step, step)
+    n = ims.size
     res = (np.arange(n) - 0.5 * (n - 1)) * step
-    ims = np.arange(imlim[0], imlim[1] + 0.5 * step, step)
     Z = res[None, :] + 1j * ims[:, None]
-    half, _ = _profile(seq, Z[:, n // 2:], N,
-                       min(1.0 + tol, DIVERGE_THRESHOLD))
+    half, _ = _profile(seq, Z[:, n // 2:], N, band)
     prof = np.concatenate((half[:, ::-1][:, : n // 2], half), axis=1).ravel()
     Z = Z.ravel()
-    alive = prof <= 1.0 + tol
+    alive = prof <= band
     return Z[alive], prof[alive]

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CoeffSequence
+from .core import CoeffSequence, HaarRangeError
 
 __all__ = [
     "ConvexSeqSpec",
@@ -181,13 +181,11 @@ class ConvexSeqSpec:
 
     each rounded once by integer true division, which is correctly
     rounded.  No step reduces by a gcd, and only the rounded floats
-    leave the object.  ``validate=False`` skips the checks that s stays
-    in (0, 1), strictly decreasing and convex; a non-positive Q_n(1)
-    still raises.
+    leave the object.  s is checked to stay in (0, 1), strictly decreasing
+    and convex as it is read; a non-positive Q_n(1) or zero lambda_n raises.
     """
 
     s: Callable[[int], float]
-    validate: bool = True
     _s_cache: list = field(default_factory=list, repr=False)
     _lam: list = field(default_factory=list, repr=False)
     # R_0..R_{n+1} and Pi_0..Pi_n once Q_j(1) > 0 is known for j <= n
@@ -204,20 +202,19 @@ class ConvexSeqSpec:
                     f"{num}/{den}"
                 )
             val = (num, 1 - den.bit_length())
-            if self.validate:
-                if not 0 < num < den:
-                    raise FamilyParameterError(
-                        f"convex sequence must stay in (0, 1); s({j}) = "
-                        f"{_quot(val, _ONE)!r}"
-                    )
-                if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
-                    raise FamilyParameterError(
-                        f"convex sequence must be strictly decreasing; "
-                        f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
-                        f"s({j}) = {_quot(val, _ONE)!r}"
-                    )
+            if not 0 < num < den:
+                raise FamilyParameterError(
+                    f"convex sequence must stay in (0, 1); s({j}) = "
+                    f"{_quot(val, _ONE)!r}"
+                )
+            if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
+                raise FamilyParameterError(
+                    f"convex sequence must be strictly decreasing; "
+                    f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
+                    f"s({j}) = {_quot(val, _ONE)!r}"
+                )
             self._s_cache.append(val)
-            if self.validate and j >= 2:
+            if j >= 2:
                 s2, s1 = self._s_cache[j - 2], self._s_cache[j - 1]
                 second = _sub(_sub(s2, s1), _sub(s1, val))
                 if second[0] < 0:
@@ -350,12 +347,12 @@ def _rational25_c(n: int) -> float:
 # registry
 
 
-def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence:
+def make_family(tag: str, /, **params) -> CoeffSequence:
     """Build a named coefficient sequence.
 
-    ``unchecked=True`` skips the parameter-domain validation (exploration
-    outside the proven regions); the coefficient-domain check c(n) in (0,1)
-    still applies lazily.
+    ``params`` are the family's own parameters, checked against its
+    documented domain; any other key raises :class:`FamilyParameterError`.
+    The coefficient-domain check c(n) in (0, 1) applies lazily.
     """
     tag = tag.lower()
     if tag in ("chebyshev", "chebyshev1"):
@@ -369,7 +366,7 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
 
     if tag == "gencheb":
         alpha, beta = _take(params, tag, "alpha", "beta")
-        if not unchecked and not (alpha > -1.0 and beta > -1.0):
+        if not (alpha > -1.0 and beta > -1.0):
             raise FamilyParameterError(
                 f"gencheb requires alpha, beta > -1, got ({alpha}, {beta})"
             )
@@ -382,7 +379,7 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
 
     if tag == "cosh":
         (a,) = _take(params, tag, "a")
-        if not unchecked and not a > 0.0:
+        if not a > 0.0:
             raise FamilyParameterError(f"cosh family requires a > 0, got {a}")
         return CoeffSequence(
             "cosh", {"a": a}, _cosh_c(a), f"cosh-modulated Chebyshev, a={a}"
@@ -390,7 +387,7 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
 
     if tag == "grinspun":
         (c1,) = _take(params, tag, "c1")
-        if not unchecked and not 0.0 < c1 < 1.0:
+        if not 0.0 < c1 < 1.0:
             raise FamilyParameterError(f"grinspun requires c1 in (0, 1), got {c1}")
         return CoeffSequence(
             "grinspun",
@@ -401,8 +398,7 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
 
     if tag in ("km", "modkm"):
         alpha, beta = _take(params, tag, "alpha", "beta")
-        if not unchecked:
-            KMParams(alpha, beta)  # validates alpha, beta >= 2
+        KMParams(alpha, beta)  # validates alpha, beta >= 2
         cfun = _km_c(alpha, beta) if tag == "km" else _modkm_c(alpha, beta)
         what = "walk polynomials" if tag == "km" else "rescaled walk polynomials"
         return CoeffSequence(
@@ -428,7 +424,7 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
             raise FamilyParameterError("convex family takes eps or s0, not both")
         if "eps" in params:
             eps = float(params.pop("eps"))
-            if not unchecked and not 0.0 < eps < 1.0:
+            if not 0.0 < eps < 1.0:
                 raise FamilyParameterError(f"convex requires eps in (0, 1), got {eps}")
             s0 = s0_for_epsilon(eps)
             shown = {"eps": eps, "q": q}
@@ -438,9 +434,9 @@ def make_family(tag: str, *, unchecked: bool = False, **params) -> CoeffSequence
         else:
             raise FamilyParameterError("convex family needs eps= or s0=")
         _reject_params(tag, params)
-        if not unchecked and not 0.0 < q < 1.0:
+        if not 0.0 < q < 1.0:
             raise FamilyParameterError(f"convex requires q in (0, 1), got {q}")
-        spec = ConvexSeqSpec(geometric_sequence(s0, q), validate=not unchecked)
+        spec = ConvexSeqSpec(geometric_sequence(s0, q))
         return CoeffSequence(
             "convex",
             shown,
@@ -524,14 +520,26 @@ def closed_form_haar(seq: CoeffSequence, n: int) -> float:
     """Closed-form Haar weight h(n) for the named families.
 
     Raises :class:`UnsupportedFamilyError` for ``custom`` and ``convex``
-    (the latter has no closed form beyond the defining Q_n(1)^2).
+    (the latter has no closed form beyond the defining Q_n(1)^2), and
+    :class:`HaarRangeError` where the closed form is not a finite float.
     """
     if n < 0:
         raise ValueError(f"h(n) is defined for n >= 0, got n={n}")
+    try:
+        value = _closed_form_haar(seq.family_tag, seq.params, n)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise HaarRangeError(
+        f"closed-form Haar weight h({n}) is not finite for family "
+        f"{seq.family_tag!r}"
+    )
+
+
+def _closed_form_haar(tag: str, p: dict, n: int) -> float:
     if n == 0:
         return 1.0
-    tag = seq.family_tag
-    p = seq.params
 
     if tag == "cheb1":
         return 2.0

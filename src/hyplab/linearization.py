@@ -43,7 +43,6 @@ __all__ = [
     "translate",
 ]
 
-DEFAULT_TABLE_N = 64
 #: A linearization coefficient below -NLP_TOL is a genuine negative.
 NLP_TOL = 1e-12
 #: Degree to which :func:`szwarc_criterion` checks c(n).
@@ -94,12 +93,18 @@ def _block_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
         yield m + 1, first, r_cur
 
 
+def _coeffs(seq: CoeffSequence, N: int):
+    """c(0..2N) and a(0..2N): every coefficient the rows g(m, n) with
+    m, n <= N read."""
+    if N < 0:
+        raise ValueError(f"table bound must be >= 0, got {N}")
+    return seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
+
+
 def _blocks(seq: CoeffSequence, N: int):
     """Yield (n0, n1, steps) per block n0 <= n < n1 of the degrees 0 .. N, in
     order, with ``steps`` from :func:`_block_rows`."""
-    if N < 0:
-        raise ValueError(f"table bound must be >= 0, got {N}")
-    c, a = seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
+    c, a = _coeffs(seq, N)
     for n0 in range(0, N + 1, _BLOCK):
         n1 = min(n0 + _BLOCK, N + 1)
         yield n0, n1, _block_rows(c, a, n0, n1)
@@ -108,8 +113,7 @@ def _blocks(seq: CoeffSequence, N: int):
 class LinearizationTable:
     """All linearization rows g(m, n; .) for 0 <= m <= n <= N."""
 
-    def __init__(self, seq: CoeffSequence, N: int = DEFAULT_TABLE_N):
-        self.seq = seq
+    def __init__(self, seq: CoeffSequence, N: int):
         self.N = N
         self._rows = {}
         for n0, n1, steps in _blocks(seq, N):
@@ -147,7 +151,7 @@ def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
     lo, hi = min(m, n), max(m, n)
-    c, a = seq.c_array(max(2 * hi, 1)), seq.a_array(max(2 * hi, 1))
+    c, a = _coeffs(seq, hi)
     _, _, rows = next(islice(_block_rows(c, a, hi, hi + 1), lo, None))
     return rows[0, : lo + hi + 1].copy()
 
@@ -247,9 +251,6 @@ class WeightedSeq:
         nz = np.nonzero(self.values)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def _as_values(f) -> np.ndarray:
     if isinstance(f, WeightedSeq):
@@ -264,44 +265,48 @@ def l1h_norm(seq: CoeffSequence, f) -> float:
     return float(np.sum(np.abs(v) * h))
 
 
-def translate(
-    seq: CoeffSequence, f, n: int, table: LinearizationTable | None = None
-) -> WeightedSeq:
-    """Hypergroup translate T_n f(m) = sum_k g(m, n; k) f(k)."""
+def translate(seq: CoeffSequence, f, n: int) -> WeightedSeq:
+    """Hypergroup translate T_n f(m) = sum_k g(m, n; k) f(k), as an array of
+    dtype ``result_type(f, float)``.
+
+    With K the top degree of ``f``, one block of the degrees n .. n + K
+    runs to step n: at step m <= n its row 0 is g(m, n), and at step n its
+    row i is g(n, n + i).
+    """
     v = _as_values(f)
     K = v.size - 1
-    out_top = K + n
-    if table is None:
-        table = LinearizationTable(seq, out_top)
-    elif table.N < out_top:
-        raise DegreeOverflowError(
-            f"translate needs rows up to degree {out_top}, table has N={table.N}"
-        )
-    out = np.zeros(out_top + 1, dtype=v.dtype)
-    for m in range(out_top + 1):
-        row = table.row(m, n)
-        width = min(row.size, v.size)
-        out[m] = np.dot(row[:width], v[:width])
+    c, a = _coeffs(seq, K + n)
+    out = np.zeros(K + n + 1, dtype=np.result_type(v, float))
+    if K < 0:
+        return WeightedSeq(out)
+    for m, _, rows in islice(_block_rows(c, a, n, n + K + 1), n + 1):
+        width = min(m + n + 1, v.size)
+        out[m] = np.dot(rows[0, :width], v[:width])
+    for i in range(1, K + 1):
+        width = min(2 * n + i + 1, v.size)
+        out[n + i] = np.dot(rows[i, :width], v[:width])
     return WeightedSeq(out)
 
 
-def convolve(
-    seq: CoeffSequence, f, g, table: LinearizationTable | None = None
-) -> WeightedSeq:
-    """Hypergroup convolution (f * g)(n) = sum_k (T_n f)(k) g(k) h(k)."""
-    fv = _as_values(f)
-    gv = _as_values(g)
+def convolve(seq: CoeffSequence, f, g) -> WeightedSeq:
+    """Hypergroup convolution (f * g)(n) = sum_k (T_n f)(k) g(k) h(k), as an
+    array of dtype ``result_type(f, g, float)``.
+
+    Only the (T_n f)(k) with k <= Kg, the top degree of ``g``, are formed,
+    from the rows g(k, n) of one table to degree Kf + Kg.
+    """
+    fv, gv = _as_values(f), _as_values(g)
     Kf, Kg = fv.size - 1, gv.size - 1
-    out_top = Kf + Kg
-    if table is None:
-        # translate(f, n) walks rows up to degree Kf + n, n <= out_top
-        table = LinearizationTable(seq, Kf + out_top)
-    h = haar_values(seq, Kg)
-    weights = gv * h
-    out = np.zeros(out_top + 1, dtype=np.result_type(fv, gv))
-    for n in range(out_top + 1):
-        tf = translate(seq, fv, n, table=table).values
-        width = min(tf.size, weights.size)
+    table = LinearizationTable(seq, Kf + Kg)
+    weights = gv * haar_values(seq, Kg)
+    out = np.zeros(Kf + Kg + 1, dtype=np.result_type(fv, gv, float))
+    tf = np.empty(Kg + 1, dtype=np.result_type(fv, float))
+    for n in range(out.size):
+        width = min(Kf + n + 1, Kg + 1)
+        for k in range(width):
+            row = table.row(k, n)
+            w = min(row.size, fv.size)
+            tf[k] = np.dot(row[:w], fv[:w])
         out[n] = np.dot(tf[:width], weights[:width])
     return WeightedSeq(out)
 

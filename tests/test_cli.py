@@ -82,6 +82,20 @@ class TestErrors:
         code, _, err = run(capsys, "report", "--family", "cosh:a")
         assert code == 1
 
+    @pytest.mark.parametrize("spec,key", [
+        # a key named like one of make_family's arguments is still a key
+        ("cosh:a=1,tag=2", "tag"),
+        ("cosh:a=-1,unchecked=1", "unchecked"),
+        ("cheb1:unchecked=1", "unchecked"),
+    ])
+    def test_spec_key_named_like_an_argument(self, capsys, spec, key):
+        code, out, err = run(capsys, "report", "--family", spec)
+        assert code == 1
+        assert out == ""
+        tag = spec.split(":")[0]
+        assert err == ("configuration error: unexpected parameter(s) for "
+                       f"{tag}: ['{key}']\n")
+
     def test_usage_error_maps_to_one(self, capsys):
         code, _, _ = run(capsys, "report")  # --family missing
         assert code == 1
@@ -156,20 +170,38 @@ class TestNumericalFailure:
         assert "Traceback" not in err
 
 
+def _work_before_out_check(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
 class TestUnwritableOut:
-    # an --out path that cannot be written is a configuration error
+    # an --out path that cannot be written is a configuration error; a
+    # missing directory is found before the command's work runs
+    WORK = {"report": (cli, "build_report"), "verify": (verify, "run_suite"),
+            "explore": (cli, "explore_rows")}
+
     @pytest.mark.parametrize("argv", [
         ("report", "--family", "cheb1"),
         ("verify", "--suite", "appendix"),
         ("explore",),
     ])
-    def test_missing_directory(self, capsys, tmp_path, argv):
+    def test_missing_directory(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(*self.WORK[argv[0]], _work_before_out_check)
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 1
         assert out == ""
         assert err == (f"configuration error: cannot write {target}: "
                        "No such file or directory\n")
+
+    def test_parent_that_is_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "run_suite", _work_before_out_check)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(capsys, "verify", "--out", str(taken / "x.json"))
+        assert code == 1
+        assert err == (f"configuration error: cannot write {taken / 'x.json'}: "
+                       "Not a directory\n")
 
     def test_figure_dir_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"
@@ -335,7 +367,9 @@ def test_report_shares_one_profile(spec, grid_step, tol, monkeypatch):
     seq = parse_family_spec(spec)
     crit = chebconnect.criterion_report(
         seq, nlp_verified=check_nlp(seq, N=20).is_nonnegative)
-    est = dual.dual_estimate(seq, N=400, grid_step=grid_step, tol=tol)
+    xs = dual.estimate_grid(grid_step)
+    est = dual.classify_profile(xs, dual.max_abs_profile(seq, xs, N=400), 400,
+                                grid_step, tol)
 
     profile = dual._profile
     calls = []

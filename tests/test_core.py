@@ -23,7 +23,7 @@ from hyplab.core import (
 from hyplab.families import make_family
 
 
-NORMS = ("P", "orthonormal", "monic")
+NORMS = ("P", "monic")
 
 
 def const_seq(cval):
@@ -35,12 +35,10 @@ def reference_basis(seq, N, x, norm):
     floats, reading one coefficient at a time."""
     vals = [1.0]
     if N >= 1:
-        vals.append(x / alpha(seq, 1) if norm == "orthonormal" else x)
+        vals.append(x)
     for n in range(1, N):
         if norm == "P":
             nxt = (x * vals[n] - seq.c(n) * vals[n - 1]) / seq.a(n)
-        elif norm == "orthonormal":
-            nxt = (x * vals[n] - alpha(seq, n) * vals[n - 1]) / alpha(seq, n + 1)
         else:
             nxt = x * vals[n] - seq.c(n) * seq.a(n - 1) * vals[n - 1]
         vals.append(nxt)
@@ -116,12 +114,15 @@ class TestNormalizations:
         assert np.max(np.abs(row - 1.0)) < 1e-12
 
     def test_orthonormal_scaling(self):
+        # p_n = sqrt(h(n)) P_n runs the orthonormal recurrence
+        # x p_n = alpha(n+1) p_{n+1} + alpha(n) p_{n-1}
         seq = make_family("gencheb", alpha=0.5, beta=1.5)
         x = -0.41
-        p = eval_basis(seq, 15, x)
-        q = eval_basis(seq, 15, x, norm="orthonormal")
-        h = haar_values(seq, 15)
-        assert np.allclose(q, np.sqrt(h) * p, rtol=1e-12, atol=1e-13)
+        q = np.sqrt(haar_values(seq, 15)) * eval_basis(seq, 15, x)
+        assert q[1] == pytest.approx(x / alpha(seq, 1), rel=1e-12)
+        for n in range(1, 15):
+            want = (x * q[n] - alpha(seq, n) * q[n - 1]) / alpha(seq, n + 1)
+            assert q[n + 1] == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_monic_leading_coefficient(self):
         seq = make_family("cosh", a=0.5)
@@ -153,8 +154,9 @@ class TestNormalizations:
             seq.c(55)
 
     def test_bad_norm_rejected(self):
-        with pytest.raises(ValueError):
-            eval_basis(make_family("cheb1"), 3, 0.0, norm="weird")
+        for norm in ("weird", "orthonormal"):
+            with pytest.raises(ValueError):
+                eval_basis(make_family("cheb1"), 3, 0.0, norm=norm)
 
 
 class TestHaar:

@@ -23,7 +23,7 @@ from hyplab.families import beta_for_epsilon, make_family
 
 # moderate settings keep each estimate well under a second; the acceptance
 # suite re-runs the same geometry at the pinned N=400
-FAST = dict(N=200, grid_step=1e-3, tol=1e-9)
+FAST = dict(N=200, grid_step=1e-3)
 
 
 def edges(est):
@@ -170,8 +170,7 @@ def test_divergence_classify_convex_at_default_degree():
 class TestComplexScan:
     def test_cosh_keeps_the_ellipse(self):
         pts, prof = complex_scan(make_family("cosh", a=1.0), N=150,
-                                 step=0.05, re_max=1.2,
-                                 imlim=(-1.0, 1.0))
+                                 step=0.05)
         off_axis = pts[(np.abs(pts.imag) > 0.05) & (prof <= 1.0 + 1e-9)]
         assert off_axis.size > 0
         # all survivors inside the ellipse with semi-axes (1, tanh a)
@@ -181,8 +180,7 @@ class TestComplexScan:
 
     def test_counterexample_confined_to_axis(self):
         pts, prof = complex_scan(make_family("modkm", alpha=2.0, beta=5.0),
-                                 N=400, step=0.02, re_max=1.2,
-                                 imlim=(-0.5, 0.5))
+                                 N=400, step=0.02)
         surv = pts[prof <= 1.0 + 1e-9]
         assert np.all(np.abs(surv.imag) <= 0.02)
 
@@ -324,18 +322,14 @@ FOLD_FAMILIES = [
     ("gencheb", {"alpha": 0.5, "beta": 0.5}),
 ]
 
-# (step, imlim): 301 columns at 1e-2, 376 at 8e-3; an asymmetric imlim
-FOLD_GRIDS = [(1e-2, (-1.5, 1.5)), (8e-3, (-1.5, 1.5)), (8e-3, (-0.6, 1.0))]
-
-# (tol, the threshold complex_scan passes to _profile)
-SCAN_TOLS = [(0.0, 1.0), (1e-9, 1.0 + 1e-9), (1e-3, 1.0 + 1e-3),
-             (1e7, DIVERGE_THRESHOLD)]
+# 301 columns at 1e-2, 376 at 8e-3
+FOLD_STEPS = [1e-2, 8e-3]
 
 
-def symmetric_grid(step, re_max, imlim):
-    n = np.arange(-re_max, re_max + 0.5 * step, step).size
+def symmetric_grid(step):
+    n = np.arange(-1.5, 1.5 + 0.5 * step, step).size
     res = (np.arange(n) - 0.5 * (n - 1)) * step
-    ims = np.arange(imlim[0], imlim[1] + 0.5 * step, step)
+    ims = np.arange(-1.5, 1.5 + 0.5 * step, step)
     return res, ims
 
 
@@ -352,29 +346,26 @@ def test_complex_scan_fold_bitwise_equals_full_grid(tag, params, N, monkeypatch)
 
     monkeypatch.setattr(dual, "_profile", recording_profile)
     parities = set()
-    for step, imlim in FOLD_GRIDS:
-        res, ims = symmetric_grid(step, 1.5, imlim)
+    for step in FOLD_STEPS:
+        res, ims = symmetric_grid(step)
         n = res.size
         parities.add(n % 2)
         assert np.array_equal(res[::-1], -res)
         Z = (res[None, :] + 1j * ims[:, None]).ravel()
         full, _ = profile(seq, Z, N, DIVERGE_THRESHOLD)
-        # the scan freezes at the band 1 + tol, below 1e6 unless tol is huge
-        for tol, threshold in SCAN_TOLS:
-            alive = full <= 1.0 + tol
+        alive = full <= 1.0 + dual.MEMBER_TOL
 
-            calls.clear()
-            pts, prof = complex_scan(seq, N=N, step=step, tol=tol,
-                                     imlim=imlim)
-            assert np.array_equal(pts, Z[alive]), (step, imlim, tol)
-            assert np.array_equal(prof, full[alive]), (step, imlim, tol)
-            # only the half-plane Re z >= 0 is profiled
-            assert len(calls) == 1
-            assert calls[0][1] == threshold
-            zs = calls[0][0]
-            assert zs.shape == (ims.size, n - n // 2)
-            assert np.array_equal(zs.real[0], res[n // 2:])
-            assert np.array_equal(zs.imag[:, 0], ims)
+        calls.clear()
+        pts, prof = complex_scan(seq, N=N, step=step)
+        assert np.array_equal(pts, Z[alive]), step
+        assert np.array_equal(prof, full[alive]), step
+        # only the half-plane Re z >= 0 is profiled, frozen at the band
+        assert len(calls) == 1
+        assert calls[0][1] == 1.0 + 1e-9
+        zs = calls[0][0]
+        assert zs.shape == (ims.size, n - n // 2)
+        assert np.array_equal(zs.real[0], res[n // 2:])
+        assert np.array_equal(zs.imag[:, 0], ims)
     assert parities == {0, 1}  # odd and even column counts
 
 

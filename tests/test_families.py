@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import eval_basis_grid, haar_values
+from hyplab.core import HaarRangeError, eval_basis_grid, haar_values
 from hyplab.families import (
     ConvexSeqSpec,
     FamilyParameterError,
@@ -122,6 +122,21 @@ def test_closed_form_unavailable_for_custom():
         closed_form_haar(seq, 3)
 
 
+@pytest.mark.parametrize("tag,params,n", [
+    # 2 cosh(a n)^2 is inf at n = 36; cosh(a n) itself overflows at n = 72
+    ("cosh", {"a": 10.0}, 36),
+    ("cosh", {"a": 10.0}, 72),
+    ("gencheb", {"alpha": 2.0, "beta": 1.0}, 400),
+    ("km", {"alpha": 8.0, "beta": 5.0}, 800),
+    ("modkm", {"alpha": 5.0, "beta": 5.0}, 10**160),
+])
+def test_closed_form_out_of_range_names_n_and_family(tag, params, n):
+    seq = make_family(tag, **params)
+    with pytest.raises(HaarRangeError, match=rf"h\({n}\) is not finite "
+                       rf"for family '{tag}'"):
+        closed_form_haar(seq, n)
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 
@@ -151,6 +166,11 @@ def test_missing_and_extra_params():
         make_family("cosh")
     with pytest.raises(FamilyParameterError):
         make_family("cheb1", a=1.0)
+    # no key, not even one named like an argument, skips the checks
+    for params in ({"a": 1.0, "tag": 2.0}, {"a": -1.0, "unchecked": 1.0},
+                   {"eps": 0.5, "unchecked": True}):
+        with pytest.raises(FamilyParameterError, match="unexpected"):
+            make_family("convex" if "eps" in params else "cosh", **params)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +338,11 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
 
 def test_unchecked_nonpositive_q1_still_raises():
     # s_k = 0.5 * 1.5**k leaves (0, 1) at k = 2, so lambda_1 < 0 and
-    # Q_2(1) = (1/lambda_0 - lambda_0) / lambda_1 = -4 < 0
-    spec = make_family("convex", s0=0.5, q=1.5, unchecked=True).backbone
+    # Q_2(1) = (1/lambda_0 - lambda_0) / lambda_1 = -4 < 0.  The checks on
+    # s would refuse s_2, so the exact s_k = 3**k / 2**(k+1) are seeded as
+    # read, which leaves the Q_n(1) > 0 guard as the only check
+    spec = ConvexSeqSpec(geometric_sequence(0.5, 1.5))
+    spec._s_cache.extend((3**k, -(k + 1)) for k in range(12))
     assert spec.inv_a(1) == 4.0 / 3.0
     with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
         spec.inv_a(2)

@@ -406,7 +406,7 @@ class TestHypergroupOps:
         # h(m) h(n) h(k) * integral(P_m P_n P_k dmu)
         seq = make_family("km", alpha=2.0, beta=5.0)
         t = LinearizationTable(seq, N=12)
-        f = convolve(seq, WeightedSeq.delta(3), WeightedSeq.delta(4), table=t)
+        f = convolve(seq, WeightedSeq.delta(3), WeightedSeq.delta(4))
         row = t.row(3, 4)
         h = haar_values(seq, f.top)
         for k in range(f.top + 1):
@@ -422,6 +422,88 @@ class TestHypergroupOps:
         h = haar_values(seq, 2)
         assert l1h_norm(seq, f) == pytest.approx(
             1.0 * h[0] + 2.0 * h[1] + 0.5 * h[2])
+
+
+    def test_integer_input_is_not_truncated(self):
+        seq = make_family("gencheb", alpha=0.5, beta=0.5)
+        t = translate(seq, [0, 0, 1], 2).values
+        assert t.dtype == np.float64
+        assert np.array_equal(t, translate(seq, [0.0, 0.0, 1.0], 2).values)
+        assert t[4] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        f = convolve(seq, [0, 1], [0, 1]).values
+        assert f.dtype == np.float64
+        assert np.array_equal(f, convolve(seq, [0.0, 1.0], [0.0, 1.0]).values)
+        assert f == pytest.approx([2.0, 0.0, 0.5], rel=1e-15)
+
+
+# --- translate and convolve against the table path they replaced ----------
+
+def table_translate(v, n, table):
+    """T_n v read from a LinearizationTable: the bitwise oracle."""
+    out = np.zeros(v.size + n, dtype=v.dtype)
+    for m in range(out.size):
+        row = table.row(m, n)
+        width = min(row.size, v.size)
+        out[m] = np.dot(row[:width], v[:width])
+    return out
+
+
+def table_convolve(seq, fv, gv, table):
+    """f * g from full translates over a table to degree 2 Kf + Kg."""
+    weights = gv * haar_values(seq, gv.size - 1)
+    out = np.zeros(fv.size + gv.size - 1, dtype=np.result_type(fv, gv))
+    for n in range(out.size):
+        tf = table_translate(fv, n, table)
+        width = min(tf.size, weights.size)
+        out[n] = np.dot(tf[:width], weights[:width])
+    return out
+
+
+OPS_FAMILIES = [
+    ("cheb1", {}),
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("km", {"alpha": 2.0, "beta": 5.0}),
+    ("modkm", {"alpha": 8.0, "beta": 5.0}),
+    ("convex", {"eps": 0.5}),
+]
+
+
+@pytest.mark.parametrize("tag,params", OPS_FAMILIES)
+def test_translate_bitwise_equals_table_path(tag, params):
+    seq = make_family(tag, **params)
+    table = LinearizationTable(seq, 50)  # rows do not depend on the bound
+    rng = np.random.default_rng(3)
+    for K in (0, 1, 6, 20):
+        v = rng.standard_normal(K + 1)
+        for n in (0, 1, 5, 29):
+            got = translate(seq, v, n).values
+            assert np.array_equal(got, table_translate(v, n, table)), (K, n)
+
+
+@pytest.mark.parametrize("tag,params", OPS_FAMILIES)
+def test_convolve_bitwise_equals_table_path(tag, params):
+    seq = make_family(tag, **params)
+    table = LinearizationTable(seq, 45)
+    rng = np.random.default_rng(4)
+    for Kf in (0, 1, 6, 15):
+        for Kg in (0, 1, 6, 15):
+            fv, gv = rng.standard_normal(Kf + 1), rng.standard_normal(Kg + 1)
+            got = convolve(seq, fv, gv).values
+            assert np.array_equal(got, table_convolve(seq, fv, gv, table)), (Kf, Kg)
+
+
+def test_translate_holds_one_block_of_rows():
+    # the table path held every row to degree 100 (4.7 MiB traced)
+    seq = make_family("cheb1")
+    tracemalloc.start()
+    try:
+        translate(seq, np.ones(40), 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=20, deadline=None)

@@ -96,15 +96,20 @@ def _defaults_of(callee, fn, skip):
             yield callee, arg.arg, None
 
 
+# ROADMAP's "test-only exports" keep this option for the tests of the closed
+# forms: modified=False is the walk polynomial K_n the paper starts from
+TEST_ONLY_OPTIONS = {"km_special_closed_forms(modified)"}
+
+
 def test_every_default_is_set_by_some_caller():
-    # a parameter that every call leaves at its default is a constant in
-    # disguise; a call with *args or **kwargs counts as setting all of them
+    # a parameter that every production call leaves at its default is a
+    # constant in disguise: tests and demos do not count as callers.  A
+    # call with *args or **kwargs counts as setting all of them
     root = Path(__file__).resolve().parent.parent
     calls = {}
     for path in (
         *Path(hyplab.__file__).resolve().parent.glob("*.py"),
-        *(root / "tests").glob("*.py"),
-        *(root / "demos").glob("*.py"),
+        *(root / "benchmarks").glob("*.py"),
     ):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -124,4 +129,4 @@ def test_every_default_is_set_by_some_caller():
             for npos, kws in calls.get(callee, ())
         )
     ]
-    assert not unset
+    assert sorted(unset) == sorted(TEST_ONLY_OPTIONS)

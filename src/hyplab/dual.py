@@ -131,7 +131,7 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     out[idx] = m
 
 
-def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int = 400) -> np.ndarray:
+def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int) -> np.ndarray:
     """Frozen-at-divergence sup_{n<=N} |P_n(x)| over a set of points."""
     out, _ = _profile(seq, np.asarray(xs, dtype=float), N, DIVERGE_THRESHOLD)
     return out
@@ -181,8 +181,11 @@ def classify_profile(
     """The :class:`DualEstimate` of a profile already taken on ``xs``, with
     members where ``max_abs <= 1 + tol``.
 
-    ``max_abs`` must be ``max_abs_profile(seq, xs, N)``; a caller that
-    profiles ``xs`` together with other points reads its slice here.
+    ``max_abs`` must be the running max |P_n| over ``xs`` to degree ``N``,
+    frozen at a threshold of at least ``1 + tol`` (a point that never
+    crosses the band has the same path under every such threshold); a
+    caller that profiles ``xs`` together with other points reads its slice
+    here.
     """
     mask = max_abs <= 1.0 + tol
     return DualEstimate(
@@ -203,9 +206,13 @@ def dual_estimate(seq: CoeffSequence, N: int = 400, grid_step: float = 2e-4) -> 
     iterates only the distinct |x| of the grid (see ``_profile``):
     ``linspace(-1, 1, 10001)`` has an exact mirror for 36% of its points
     and needs 8198 magnitudes.
+
+    Points freeze at the band ``1 + MEMBER_TOL``, as in :func:`complex_scan`,
+    and the members are those of a profile frozen at ``DIVERGE_THRESHOLD``.
     """
     xs = estimate_grid(grid_step)
-    return classify_profile(xs, max_abs_profile(seq, xs, N=N), N, grid_step, MEMBER_TOL)
+    prof, _ = _profile(seq, xs, N, 1.0 + MEMBER_TOL)
+    return classify_profile(xs, prof, N, grid_step, MEMBER_TOL)
 
 
 def exclusion_bound(seq: CoeffSequence) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import CoeffSequence, haar_values
 
@@ -177,37 +178,62 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
     practice, from rounding noise).  The extreme band entries
     g(m,n;|m-n|) and g(m,n;m+n) are additionally required to be above
     ``NLP_TOL``.  The report carries the tolerance as ``tol``.
+
+    Each step m of a block n0 <= n < n1 is audited with a fixed number of
+    array calls.  numpy's pairwise sum depends on the length, so every row
+    sum must run over exactly the m + n + 1 entries of its row; one
+    ``np.add.reduceat`` over the flat (B, W) step array gives them all.
+    The segment of row i >= 1 starts one element early, at column
+    W - 1 = 2 n1 - 2 of row i - 1.  That column is always 0.0: rows of a
+    block are zero outside their band (all zero before they are live), and
+    the band of a row n < n1 - 1 ends at degree m + n <= 2 n1 - 3.  reduceat's first element plus the
+    pairwise sum of the rest is then bitwise ``np.add.reduce`` of the row.
+    Row 0 of the block has no zero before it and is summed on its own.
     """
     min_coeff = np.inf
     min_witness = (0, 0, 0)
     row_sum_max_error = 0.0
     endpoints_positive = True
-    add = np.add.reduce
     for n0, n1, steps in _blocks(seq, N):
-        # per (n, m) of the block: the band minimum and the place of its first
-        # occurrence in the band
-        band_min = np.full((n1 - n0, n1), np.inf)
-        band_k = np.zeros((n1 - n0, n1), dtype=np.intp)
+        B, W = n1 - n0, 2 * n1 - 1
+        rix = np.arange(B)
+        # reduceat bounds of row i at step m: [i W - 1, i W + n0 + i + 1 + m)
+        bounds = np.stack((rix * W - 1, rix * W + n0 + rix + 1), axis=1)
+        # per (n, m) of the block: the row sum, the two band ends, the band
+        # minimum and the place of its first occurrence in the band; entries
+        # of rows not yet live keep values that pass every check
+        sums = np.ones((B, n1))
+        ends = np.full((2, B, n1), np.inf)
+        band_min = np.full((B, n1), np.inf)
+        band_k = np.zeros((B, n1), dtype=np.intp)
         for m, first, rows in steps:
-            ns = range(n0 + first, n1)
-            # numpy's pairwise sum depends on the length: one exact-length
-            # row at a time keeps each sum bitwise what the row alone gives
-            sums = np.fromiter(
-                (add(row[: m + n + 1]) for row, n in zip(rows[first:], ns)),
-                float, len(ns),
-            )
-            err = np.fmax.reduce(np.abs(sums - 1.0))  # a NaN sum is never adopted
-            if err > row_sum_max_error:
-                row_sum_max_error = float(err)
+            flat = rows.reshape(-1)
+            if first == 0:
+                sums[0, m] = np.add.reduce(flat[: m + n0 + 1])
+            lo = max(first, 1)
+            if lo < B:
+                cuts = (bounds[lo:] + (0, m)).ravel()
+                # the last row's segment ends where the sliced array does
+                sums[lo:, m] = np.add.reduceat(flat[: cuts[-1]], cuts[:-1])[::2]
             # degrees n - m, n - m + 2, ..., n + m of each live row n: row i
-            # starts at flat index i * W + (n0 + i - m) of the (B, W) array
-            starts = (rows.shape[1] + 1) * np.arange(first, n1 - n0) + (n0 - m)
-            band = rows.reshape(-1).take(starts[:, None] + 2 * np.arange(m + 1))
+            # starts at flat index i W + (n0 + i - m)
+            band = as_strided(
+                flat[(W + 1) * first + n0 - m :],
+                shape=(B - first, m + 1),
+                strides=((W + 1) * flat.itemsize, 2 * flat.itemsize),
+                writeable=False,
+            )
             k = band.argmin(axis=1)  # a row's first minimum, or its first NaN
-            band_min[first:, m] = np.take_along_axis(band, k[:, None], 1)[:, 0]
+            band_min[first:, m] = band[rix[: B - first], k]
             band_k[first:, m] = k
-            if not ((band[:, 0] > NLP_TOL).all() and (band[:, -1] > NLP_TOL).all()):
-                endpoints_positive = False
+            ends[0, first:, m] = band[:, 0]
+            ends[1, first:, m] = band[:, -1]
+        # a NaN sum is never adopted
+        err = np.fmax.reduce(np.abs(sums - 1.0), axis=None)
+        if err > row_sum_max_error:
+            row_sum_max_error = float(err)
+        if not (ends > NLP_TOL).all():
+            endpoints_positive = False
         # a NaN minimum is never adopted; the first strict minimum in n-outer,
         # m-inner order is the one a running `<` over the rows would keep
         band_min[np.isnan(band_min)] = np.inf

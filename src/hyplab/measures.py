@@ -27,7 +27,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CoeffSequence, alpha_array, eval_basis_grid, haar_values
+from .core import (
+    CoeffSequence,
+    CoefficientDomainError,
+    alpha_array,
+    eval_basis_grid,
+    haar_values,
+)
 from .families import KMParams, UnsupportedFamilyError
 from .quadrature import (
     MAX_LEVEL,
@@ -114,7 +120,12 @@ def _gencheb_pieces(a: float, b: float) -> list[DensityPiece]:
 
 
 def _cosh_pieces(a: float) -> list[DensityPiece]:
-    gam = 1.0 / math.cosh(a)
+    try:
+        gam = 1.0 / math.cosh(a)
+    except OverflowError:  # past a = 710.47, where c(1) is already 0.0
+        raise CoefficientDomainError(
+            f"cosh measure: 1/cosh(a) underflows to 0 for a = {a!r}"
+        ) from None
 
     def fn(x, lo, hi):
         return 1.0 / (np.pi * np.sqrt(hi * (gam + x)))

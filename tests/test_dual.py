@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from hyplab import dual
+from hyplab import dual, verify
 from hyplab.core import inv_a_array
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
@@ -192,6 +192,34 @@ def test_threshold_freeze_does_not_flip_members():
     lo, _ = dual._profile(seq, xs, 200, 1e4)
     hi, _ = dual._profile(seq, xs, 200, 1e8)
     assert np.array_equal(lo <= 1.0 + 1e-9, hi <= 1.0 + 1e-9)
+
+
+# the families and grids of verify's criteria 6 and 7
+CRITERIA_6_7 = [
+    ("modkm", dict(alpha=2, beta=5), 2e-4),
+    *(("modkm", dict(alpha=2.0, beta=beta_for_epsilon(eps)), 2e-4)
+      for eps in verify._EPS_SWEEP),
+    ("grinspun", dict(c1=0.7), 2e-4),
+    ("convex", dict(eps=0.5), 1e-3),
+    *((tag, kw, 1e-3) for tag, kw in verify._CLOSED_FORM_FAMILIES),
+    ("modkm", dict(alpha=8, beta=5), 1e-3),
+]
+
+
+@pytest.mark.parametrize("tag,params,grid_step", CRITERIA_6_7,
+                         ids=[f"{t}-{p}-{g}" for t, p, g in CRITERIA_6_7])
+def test_estimate_frozen_at_band_keeps_members(tag, params, grid_step):
+    # dual_estimate freezes at 1 + MEMBER_TOL; its members and intervals are
+    # those of the profile frozen at DIVERGE_THRESHOLD
+    seq = make_family(tag, **params)
+    est = dual_estimate(seq, N=400, grid_step=grid_step)
+    xs = dual.estimate_grid(grid_step)
+    want = dual.classify_profile(xs, max_abs_profile(seq, xs, N=400), 400,
+                                 grid_step, dual.MEMBER_TOL)
+    assert np.array_equal(est.xs, want.xs)
+    assert np.array_equal(est.member_mask, want.member_mask)
+    assert est.intervals == want.intervals
+    assert est.tol == want.tol == 1e-9
 
 
 # --- the blocked profile kernel against the unblocked one ------------------

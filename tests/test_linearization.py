@@ -26,22 +26,22 @@ from hyplab.linearization import (
 )
 
 
-def oracle_rows(seq, N):
-    """The dict of rows the table builder filled before rows were streamed."""
+def iter_oracle_rows(seq, N):
+    """The rows ((m, n), g(m, n; .)) the table builder filled before rows
+    were streamed, in its order: n outer, m inner."""
     nmax = max(2 * N, 1)
     c = seq.c_array(nmax)
     a = seq.a_array(nmax)
-    rows = {}
     for n in range(N + 1):
         r_prev = np.zeros(n + 1)
         r_prev[n] = 1.0
-        rows[(0, n)] = r_prev
+        yield (0, n), r_prev
         if n == 0:
             continue
         r_cur = np.zeros(n + 2)
         r_cur[n + 1] = a[n]
         r_cur[n - 1] = c[n]
-        rows[(1, n)] = r_cur
+        yield (1, n), r_cur
         for m in range(1, n):
             L = r_cur.size
             nxt = np.zeros(L + 1)
@@ -50,15 +50,20 @@ def oracle_rows(seq, N):
             nxt[: r_prev.size] -= c[m] * r_prev
             nxt /= a[m]
             r_prev, r_cur = r_cur, nxt
-            rows[(m + 1, n)] = r_cur
-    return rows
+            yield (m + 1, n), r_cur
+
+
+def oracle_rows(seq, N):
+    """The dict of rows the table builder filled before rows were streamed."""
+    return dict(iter_oracle_rows(seq, N))
 
 
 def oracle_nlp(rows, N, tol=1e-12):
-    """The audit loop over the oracle's rows, as check_nlp once ran it."""
+    """The audit loop, as check_nlp once ran it, over the ((m, n), row)
+    pairs of the oracle in its order."""
     min_coeff, min_witness = np.inf, (0, 0, 0)
     row_sum_max_error, endpoints_positive = 0.0, True
-    for (m, n), row in rows.items():
+    for (m, n), row in rows:
         row_sum_max_error = max(row_sum_max_error, abs(row.sum() - 1.0))
         lo = n - m
         band = row[lo : m + n + 1 : 2]
@@ -70,6 +75,13 @@ def oracle_nlp(rows, N, tol=1e-12):
             endpoints_positive = False
     return NLPReport(bool(min_coeff >= -tol), min_coeff, min_witness,
                      row_sum_max_error, endpoints_positive, N, tol)
+
+
+def assert_same_report(got, want):
+    """``==`` takes -0.0 for 0.0; the floats must also agree bit for bit."""
+    assert got == want
+    assert float.hex(got.min_coeff) == float.hex(want.min_coeff)
+    assert float.hex(got.row_sum_max_error) == float.hex(want.row_sum_max_error)
 
 
 STREAM_FAMILIES = [
@@ -97,10 +109,12 @@ class TestStreamedRows:
         assert list(got) == list(want)
         for key, row in want.items():
             assert got[key].tobytes() == row.tobytes()
-        assert check_nlp(make_family(tag, **params), N) == oracle_nlp(want, N)
+        assert_same_report(check_nlp(make_family(tag, **params), N),
+                           oracle_nlp(want.items(), N))
 
     @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
-    @pytest.mark.parametrize("N", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100])
+    @pytest.mark.parametrize("N", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                                   2 * _BLOCK, 2 * _BLOCK + 1, 100])
     def test_block_seams_match_oracle(self, tag, params, N):
         # rows of degrees n advance in blocks of _BLOCK; bounds just below,
         # at and past a block end must give the rows and audit of one n at a time
@@ -119,7 +133,8 @@ class TestStreamedRows:
         assert list(got) == list(want)
         for key, row in want.items():
             assert got[key].tobytes() == row.tobytes(), key
-        assert check_nlp(make_family(tag, **params), N) == oracle_nlp(want, N)
+        assert_same_report(check_nlp(make_family(tag, **params), N),
+                           oracle_nlp(want.items(), N))
 
     def test_audit_tie_keeps_the_first_row(self):
         # every cheb1 row (m, n) with 2 <= m <= n has an interior zero; the
@@ -127,7 +142,8 @@ class TestStreamedRows:
         N = 2 * _BLOCK + 1
         rep = check_nlp(make_family("cheb1"), N)
         assert rep.min_coeff == 0.0 and rep.min_witness == (2, 2, 2)
-        assert rep == oracle_nlp(oracle_rows(make_family("cheb1"), N), N)
+        want = oracle_nlp(iter_oracle_rows(make_family("cheb1"), N), N)
+        assert_same_report(rep, want)
 
     @pytest.mark.parametrize("N", [_BLOCK + 1, 2 * _BLOCK + 1])
     def test_non_finite_rows_match_oracle(self, N):
@@ -139,13 +155,19 @@ class TestStreamedRows:
             want = oracle_rows(seq(), N)
             got = LinearizationTable(seq(), N)._rows
             rep = check_nlp(seq(), N)
-            assert rep == oracle_nlp(want, N)
+            assert_same_report(rep, oracle_nlp(want.items(), N))
         assert any(np.isinf(row).any() for row in want.values())
         assert any(np.isnan(row).any() for row in want.values())
         assert list(got) == list(want)
         for key, row in want.items():
             assert got[key].tobytes() == row.tobytes(), key
         assert rep.min_coeff == -np.inf and not rep.endpoints_positive
+
+    def test_audit_matches_oracle_at_the_ladder_top(self):
+        # gencheb(0.5, 0.5) at N = 256: nine blocks, rows of up to 513 entries
+        seq = make_family("gencheb", alpha=0.5, beta=0.5)
+        assert_same_report(check_nlp(seq, 256),
+                           oracle_nlp(iter_oracle_rows(seq, 256), 256))
 
     @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
     def test_linearize_matches_oracle(self, tag, params):
@@ -215,6 +237,23 @@ class TestStreamedRows:
             LinearizationTable(make_family("cheb1"), -1)
         with pytest.raises(ValueError):
             check_nlp(make_family("cheb1"), N=-1)
+
+
+def test_numpy_reduceat_after_a_zero_is_the_exact_length_reduce():
+    # check_nlp sums a row by one reduceat segment that starts at a 0.0 just
+    # before it; that must be bitwise np.add.reduce of the row alone at every
+    # length, through numpy's 8-way pairwise block below 128 entries and its
+    # recursive split above (rows at N = 256 have up to 513 entries)
+    rng = np.random.default_rng(0)
+    differ = []
+    for L in range(1, 1101):
+        flat = rng.standard_normal(L + 3) * 10.0 ** rng.uniform(-8, 8, L + 3)
+        s, e = 2, L + 2
+        flat[s - 1] = 0.0
+        got = np.add.reduceat(flat, [s - 1, e])[0]
+        if got.tobytes() != np.add.reduce(flat[s:e]).tobytes():
+            differ.append(L)
+    assert not differ, f"numpy {np.__version__} differs at row lengths {differ[:10]}"
 
 
 class TestChebyshevRows:

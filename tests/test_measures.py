@@ -2,6 +2,7 @@
 products, and truncated-matrix spectra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from hyplab.core import alpha_array, eval_basis_grid, haar_values
+from hyplab.core import (
+    CoefficientDomainError,
+    alpha_array,
+    eval_basis_grid,
+    haar_values,
+)
 from hyplab.families import UnsupportedFamilyError, make_family
 from hyplab.linearization import LinearizationTable
 from hyplab.measures import (
@@ -126,6 +132,20 @@ def test_measure_unavailable_for_custom():
     seq = make_family("custom", cfunc=lambda n: 0.45)
     with pytest.raises(UnsupportedFamilyError):
         measure_of(seq)
+
+
+@pytest.mark.parametrize("a", [710.5, 1000.0, 1e300])
+def test_cosh_measure_past_overflow_names_a(a):
+    # 1/cosh(a) is not a float past a = 710.47; c(1) is 0.0 there already
+    with pytest.raises(CoefficientDomainError, match=re.escape(f"a = {a!r}")):
+        measure_of(make_family("cosh", a=a))
+
+
+def test_cosh_measure_below_overflow_unchanged():
+    spec = measure_of(make_family("cosh", a=710.0))
+    (piece,) = spec.pieces
+    assert spec.status == "full" and piece.a == 0.0
+    assert piece.b.hex() == (1.0 / math.cosh(710.0)).hex() == "0x0.67005fa516786p-1022"
 
 
 def test_grinspun_status_not_full(measure):

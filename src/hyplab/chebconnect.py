@@ -70,25 +70,26 @@ def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
         (x r)[1] = r[0] + r[2] / 2,
         (x r)[j] = (r[j-1] + r[j+1]) / 2     (j >= 2),
 
-    after which P_{n+1} = (x P_n - c(n) P_{n-1}) / a(n).
+    after which P_{n+1} = (x P_n - c(n) P_{n-1}) / a(n).  Row n + 1 is
+    computed over its n + 2 possibly nonzero entries only; C carries two
+    zero columns past nmax, so r[n + 2] reads 0 in the last row.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    C = np.zeros((nmax + 1, nmax + 1))
+    C = np.zeros((nmax + 1, nmax + 3))
     C[0, 0] = 1.0
-    if nmax == 0:
-        return C
-    C[1, 1] = 1.0
-    for n in range(1, nmax):
-        r = np.append(C[n], (0.0, 0.0))  # r[nmax+1] = r[nmax+2] = 0
-        xr = np.zeros(nmax + 1)
-        # rows of sign-changing families may overflow; callers test isfinite
-        with np.errstate(over="ignore", invalid="ignore"):
+    if nmax >= 1:
+        C[1, 1] = 1.0
+    # rows of sign-changing families may overflow; callers test isfinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax):
+            r, xr = C[n], C[n + 1, :n + 2]
             xr[0] = 0.5 * r[1]
             xr[1] = r[0] + 0.5 * r[2]
-            xr[2:n + 2] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
-            C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
-    return C
+            xr[2:] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
+            xr -= seq.c(n) * C[n - 1, :n + 2]
+            xr /= seq.a(n)
+    return C[:, :nmax + 1]
 
 
 def connection_row_checks(seq: CoeffSequence, nmax: int) -> dict:

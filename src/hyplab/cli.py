@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -58,17 +59,24 @@ def _fmt(v: float) -> str:
     return format(float(v), _FLOAT_FMT)
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays to plain Python values."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _csv_text(header: list[str], rows) -> str:
+    """The one CSV writer: ``header`` and ``rows``, each ending in a newline."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _check(name: str, measured: float, tolerance: float, passed=None) -> dict:
+    """One report check; it passes when ``measured <= tolerance`` unless
+    ``passed`` is given."""
+    return {
+        "name": name,
+        "passed": measured <= tolerance if passed is None else passed,
+        "measured": measured,
+        "tolerance": tolerance,
+    }
 
 
 def _criteria_block(crit: _cheb.CriterionReport) -> dict:
@@ -127,14 +135,7 @@ def build_report(
         worst = closed_form_max_rel_err(seq, h)
         haar_block["closed_form_max_rel_err"] = worst
         haar_block["closed_form_tolerance"] = 1e-10
-        checks.append(
-            {
-                "name": "haar_closed_form",
-                "passed": worst <= 1e-10,
-                "measured": worst,
-                "tolerance": 1e-10,
-            }
-        )
+        checks.append(_check("haar_closed_form", worst, 1e-10))
     except UnsupportedFamilyError:
         haar_block["closed_form_max_rel_err"] = None
     report["haar"] = haar_block
@@ -159,14 +160,8 @@ def build_report(
     crit = _cheb.criterion_report(seq, nlp_verified=nlp.is_nonnegative,
                                   profile=(prof[:k], dvg[:k]))
     report["criteria"] = _criteria_block(crit)
-    checks.append(
-        {
-            "name": "criteria_consistent",
-            "passed": crit.consistent,
-            "measured": crit.haar_min,
-            "tolerance": _cheb.HAAR_FLOOR,
-        }
-    )
+    checks.append(_check("criteria_consistent", crit.haar_min,
+                         _cheb.HAAR_FLOOR, passed=crit.consistent))
 
     est = _dual.classify_profile(xs_dual, prof[k:], N, grid_step, tol)
     report["dual"] = _dual_block(est)
@@ -178,7 +173,7 @@ def build_report(
     if mspec is not None and mspec.status == "full":
         mass_err = abs(_measures.measure_mass(mspec) - 1.0)
         mom_err = abs(_measures.second_moment(mspec) - seq.c(1))
-        orth_err = _measures.orthogonality_error(seq, N=12, spec=mspec)
+        orth_err = _measures.orthogonality_error(seq, N=12)
         report["measure"] = {
             "status": mspec.status,
             "atoms": [[float(x), float(m)] for x, m in mspec.atoms],
@@ -187,28 +182,21 @@ def build_report(
             "orthogonality_error": orth_err,
             "tolerance": 1e-7,
         }
-        checks.append(
-            {"name": "measure_mass", "passed": mass_err <= 1e-9,
-             "measured": mass_err, "tolerance": 1e-9}
-        )
-        checks.append(
-            {"name": "measure_second_moment", "passed": mom_err <= 1e-9,
-             "measured": mom_err, "tolerance": 1e-9}
-        )
-        checks.append(
-            {"name": "orthogonality", "passed": orth_err <= 1e-7,
-             "measured": orth_err, "tolerance": 1e-7}
-        )
+        checks += [
+            _check("measure_mass", mass_err, 1e-9),
+            _check("measure_second_moment", mom_err, 1e-9),
+            _check("orthogonality", orth_err, 1e-7),
+        ]
     elif mspec is not None:
         report["measure"] = {"status": mspec.status, "atoms": []}
 
     report["checks"] = checks
-    report["all_checks_passed"] = bool(all(c["passed"] for c in checks))
-    return _jsonable(report)
+    report["all_checks_passed"] = all(c["passed"] for c in checks)
+    return report
 
 
 def _report_csv_rows(report: dict):
-    """Flatten a report into (group, key, value) rows, stable order."""
+    """Flatten a report into (group, value) rows, stable order."""
 
     def walk(group: str, obj):
         if isinstance(obj, dict):
@@ -256,12 +244,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["group", "value"])
-        for g, v in _report_csv_rows(report):
-            w.writerow([g, v])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(["group", "value"], _report_csv_rows(report)), args.out)
     if not report["all_checks_passed"]:
         for c in report["checks"]:
             if not c["passed"]:
@@ -274,83 +257,73 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    path.write_text(_csv_text(header, rows), newline="")
+    return path
+
+
+def _haar_table(path: Path, labels: list[str], seqs) -> Path:
+    """h(0..12) of each sequence, one column per label."""
+    hs = [haar_values(s, 12) for s in seqs]
+    return _write_csv(path, ["n"] + labels,
+                      [[n] + [_fmt(h[n]) for h in hs] for n in range(13)])
 
 
 def write_figure(which: str, outdir: str | Path = ".") -> list[Path]:
     """Emit the CSV data behind one of the four shipped figures."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     if which == "fig1":
         # parameter region with nonnegative linearization and negative
         # coefficient sum, on a grid containing the documented example pair;
         # -i / 60 is the correctly rounded value of the rational -i/60
-        path = outdir / "fig1_region.csv"
         grid = [(-i / 60, _fmt(-i / 60)) for i in range(1, 60)]
         rows = [
             [sa, sb, int(in_V(alpha, beta) and alpha + beta + 1.0 < 0.0)]
             for alpha, sa in grid
             for beta, sb in grid
         ]
-        _write_csv(path, ["alpha", "beta", "in_region"], rows)
-        written.append(path)
+        return [_write_csv(outdir / "fig1_region.csv",
+                           ["alpha", "beta", "in_region"], rows)]
 
-    elif which == "fig2":
+    if which == "fig2":
         alphas = (-0.5, 0.0, 0.5)
-        seqs = [make_family("gencheb", alpha=a, beta=a) for a in alphas]
-        hs = [haar_values(s, 12) for s in seqs]
-        path = outdir / "fig2_haar_symmetric.csv"
-        rows = [
-            [n] + [_fmt(h[n]) for h in hs] for n in range(13)
-        ]
-        _write_csv(path, ["n"] + [f"alpha={a}" for a in alphas], rows)
-        written.append(path)
+        return [_haar_table(
+            outdir / "fig2_haar_symmetric.csv",
+            [f"alpha={a}" for a in alphas],
+            [make_family("gencheb", alpha=a, beta=a) for a in alphas],
+        )]
 
-    elif which == "fig3":
-        pairs = ((2, 5), (5, 5), (8, 5))
+    pairs = ((2, 5), (5, 5), (8, 5))
+    if which == "fig3":
+        labels = [f"km_{a}_{b}" for a, b in pairs]
         specs = [
             _measures.measure_of(make_family("km", alpha=a, beta=b))
             for a, b in pairs
         ]
         xs = np.linspace(-1.0, 1.0, 801)
         dens = [s.density(xs) for s in specs]
-        path = outdir / "fig3_density.csv"
-        rows = [
-            [_fmt(x)] + [_fmt(d[i]) for d in dens] for i, x in enumerate(xs)
+        return [
+            _write_csv(
+                outdir / "fig3_density.csv", ["x"] + labels,
+                [[_fmt(x)] + [_fmt(d[i]) for d in dens] for i, x in enumerate(xs)],
+            ),
+            _write_csv(
+                outdir / "fig3_atoms.csv", ["family", "location", "mass"],
+                [[label, _fmt(loc), _fmt(mass)]
+                 for label, s in zip(labels, specs) for loc, mass in s.atoms],
+            ),
         ]
-        _write_csv(
-            path, ["x"] + [f"km_{a}_{b}" for a, b in pairs], rows
-        )
-        written.append(path)
-        path = outdir / "fig3_atoms.csv"
-        rows = []
-        for (a, b), s in zip(pairs, specs):
-            for loc, mass in s.atoms:
-                rows.append([f"km_{a}_{b}", _fmt(loc), _fmt(mass)])
-        _write_csv(path, ["family", "location", "mass"], rows)
-        written.append(path)
 
-    elif which == "fig4":
-        pairs = ((2, 5), (5, 5), (8, 5))
-        seqs = [make_family("modkm", alpha=a, beta=b) for a, b in pairs]
-        hs = [haar_values(s, 12) for s in seqs]
-        path = outdir / "fig4_haar_rescaled.csv"
-        rows = [[n] + [_fmt(h[n]) for h in hs] for n in range(13)]
-        _write_csv(
-            path, ["n"] + [f"modkm_{a}_{b}" for a, b in pairs], rows
-        )
-        written.append(path)
+    if which == "fig4":
+        return [_haar_table(
+            outdir / "fig4_haar_rescaled.csv",
+            [f"modkm_{a}_{b}" for a, b in pairs],
+            [make_family("modkm", alpha=a, beta=b) for a, b in pairs],
+        )]
 
-    else:
-        raise ValueError(f"unknown figure {which!r}")
-    return written
+    raise ValueError(f"unknown figure {which!r}")
 
 
 def cmd_figure(args) -> int:
@@ -363,21 +336,11 @@ def cmd_figure(args) -> int:
 def cmd_verify(args) -> int:
     results = _verify.run_suite(args.suite)
     if args.format == "json":
-        payload = _jsonable(
-            {
-                "suite": args.suite,
-                "results": [
-                    {
-                        "key": r.key,
-                        "title": r.title,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                "all_passed": bool(all(r.passed for r in results)),
-            }
-        )
+        payload = {
+            "suite": args.suite,
+            "results": [dataclasses.asdict(r) for r in results],
+            "all_passed": all(r.passed for r in results),
+        }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         lines = [r.line() for r in results]
@@ -414,10 +377,8 @@ def explore_rows() -> list[list]:
 
 
 def cmd_explore(args) -> int:
-    rows = explore_rows()
-    lines = ["family,p1,p2,h1,h2,min_h,tail_min_h"]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    _emit("\n".join(lines), args.out)
+    header = ["family", "p1", "p2", "h1", "h2", "min_h", "tail_min_h"]
+    _emit(_csv_text(header, explore_rows()), args.out)
     return 0
 
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CoeffSequence, HaarRangeError
+from .core import CoeffSequence, CoefficientDomainError, HaarRangeError
 
 __all__ = [
     "ConvexSeqSpec",
@@ -269,16 +269,27 @@ class ConvexSeqSpec:
 
         a(n) itself underflows below float64 resolution of c(n) near 1 (the
         default family hits float c(n) == 1.0 at n = 105) while 1/a(n)
-        remains comfortably representable.
+        remains comfortably representable.  Past float range (n = 2047 for
+        eps = 0.5) it raises :class:`CoefficientDomainError`.
         """
         self._extend(n)
-        return _quot(self._r[n], self._r[n + 1])
+        try:
+            return _quot(self._r[n], self._r[n + 1])
+        except OverflowError:
+            raise CoefficientDomainError(
+                f"1/a(n) exceeds float range at n = {n}"
+            ) from None
 
     def haar(self, n: int) -> float:
-        """h(n) = Q_n(1)^2."""
+        """h(n) = Q_n(1)^2; past float range it raises :class:`HaarRangeError`."""
         self._extend(n)
         r, p = self._r[n], self._pi[n]
-        return _quot(_mul(r, r), _mul(p, p))
+        try:
+            return _quot(_mul(r, r), _mul(p, p))
+        except OverflowError:
+            raise HaarRangeError(
+                f"Haar weight h({n}) exceeds float range on the convex backbone"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +607,7 @@ def closed_form_max_rel_err(seq: CoeffSequence, h) -> float:
     for n in range(len(h)):
         ref = closed_form_haar(seq, n)
         worst = max(worst, abs(h[n] - ref) / ref)
-    return worst
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

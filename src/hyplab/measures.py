@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -303,16 +303,10 @@ def inner_product(spec: MeasureSpec, f: Callable[[np.ndarray], np.ndarray]) -> f
     return ac + at
 
 
-def basis_gram(
-    seq: CoeffSequence,
-    N: int,
-    spec: Optional[MeasureSpec] = None,
-) -> np.ndarray:
-    """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N.
-
-    ``spec`` defaults to :func:`measure_of` of ``seq``.
-    """
-    spec = spec or measure_of(seq)
+def basis_gram(seq: CoeffSequence, N: int) -> np.ndarray:
+    """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N, against
+    :func:`measure_of` of ``seq``."""
+    spec = measure_of(seq)
     if spec.status != "full":
         raise UnsupportedFamilyError(
             f"Gram matrix needs a closed-form density (family {spec.family_tag!r})"
@@ -332,13 +326,9 @@ def basis_gram(
     return G
 
 
-def orthogonality_error(
-    seq: CoeffSequence,
-    N: int = 12,
-    spec: Optional[MeasureSpec] = None,
-) -> float:
+def orthogonality_error(seq: CoeffSequence, N: int = 12) -> float:
     """max |G[m,n] - delta_mn / h(n)| over m, n <= N (see :func:`basis_gram`)."""
-    G = basis_gram(seq, N, spec=spec)
+    G = basis_gram(seq, N)
     target = np.diag(1.0 / haar_values(seq, N))
     return float(np.max(np.abs(G - target)))
 

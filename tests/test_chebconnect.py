@@ -56,7 +56,7 @@ def reference_connection(seq, nmax):
     return C
 
 
-@pytest.mark.parametrize("tag, params", [
+CONNECTION_FAMILIES = [
     ("cheb1", {}),
     ("gencheb", dict(alpha=-0.25, beta=-5.0 / 6.0)),
     ("cosh", dict(a=1.0)),
@@ -64,7 +64,13 @@ def reference_connection(seq, nmax):
     ("km", dict(alpha=5.0, beta=5.0)),
     ("modkm", dict(alpha=2.0, beta=5.0)),
     ("convex", dict(eps=0.5)),
-])
+    ("gencheb", dict(alpha=0.5, beta=0.5)),
+    ("km", dict(alpha=8.0, beta=5.0)),
+    ("rational25", {}),
+]
+
+
+@pytest.mark.parametrize("tag, params", CONNECTION_FAMILIES)
 def test_connection_bitwise_equals_entrywise_recurrence(tag, params):
     # convex rows overflow to inf and NaN well before nmax = 100
     seq = make_family(tag, **params)
@@ -74,6 +80,39 @@ def test_connection_bitwise_equals_entrywise_recurrence(tag, params):
             want = reference_connection(seq, nmax)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def row_loop_connection(seq, nmax):
+    """connection_coeffs as one full-width row per degree, each padded by
+    np.append: the earlier implementation, kept as the bitwise oracle."""
+    C = np.zeros((nmax + 1, nmax + 1))
+    C[0, 0] = 1.0
+    if nmax == 0:
+        return C
+    C[1, 1] = 1.0
+    for n in range(1, nmax):
+        r = np.append(C[n], (0.0, 0.0))  # r[nmax+1] = r[nmax+2] = 0
+        xr = np.zeros(nmax + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xr[0] = 0.5 * r[1]
+            xr[1] = r[0] + 0.5 * r[2]
+            xr[2:n + 2] = 0.5 * r[1:n + 1] + 0.5 * r[3:n + 3]
+            C[n + 1] = (xr - seq.c(n) * C[n - 1]) / seq.a(n)
+    return C
+
+
+@pytest.mark.parametrize("tag, params", CONNECTION_FAMILIES)
+def test_connection_bitwise_equals_row_loop(tag, params):
+    # convex rows overflow from row 90 on, so 95 ... 104 cover inf and NaN
+    seq = make_family(tag, **params)
+    for nmax in (0, 1, 2, 3, 40, 95, 100, 104):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = connection_coeffs(seq, nmax)
+            want = row_loop_connection(seq, nmax)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # the row reductions of connection_row_checks see the same bits
+            assert got.sum(axis=1).tobytes() == want.sum(axis=1).tobytes()
 
 
 def test_grinspun_two_term_rows():

@@ -2,7 +2,9 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyplab import chebconnect, cli, dual, verify
@@ -383,7 +385,55 @@ def test_report_shares_one_profile(spec, grid_step, tol, monkeypatch):
     assert calls == [chebconnect.criterion_grid().size + est.xs.size]
 
     def dumped(block):
-        return json.dumps(cli._jsonable(block), sort_keys=True)
+        return json.dumps(block, sort_keys=True)
 
     assert dumped(r["criteria"]) == dumped(cli._criteria_block(crit))
     assert dumped(r["dual"]) == dumped(cli._dual_block(est))
+
+
+# ---------------------------------------------------------------------------
+# reports and the verify payload are serialized without a conversion pass,
+# so every value in them must already be a plain Python value
+
+GOLDEN_SPECS = sorted(json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json").read_text()
+)["report"])
+PLAIN = (dict, list, tuple, str, bool, int, float, type(None))
+
+
+def assert_plain(obj, where):
+    # numpy's float64 subclasses float, so numpy types are refused by name
+    assert isinstance(obj, PLAIN) and not isinstance(obj, np.generic), (
+        where, type(obj))
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            assert_plain(v, f"{where}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            assert_plain(v, f"{where}[{i}]")
+
+
+@pytest.mark.parametrize("options", [{}, dict(grid_step=1e-3, tol=1e-6)],
+                         ids=["defaults", "coarse"])
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_report_holds_plain_values(spec, options):
+    report = build_report(spec, **options)
+    assert_plain(report, spec)
+    json.dumps(report)
+
+
+def test_verify_payload_holds_plain_values(capsys, monkeypatch):
+    payloads = []
+    dumps = json.dumps
+
+    def recording_dumps(obj, **kwargs):
+        payloads.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording_dumps)
+    assert main(["verify", "--suite", "all", "--format", "json"]) == 0
+    capsys.readouterr()
+    (payload,) = payloads
+    assert len(payload["results"]) == len(verify.SUITES["all"])
+    assert_plain(payload, "verify")
+    dumps(payload)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyplab import dual, verify
-from hyplab.core import inv_a_array
+from hyplab.core import CoefficientDomainError, inv_a_array
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
     complex_scan,
@@ -165,6 +165,15 @@ def test_divergence_classify_convex_at_default_degree():
     t0 = time.perf_counter()
     assert divergence_classify(seq, 0.9) == "nonmember_diverged"
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_divergence_classify_convex_past_float_range_names_n():
+    # 1/a(n) of the default convex family first leaves float range at
+    # n = 2047; the profile to N = 3000 stops there with a named error
+    seq = make_family("convex", eps=0.5)
+    with pytest.raises(CoefficientDomainError,
+                       match=r"^1/a\(n\) exceeds float range at n = 2047$"):
+        divergence_classify(seq, 0.9, N=3000)
 
 
 class TestComplexScan:

@@ -336,6 +336,16 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
             assert spec.haar(n).hex() == h.hex()
 
 
+@pytest.mark.parametrize("n", [348, 2000])
+def test_convex_haar_past_float_range_names_n(n):
+    # h(347) = 5.4e307 is the last Haar weight of the default convex
+    # family inside float range
+    spec = make_family("convex", eps=0.5).backbone
+    assert np.isfinite(spec.haar(347))
+    with pytest.raises(HaarRangeError, match=rf"^Haar weight h\({n}\) exceeds float range"):
+        spec.haar(n)
+
+
 def test_unchecked_nonpositive_q1_still_raises():
     # s_k = 0.5 * 1.5**k leaves (0, 1) at k = 2, so lambda_1 < 0 and
     # Q_2(1) = (1/lambda_0 - lambda_0) / lambda_1 = -4 < 0.  The checks on

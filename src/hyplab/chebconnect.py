@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     CoeffSequence,
     CoefficientDomainError,
-    alpha_array,
     eval_basis,
     eval_basis_grid,
     haar_values,
@@ -262,7 +261,7 @@ def criterion_report(
         )
 
     c_conv, c_dev, _ = _tail_convergent(seq.c_array, 500)
-    nevai, a_dev, a_ref = _tail_convergent(lambda n: alpha_array(seq, n), 500)
+    nevai, a_dev, a_ref = _tail_convergent(seq.alpha_array, 500)
 
     nevai_limit: bool | None = None
     if c_conv and nevai:

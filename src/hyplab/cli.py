@@ -36,12 +36,15 @@ import numpy as np
 
 from .core import CoefficientDomainError, HaarRangeError, haar_values
 from .families import (
+    ConvexSeqSpec,
     FamilyParameterError,
     UnsupportedFamilyError,
     closed_form_max_rel_err,
+    geometric_sequence,
     in_V,
     make_family,
     parse_family_spec,
+    s0_for_epsilon,
 )
 from .quadrature import QuadratureConvergenceError
 from . import chebconnect as _cheb
@@ -367,7 +370,7 @@ def explore_rows() -> list[list]:
             sweep.append(("modkm", alpha, beta, haar_values(seq, 40)))
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         for q in (0.25, 0.5, 0.75):
-            spec = make_family("convex", eps=eps, q=q).backbone
+            spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), q))
             sweep.append(("convex", eps, q, [spec.haar(n) for n in range(41)]))
     return [
         [tag, _fmt(p1), _fmt(p2), _fmt(h[1]), _fmt(h[2]),

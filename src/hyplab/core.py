@@ -21,12 +21,9 @@ Two normalizations of the same basis are evaluated:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .families import ConvexSeqSpec
 
 __all__ = [
     "CoeffSequence",
@@ -70,10 +67,9 @@ class CoeffSequence:
         first access and cached.
     description : str
         Human-readable one-liner.
-    backbone : ConvexSeqSpec, optional
-        Exact recurrence data: :func:`alpha` reads ``lam(n-1)`` and
-        :func:`inv_a_array` reads ``inv_a(n)`` from it instead of the float
-        c(n), whose 1 - c(n) loses all precision once c(n) nears 1.
+
+    :meth:`inv_a_array` and :meth:`alpha_array` derive their columns from
+    the float c(n); a family with exact recurrence data overrides them.
 
     The coefficient and Haar caches fill on first access and are not
     thread-safe; ``_h_cache`` holds h(0..) and is extended only by
@@ -82,9 +78,8 @@ class CoeffSequence:
 
     family_tag: str
     params: dict
-    cfunc: Callable[[int], float]
+    cfunc: Callable[[int], float] = field(repr=False)
     description: str = ""
-    backbone: "ConvexSeqSpec | None" = field(default=None, repr=False)
     _c_cache: list = field(default_factory=list, repr=False)
     _h_cache: list = field(default_factory=lambda: [1.0], repr=False)
 
@@ -123,6 +118,18 @@ class CoeffSequence:
         out[0] = 1.0
         return out
 
+    def inv_a_array(self, nmax: int) -> np.ndarray:
+        """1/a(0..nmax); 1/a(0) = 1."""
+        return 1.0 / self.a_array(nmax)
+
+    def alpha_array(self, nmax: int) -> np.ndarray:
+        """alpha(1..nmax), alpha(n) = sqrt(c(n) a(n-1)); index 0 is NaN."""
+        c, a = self.c_array(nmax), self.a_array(nmax)
+        out = np.empty(nmax + 1)
+        out[0] = np.nan
+        out[1:] = np.sqrt(c[1:] * a[:-1])
+        return out
+
 
 def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
     """h(0..nmax) as a float array: h(0) = 1, h(n) = h(n-1) a(n-1) / c(n).
@@ -155,32 +162,7 @@ def alpha(seq: CoeffSequence, n: int) -> float:
     """Orthonormal recurrence coefficient alpha(n) = sqrt(c(n) a(n-1)), n >= 1."""
     if n < 1:
         raise IndexError(f"alpha(n) is defined for n >= 1, got n={n}")
-    if seq.backbone is not None:
-        return float(seq.backbone.lam(n - 1))
-    return float(alpha_array(seq, n)[n])
-
-
-def alpha_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
-    """alpha(1..nmax); index 0 is NaN."""
-    out = np.empty(nmax + 1)
-    out[0] = np.nan
-    if seq.backbone is not None:
-        out[1:] = [seq.backbone.lam(n) for n in range(nmax)]
-        return out
-    c = seq.c_array(nmax)
-    a = seq.a_array(nmax)
-    out[1:] = np.sqrt(c[1:] * a[:-1])
-    return out
-
-
-def inv_a_array(seq: CoeffSequence, nmax: int) -> np.ndarray:
-    """1/a(0..nmax); 1/a(0) = 1."""
-    if seq.backbone is None:
-        return 1.0 / seq.a_array(nmax)
-    out = np.empty(nmax + 1)
-    out[0] = 1.0
-    out[1:] = [seq.backbone.inv_a(n) for n in range(1, nmax + 1)]
-    return out
+    return float(seq.alpha_array(n)[n])
 
 
 def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CoeffSequence, inv_a_array
+from .core import CoeffSequence
 
 __all__ = [
     "DIVERGE_THRESHOLD",
@@ -80,7 +80,7 @@ def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     fold = None
     if not np.iscomplexobj(z):
         z, fold = np.unique(np.abs(z), return_inverse=True)
-    inv_a = inv_a_array(seq, N - 1 if N > 0 else 0)
+    inv_a = seq.inv_a_array(N - 1 if N > 0 else 0)
     out = np.maximum(1.0, np.abs(z))
     dvg = np.zeros(z.size, dtype=np.int32)
     for start in range(0, z.size, _BLOCK):

@@ -292,6 +292,28 @@ class ConvexSeqSpec:
             ) from None
 
 
+class _ConvexSequence(CoeffSequence):
+    """The ``convex`` family: 1/a(n) and alpha(n) = lambda_{n-1} come from
+    the exact backbone, since 1 - c(n) of the float c(n) loses all
+    precision once c(n) nears 1.  Each is rounded once and kept."""
+
+    def __init__(self, params: dict, spec: ConvexSeqSpec, description: str):
+        super().__init__("convex", params, spec.c, description)
+        self._spec = spec
+        self._inv_a = [1.0]
+        self._alpha = [math.nan]
+
+    def inv_a_array(self, nmax: int) -> np.ndarray:
+        while len(self._inv_a) <= nmax:
+            self._inv_a.append(self._spec.inv_a(len(self._inv_a)))
+        return np.array(self._inv_a[: nmax + 1])
+
+    def alpha_array(self, nmax: int) -> np.ndarray:
+        while len(self._alpha) <= nmax:
+            self._alpha.append(self._spec.lam(len(self._alpha) - 1))
+        return np.array(self._alpha[: nmax + 1])
+
+
 # ---------------------------------------------------------------------------
 # coefficient functions of the named families
 
@@ -447,13 +469,10 @@ def make_family(tag: str, /, **params) -> CoeffSequence:
         _reject_params(tag, params)
         if not 0.0 < q < 1.0:
             raise FamilyParameterError(f"convex requires q in (0, 1), got {q}")
-        spec = ConvexSeqSpec(geometric_sequence(s0, q))
-        return CoeffSequence(
-            "convex",
+        return _ConvexSequence(
             shown,
-            spec.c,
+            ConvexSeqSpec(geometric_sequence(s0, q)),
             f"convex-sequence construction, s_k = {s0:.12g} * {q:.12g}**k",
-            backbone=spec,
         )
 
     if tag == "custom":

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     CoeffSequence,
     CoefficientDomainError,
-    alpha_array,
     eval_basis_grid,
     haar_values,
 )
@@ -373,7 +372,7 @@ def jacobi_spectrum(seq: CoeffSequence, N: int) -> np.ndarray:
         return np.zeros(1)
     from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
 
-    off = alpha_array(seq, N - 1)[1:]
+    off = seq.alpha_array(N - 1)[1:]
     vals = eigh_tridiagonal(np.zeros(N), off, eigvals_only=True)
     return np.sort(vals)
 
@@ -411,7 +410,7 @@ def spectrum_atoms(seq: CoeffSequence, N: int):
     from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
 
     al = np.zeros(N + 1)
-    al[1:N] = alpha_array(seq, N - 1)[1:]
+    al[1:N] = seq.alpha_array(N - 1)[1:]
     p = np.arange((N - 1) % 2, N, 2)
     up, up2 = al[p[:-1] + 1], al[p[:-1] + 2]
     _, U = eigh_tridiagonal(al[p] ** 2 + al[p + 1] ** 2, up * up2)

@@ -18,10 +18,13 @@ import numpy as np
 from .chebconnect import HAAR_FLOOR
 from .core import haar_values
 from .families import (
+    ConvexSeqSpec,
     KMParams,
     beta_for_epsilon,
     closed_form_max_rel_err,
+    geometric_sequence,
     make_family,
+    s0_for_epsilon,
 )
 from . import appendixcheck as _appendix
 from . import dual as _dual
@@ -122,8 +125,7 @@ def counterexample_haar_growth() -> CriterionResult:
     for eps in _EPS_SWEEP:
         inner = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         defects.append(abs(haar_values(inner, 1)[1] - (1.0 + eps)))
-        conv = make_family("convex", eps=eps)
-        spec = conv.backbone
+        spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), 0.5))
         defects.append(abs(spec.haar(1) - (1.0 + eps)))
         h = [spec.haar(n) for n in range(0, 61)]
         if not all(h[n] < h[n + 1] for n in range(0, 60)):

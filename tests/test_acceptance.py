@@ -131,6 +131,16 @@ def test_nan_coefficient_fails_criterion_5(monkeypatch):
     assert "deviation nan" in result.detail
 
 
+def test_criterion_7_failure_detail_is_deterministic(monkeypatch):
+    # a violating family is shown by its repr, which once included the
+    # address of its coefficient lambda and so differed between processes
+    monkeypatch.setattr(verify, "HAAR_FLOOR", 1e9)
+    result = verify.haar_floor_composite()
+    assert result.passed is False
+    assert "family_tag='cheb1'" in result.detail
+    assert "0x" not in result.detail
+
+
 def _nan_when(fn, pred):
     return lambda *args, **kw: np.nan if pred(*args) else fn(*args, **kw)
 

@@ -12,7 +12,6 @@ from hyplab.core import (
     CoefficientDomainError,
     HaarRangeError,
     alpha,
-    alpha_array,
     eval_basis,
     eval_basis_grid,
     haar,
@@ -20,7 +19,12 @@ from hyplab.core import (
     monic_coeffs,
     monic_rows,
 )
-from hyplab.families import make_family
+from hyplab.families import (
+    ConvexSeqSpec,
+    geometric_sequence,
+    make_family,
+    s0_for_epsilon,
+)
 
 
 NORMS = ("P", "monic")
@@ -178,7 +182,7 @@ class TestHaar:
         # h(n) * prod(lambda_k, k<=n) = (prod(a_k, k<n))^2: both sides are
         # 1 / integral(P_n^2 dmu) rescalings of the monic norm
         seq = make_family("cosh", a=1.0)
-        al = alpha_array(seq, 10)
+        al = seq.alpha_array(10)
         lam_prod = float(np.prod(al[1:] ** 2))
         a_prod = float(np.prod(seq.a_array(9)[:10]))
         assert haar(seq, 10) * lam_prod == pytest.approx(a_prod**2, rel=1e-12)
@@ -280,28 +284,39 @@ class TestSingleImplementations:
     @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
     def test_alpha_matches_scalar_formula(self, tag, params):
         seq = make_family(tag, **params)
+        spec = None
+        if tag == "convex":
+            spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(params["eps"]), 0.5))
         for n in range(1, 100):
-            if seq.backbone is not None:
-                want = seq.backbone.lam(n - 1)
+            if spec is not None:
+                want = spec.lam(n - 1)
             else:
                 want = float(np.sqrt(seq.c(n) * seq.a(n - 1)))
             assert alpha(seq, n) == want and type(alpha(seq, n)) is float
 
 
-class TestAlpha:
-    def test_backbone_alpha_is_one_lambda(self, monkeypatch):
-        # alpha(n) reads lambda(n - 1) alone, bitwise what alpha_array holds
-        seq = make_family("convex", eps=0.5)
-        want = alpha_array(seq, 300)
-        calls = []
-        lam = seq.backbone.lam
-        monkeypatch.setattr(seq.backbone, "lam", lambda n: calls.append(n) or lam(n))
-        for n in range(1, 301):
-            calls.clear()
-            got = alpha(seq, n)
-            assert calls == [n - 1]
-            assert np.float64(got).tobytes() == want[n].tobytes(), n
+@pytest.mark.parametrize("tag,params", [
+    ("modkm", {"alpha": 2.0, "beta": 5.0}), ("convex", {"eps": 0.5}),
+])
+def test_reads_return_copies(tag, params):
+    # the columns are kept on the sequence, so a returned view would let
+    # one caller's write corrupt every later read
+    seq = make_family(tag, **params)
+    reads = {
+        "c_array": seq.c_array,
+        "a_array": seq.a_array,
+        "inv_a_array": seq.inv_a_array,
+        "alpha_array": seq.alpha_array,
+        "haar_values": lambda n: haar_values(seq, n),
+    }
+    for name, read in reads.items():
+        first = read(40)
+        want = first.copy()
+        first[:] = np.nan
+        assert read(40).tobytes() == want.tobytes(), name
 
+
+class TestAlpha:
     def test_alpha_squared_is_lambda(self):
         seq = make_family("km", alpha=2.0, beta=5.0)
         for n in range(1, 15):
@@ -310,7 +325,7 @@ class TestAlpha:
 
     def test_cheb_alpha_limits(self):
         seq = make_family("cheb1")
-        al = alpha_array(seq, 5)
+        al = seq.alpha_array(5)
         assert al[1] == pytest.approx(math.sqrt(0.5))
         assert np.allclose(al[2:], 0.5)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyplab import dual, verify
-from hyplab.core import CoefficientDomainError, inv_a_array
+from hyplab.core import CoefficientDomainError
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
     complex_scan,
@@ -238,7 +238,7 @@ def reference_profile(seq, zs, N, threshold):
     zs = np.asarray(zs)
     shape = zs.shape
     z = zs.ravel()
-    inv_a = inv_a_array(seq, N - 1 if N > 0 else 0)
+    inv_a = seq.inv_a_array(N - 1 if N > 0 else 0)
     out = np.ones(z.size, dtype=float)
     dvg = np.zeros(z.size, dtype=np.int32)
     idx = np.arange(z.size)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import HaarRangeError, eval_basis_grid, haar_values
+from hyplab.core import (
+    CoefficientDomainError,
+    HaarRangeError,
+    eval_basis_grid,
+    haar_values,
+)
 from hyplab.families import (
     ConvexSeqSpec,
     FamilyParameterError,
@@ -226,10 +231,14 @@ def test_h1_region_predicate():
     assert not h1_lt_2_region(8.0, 5.0)
 
 
+def convex_spec(eps, q=0.5):
+    """The backbone ``make_family("convex", eps=eps, q=q)`` is built on."""
+    return ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), q))
+
+
 @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
 def test_convex_h1_and_growth(eps):
-    seq = make_family("convex", eps=eps, q=0.5)
-    spec = seq.backbone
+    spec = convex_spec(eps)
     assert spec.haar(1) == pytest.approx(1.0 + eps, abs=1e-12)
     h = [spec.haar(n) for n in range(2, 30)]
     assert min(h) > 4.0
@@ -251,9 +260,8 @@ def test_s0_for_epsilon_consistency():
 
 class TestConvexExact:
     def setup_method(self):
-        seq = make_family("convex", eps=0.5, q=0.5)
-        self.spec = seq.backbone
-        self.seq = seq
+        self.spec = convex_spec(0.5)
+        self.seq = make_family("convex", eps=0.5, q=0.5)
         self.s = geometric_sequence(s0_for_epsilon(0.5), 0.5)
 
     def test_boundary_identity(self):
@@ -275,8 +283,6 @@ class TestConvexExact:
     def test_inv_a_representable_past_float_resolution(self):
         # float c(n) rounds to exactly 1.0 past n ~ 105 (and is rejected by
         # the domain guard), but 1/a(n) stays a representable float
-        from hyplab.core import CoefficientDomainError
-
         assert self.spec.c(201) == 1.0
         with pytest.raises(CoefficientDomainError):
             self.seq.c(201)
@@ -295,6 +301,52 @@ class TestConvexExact:
         with pytest.raises(FamilyParameterError):
             spec = ConvexSeqSpec(s=concave)
             spec.lam(6)
+
+
+class TestConvexColumns:
+    """1/a(n) and alpha(n) = lambda_{n-1} of the convex family: each is
+    read from the backbone once per index and then kept."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the class attributes, which the benchmark tracer wraps as well
+        calls = {"inv_a": [], "lam": []}
+        for name in calls:
+            def counted(spec, n, name=name, original=getattr(ConvexSeqSpec, name)):
+                calls[name].append(n)
+                return original(spec, n)
+
+            monkeypatch.setattr(ConvexSeqSpec, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("column,method,first", [
+        ("inv_a_array", "inv_a", 1), ("alpha_array", "lam", 0),
+    ])
+    def test_backbone_read_once_per_index(self, calls, column, method, first):
+        read = getattr(make_family("convex", eps=0.5), column)
+        got = read(400)
+        assert calls == {"inv_a": [], "lam": [], method: list(range(first, first + 400))}
+        calls[method].clear()
+        again = read(400)
+        assert calls == {"inv_a": [], "lam": []}
+        assert again.tobytes() == got.tobytes()
+        spec = convex_spec(0.5)
+        want = np.array([getattr(spec, method)(n) for n in range(first, first + 400)])
+        assert got[1:].tobytes() == want.tobytes()
+
+    def test_past_float_range_names_n_and_keeps_prefix(self, calls):
+        # 1/a(n) of s_k = 0.25 * 0.0625**k first leaves float range at
+        # n = 513; the 512 values before it stay kept
+        seq = make_family("convex", s0=0.25, q=0.0625)
+        with pytest.raises(CoefficientDomainError,
+                           match=r"^1/a\(n\) exceeds float range at n = 513$"):
+            seq.inv_a_array(513)
+        calls["inv_a"].clear()
+        prefix = seq.inv_a_array(512)
+        assert calls["inv_a"] == []
+        spec = ConvexSeqSpec(geometric_sequence(0.25, 0.0625))
+        want = np.array([1.0] + [spec.inv_a(n) for n in range(1, 513)])
+        assert prefix.tobytes() == want.tobytes()
 
 
 def _fraction_backbone(s, nmax):
@@ -318,7 +370,7 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
     nmax = 300
     s = geometric_sequence(s0_for_epsilon(eps), q)
     lam, q1 = _fraction_backbone(s, nmax)
-    spec = make_family("convex", eps=eps, q=q).backbone
+    spec = convex_spec(eps, q)
     for n in range(1, nmax + 1):
         # c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1) as an unreduced quotient;
         # int / int rounds correctly, as Fraction.__float__ does
@@ -340,7 +392,7 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
 def test_convex_haar_past_float_range_names_n(n):
     # h(347) = 5.4e307 is the last Haar weight of the default convex
     # family inside float range
-    spec = make_family("convex", eps=0.5).backbone
+    spec = convex_spec(0.5)
     assert np.isfinite(spec.haar(347))
     with pytest.raises(HaarRangeError, match=rf"^Haar weight h\({n}\) exceeds float range"):
         spec.haar(n)

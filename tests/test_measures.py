@@ -12,7 +12,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from hyplab.core import (
     CoefficientDomainError,
-    alpha_array,
     eval_basis_grid,
     haar_values,
 )
@@ -194,7 +193,7 @@ class TestSpectrum:
 
 def oracle_atoms(seq, N):
     """Order-N eigenvectors of J itself: the path spectrum_atoms avoids."""
-    vals, vecs = eigh_tridiagonal(np.zeros(N), alpha_array(seq, N - 1)[1:])
+    vals, vecs = eigh_tridiagonal(np.zeros(N), seq.alpha_array(N - 1)[1:])
     order = np.argsort(vals)
     return vals[order], np.abs(vecs[-1, order])
 
@@ -223,7 +222,7 @@ def assert_atoms_match_oracle(seq, N):
     # oracle-free: the squared tails are row N-1 of an orthogonal matrix
     # and reproduce J[N-1, N-1] = 0 and (J^2)[N-1, N-1] = alpha_{N-1}^2
     w = tails * tails
-    last = alpha_array(seq, N - 1)[N - 1]
+    last = seq.alpha_array(N - 1)[N - 1]
     assert abs(w.sum() - 1.0) <= 1e-12
     assert abs(np.dot(w, evs)) <= 1e-12
     assert abs(np.dot(w, evs * evs) - last * last) <= 1e-12

@@ -63,6 +63,33 @@ def test_no_assert_statements_in_the_package():
     assert not found
 
 
+def test_core_imports_no_other_hyplab_module():
+    # core is the substrate every family fills; it may not know of one,
+    # not even for type checking
+    core = Path(hyplab.__file__).resolve().parent / "core.py"
+    found = []
+    for node in ast.walk(ast.parse(core.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = ["hyplab" if node.level else node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[0] == "hyplab" for name in names):
+            found.append(f"core.py:{node.lineno}")
+    assert not found
+
+
+def test_no_module_reads_a_backbone_attribute():
+    # families fill the sequence's columns; no layer reaches past them
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "backbone":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def _defaulted_parameters():
     """(callee, parameter, call position or None) per defaulted parameter
     of a public function; a public method is called by its own name and

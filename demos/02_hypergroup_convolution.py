@@ -7,7 +7,6 @@ import numpy as np
 
 from hyplab import (
     LinearizationTable,
-    WeightedSeq,
     check_nlp,
     convolve,
     haar_values,
@@ -33,17 +32,19 @@ print(f"nonnegativity audit (N=20): nonneg={rep.is_nonnegative}, "
       f"min coeff={rep.min_coeff:.2e}")
 
 # translation smears a point mass along a linearization row; convolution
-# of two point masses is supported on the admissible band
-f = translate(seq, WeightedSeq.delta(2), 5)
+# of two point masses is supported on the admissible band; sequences on
+# the index set are plain arrays, entry k at degree k
+delta2, delta5 = np.eye(3)[2], np.eye(6)[5]
+f = translate(seq, delta2, 5)
 print()
-print("T_5 delta_2 is supported on", np.nonzero(np.abs(f.values) > 1e-14)[0])
+print("T_5 delta_2 is supported on", np.nonzero(np.abs(f) > 1e-14)[0])
 
-g = convolve(seq, WeightedSeq.delta(2), WeightedSeq.delta(5))
-h = haar_values(seq, g.top)
+g = convolve(seq, delta2, delta5)
+h = haar_values(seq, g.size - 1)
 print("delta_2 * delta_5: h-weighted mass =",
-      f"{float(np.sum(g.values * h)):.6f}",
+      f"{float(np.sum(g * h)):.6f}",
       f"(= h(2) h(5) = {h[2] * h[5]:.6f})")
-print("l1(h) norm of delta_2:", l1h_norm(seq, WeightedSeq.delta(2)))
+print("l1(h) norm of delta_2:", l1h_norm(seq, delta2))
 
 print()
 print("--- the failure case ---")

@@ -13,9 +13,9 @@ from hyplab import (
     check_nlp,
     dual_estimate,
     haar_values,
-    jacobi_spectrum,
     make_family,
     exclusion_bound,
+    spectrum_atoms,
 )
 from hyplab.families import ConvexSeqSpec, geometric_sequence, s0_for_epsilon
 
@@ -52,7 +52,7 @@ print("purely discrete: atoms at +-1 and a sequence of points accumulating")
 print("inside +-[cut, 1).")
 
 seq = make_family("convex", eps=0.5, q=0.5)
-eig = np.sort(jacobi_spectrum(seq, 200))
+eig, _ = spectrum_atoms(seq, 200)
 pos = eig[eig > 0]
 print()
 print("convex(eps=0.5): largest positive spectral points",

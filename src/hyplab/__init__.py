@@ -36,7 +36,6 @@ from .families import (
 from .linearization import (
     LinearizationTable,
     NLPReport,
-    WeightedSeq,
     check_nlp,
     convolve,
     l1h_norm,
@@ -56,7 +55,6 @@ from .measures import (
     MeasureSpec,
     basis_gram,
     inner_product,
-    jacobi_spectrum,
     measure_mass,
     measure_of,
     orthogonality_error,

@@ -169,11 +169,8 @@ def build_report(
     est = _dual.classify_profile(xs_dual, prof[k:], N, grid_step, tol)
     report["dual"] = _dual_block(est)
 
-    try:
-        mspec = _measures.measure_of(seq)
-    except UnsupportedFamilyError:
-        mspec = None
-    if mspec is not None and mspec.status == "full":
+    mspec = _measures.measure_of(seq)
+    if mspec.status == "full":
         mass_err = abs(_measures.measure_mass(mspec) - 1.0)
         mom_err = abs(_measures.second_moment(mspec) - seq.c(1))
         orth_err = _measures.orthogonality_error(seq, N=12)
@@ -190,7 +187,7 @@ def build_report(
             _check("measure_second_moment", mom_err, 1e-9),
             _check("orthogonality", orth_err, 1e-7),
         ]
-    elif mspec is not None:
+    else:
         report["measure"] = {"status": mspec.status, "atoms": []}
 
     report["checks"] = checks

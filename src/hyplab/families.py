@@ -15,7 +15,8 @@ rational25 --                            modkm(2,5) in rational closed form
 convex     eps (or s0) in (0,1), q       convex-sequence construction with
                                          discrete dual and exponential Haar
                                          growth
-custom     cfunc                         direct coefficient callable
+custom     cfunc                         direct coefficient callable; from
+                                         make_family only, not from a spec
 ========== ============================= =====================================
 
 Besides the builders, this module carries the closed-form Haar weights of
@@ -388,9 +389,6 @@ def make_family(tag: str, /, **params) -> CoeffSequence:
     The coefficient-domain check c(n) in (0, 1) applies lazily.
     """
     tag = tag.lower()
-    if tag in ("chebyshev", "chebyshev1"):
-        tag = "cheb1"
-
     if tag == "cheb1":
         _reject_params(tag, params)
         return CoeffSequence(
@@ -510,12 +508,14 @@ def parse_family_spec(spec: str) -> CoeffSequence:
     """Parse a ``tag:key=value,key=value`` string into a sequence.
 
     Values may be decimal (``0.5``, ``-0.8333``, ``1e-3``) or rational
-    (``5/9``) literals.
+    (``5/9``) literals.  ``custom`` is rejected: its ``cfunc`` is a callable.
     """
     m = _SPEC_RE.match(spec)
     if m is None:
         raise FamilyParameterError(f"malformed family spec {spec!r}")
     tag, rest = m.group(1), m.group(2)
+    if tag.lower() == "custom":
+        raise FamilyParameterError("custom takes a callable cfunc=, not a spec string")
     params = {}
     if rest is not None and rest.strip():
         for item in rest.split(","):

@@ -7,7 +7,9 @@ For a coefficient sequence with basis (P_n) the products expand as
 with rows summing to 1 (evaluate at x = 1).  Nonnegativity of every
 g(m, n; k) -- "NLP" -- is what turns the index set into a discrete
 hypergroup: translation, convolution and the l1(h) norm below are the
-standard hypergroup structure built from these coefficients.
+standard hypergroup structure built from these coefficients.  They take
+finitely supported sequences on the index set as plain arrays (entry k
+at degree k, or anything ``np.asarray`` accepts) and return arrays.
 
 Rows are computed by induction on m,
 
@@ -35,7 +37,6 @@ __all__ = [
     "LinearizationTable",
     "NLPReport",
     "SzwarcReport",
-    "WeightedSeq",
     "check_nlp",
     "convolve",
     "l1h_norm",
@@ -257,30 +258,7 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
 # hypergroup operations
 
 
-@dataclass
-class WeightedSeq:
-    """A finitely supported sequence on the index set, stored densely from 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values))
-
-    @classmethod
-    def delta(cls, k: int) -> "WeightedSeq":
-        v = np.zeros(k + 1)
-        v[k] = 1.0
-        return cls(v)
-
-    @property
-    def top(self) -> int:
-        nz = np.nonzero(self.values)[0]
-        return int(nz[-1]) if nz.size else 0
-
-
 def _as_values(f) -> np.ndarray:
-    if isinstance(f, WeightedSeq):
-        return f.values
     return np.atleast_1d(np.asarray(f))
 
 
@@ -291,7 +269,7 @@ def l1h_norm(seq: CoeffSequence, f) -> float:
     return float(np.sum(np.abs(v) * h))
 
 
-def translate(seq: CoeffSequence, f, n: int) -> WeightedSeq:
+def translate(seq: CoeffSequence, f, n: int) -> np.ndarray:
     """Hypergroup translate T_n f(m) = sum_k g(m, n; k) f(k), as an array of
     dtype ``result_type(f, float)``.
 
@@ -304,17 +282,17 @@ def translate(seq: CoeffSequence, f, n: int) -> WeightedSeq:
     c, a = _coeffs(seq, K + n)
     out = np.zeros(K + n + 1, dtype=np.result_type(v, float))
     if K < 0:
-        return WeightedSeq(out)
+        return out
     for m, _, rows in islice(_block_rows(c, a, n, n + K + 1), n + 1):
         width = min(m + n + 1, v.size)
         out[m] = np.dot(rows[0, :width], v[:width])
     for i in range(1, K + 1):
         width = min(2 * n + i + 1, v.size)
         out[n + i] = np.dot(rows[i, :width], v[:width])
-    return WeightedSeq(out)
+    return out
 
 
-def convolve(seq: CoeffSequence, f, g) -> WeightedSeq:
+def convolve(seq: CoeffSequence, f, g) -> np.ndarray:
     """Hypergroup convolution (f * g)(n) = sum_k (T_n f)(k) g(k) h(k), as an
     array of dtype ``result_type(f, g, float)``.
 
@@ -334,7 +312,7 @@ def convolve(seq: CoeffSequence, f, g) -> WeightedSeq:
             w = min(row.size, fv.size)
             tf[k] = np.dot(row[:w], fv[:w])
         out[n] = np.dot(tf[:width], weights[:width])
-    return WeightedSeq(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ Status values on :class:`MeasureSpec`:
   through truncated Jacobi spectra,
 * ``"density_unknown"`` - neither density nor atoms are catalogued.
 
+Only a ``"full"`` measure integrates; the others raise
+:class:`UnsupportedFamilyError`.  :func:`spectrum_atoms` is the one
+Jacobi-spectrum solver.
+
 The integrals below run tanh-sinh to the fixed stopping tolerance
 :data:`QUAD_TOL`, and :func:`triple_products` to
 :data:`TRIPLE_QUAD_TOL`.
@@ -51,7 +55,6 @@ __all__ = [
     "basis_gram",
     "orthogonality_error",
     "triple_products",
-    "jacobi_spectrum",
     "spectrum_atoms",
 ]
 
@@ -71,9 +74,16 @@ class DensityPiece:
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
+def _require_closed_form(spec: MeasureSpec) -> None:
+    """Raise unless the density and atoms of ``spec`` are known in closed form."""
+    if spec.status != "full":
+        raise UnsupportedFamilyError(
+            f"needs a closed-form density (measure status {spec.status!r})"
+        )
+
+
 @dataclass
 class MeasureSpec:
-    family_tag: str
     status: str
     pieces: list[DensityPiece] = field(default_factory=list)
     atoms: list[tuple[float, float]] = field(default_factory=list)
@@ -84,6 +94,7 @@ class MeasureSpec:
 
     def density(self, x) -> np.ndarray:
         """Pointwise a.c. density (0 outside the pieces; symmetric in x)."""
+        _require_closed_form(self)
         x = np.asarray(x, dtype=float)
         t = np.abs(x)
         out = np.zeros_like(t)
@@ -132,7 +143,7 @@ def _cosh_pieces(a: float) -> list[DensityPiece]:
     return [DensityPiece(0.0, gam, fn)]
 
 
-def _km_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
+def _km_spec(p: KMParams) -> MeasureSpec:
     al, be = p.alpha, p.beta
     g1, g2 = p.gamma1, p.gamma2
     atoms: list[tuple[float, float]] = []
@@ -155,10 +166,10 @@ def _km_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
         pieces = [DensityPiece(g2, g1, fn)]
         if al > be:
             atoms.append((0.0, (al - be) / al))
-    return MeasureSpec(seq.family_tag, "full", pieces, atoms)
+    return MeasureSpec("full", pieces, atoms)
 
 
-def _modkm_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
+def _modkm_spec(p: KMParams) -> MeasureSpec:
     al, be = p.alpha, p.beta
     g1, g2 = p.gamma1, p.gamma2
     cut = p.support_cut
@@ -182,7 +193,7 @@ def _modkm_spec(seq: CoeffSequence, p: KMParams) -> MeasureSpec:
         pieces = [DensityPiece(cut, 1.0, fn)]
         if al > be:
             atoms.append((0.0, (al - be) / al))
-    return MeasureSpec(seq.family_tag, "full", pieces, atoms)
+    return MeasureSpec("full", pieces, atoms)
 
 
 def measure_of(seq: CoeffSequence) -> MeasureSpec:
@@ -193,24 +204,21 @@ def measure_of(seq: CoeffSequence) -> MeasureSpec:
     """
     tag = seq.family_tag
     if tag == "cheb1":
-        return MeasureSpec(tag, "full", _cheb1_pieces())
+        return MeasureSpec("full", _cheb1_pieces())
     if tag == "gencheb":
         a, b = seq.params["alpha"], seq.params["beta"]
-        return MeasureSpec(tag, "full", _gencheb_pieces(a, b))
+        return MeasureSpec("full", _gencheb_pieces(a, b))
     if tag == "cosh":
-        return MeasureSpec(tag, "full", _cosh_pieces(seq.params["a"]))
+        return MeasureSpec("full", _cosh_pieces(seq.params["a"]))
     if tag in ("km", "modkm"):
         p = KMParams(seq.params["alpha"], seq.params["beta"])
-        return _km_spec(seq, p) if tag == "km" else _modkm_spec(seq, p)
+        return _km_spec(p) if tag == "km" else _modkm_spec(p)
     if tag == "rational25":
-        p = KMParams(2.0, 5.0)
-        spec = _modkm_spec(seq, p)
-        spec.family_tag = "rational25"
-        return spec
+        return _modkm_spec(KMParams(2.0, 5.0))
     if tag == "grinspun":
-        return MeasureSpec(tag, "density_unknown")
+        return MeasureSpec("density_unknown")
     if tag == "convex":
-        return MeasureSpec(tag, "atoms_unknown")
+        return MeasureSpec("atoms_unknown")
     raise UnsupportedFamilyError(
         f"no closed-form measure registered for family {tag!r}"
     )
@@ -254,8 +262,10 @@ def integrate_positive(
     """Integrate ``row_fn(x, lo, hi) * density`` over the positive-axis a.c.
     part, refining each piece until it is stable to ``tol``.  ``row_fn``
     may return a scalar-per-node vector or a stack of rows ``(k, len(x))``;
-    atoms and mirroring are the caller's business.
+    atoms and mirroring are the caller's business.  Raises
+    :class:`UnsupportedFamilyError` unless ``spec`` is ``"full"``.
     """
+    _require_closed_form(spec)
     total = None
     for piece in spec.pieces:
         def acc(x, lo, hi, wts, _p=piece):
@@ -274,10 +284,6 @@ def integrate_positive(
 
 def measure_mass(spec: MeasureSpec) -> float:
     """Total mass (a.c. part doubled by symmetry, plus atoms)."""
-    if spec.status != "full":
-        raise UnsupportedFamilyError(
-            f"mass needs a closed-form density (status {spec.status!r})"
-        )
     ac = integrate_positive(spec, lambda x, lo, hi: np.ones_like(x), tol=QUAD_TOL)
     return 2.0 * ac + spec.atom_mass
 
@@ -306,10 +312,6 @@ def basis_gram(seq: CoeffSequence, N: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N, against
     :func:`measure_of` of ``seq``."""
     spec = measure_of(seq)
-    if spec.status != "full":
-        raise UnsupportedFamilyError(
-            f"Gram matrix needs a closed-form density (family {spec.family_tag!r})"
-        )
 
     def rows(x, lo, hi):
         B = eval_basis_grid(seq, N, x)
@@ -340,10 +342,6 @@ def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
     product-linearization coefficients: g(m, n; k) = h(k) * T[m, n, k].
     """
     spec = measure_of(seq)
-    if spec.status != "full":
-        raise UnsupportedFamilyError(
-            f"triple products need a closed-form density (family {spec.family_tag!r})"
-        )
     K = 2 * M
 
     def rows(x, lo, hi):
@@ -361,20 +359,6 @@ def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
         col = eval_basis_grid(seq, K, np.array([t]))[:, 0]
         T += m * np.einsum("i,j,k->ijk", col[: M + 1], col[: M + 1], col)
     return T
-
-
-def jacobi_spectrum(seq: CoeffSequence, N: int) -> np.ndarray:
-    """Eigenvalues of the order-N truncated Jacobi matrix (orthonormal
-    basis: zero diagonal, off-diagonal alpha_1..alpha_{N-1})."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if N == 1:
-        return np.zeros(1)
-    from scipy.linalg import eigh_tridiagonal  # deferred: slow to import
-
-    off = seq.alpha_array(N - 1)[1:]
-    vals = eigh_tridiagonal(np.zeros(N), off, eigvals_only=True)
-    return np.sort(vals)
 
 
 def spectrum_atoms(seq: CoeffSequence, N: int):

@@ -254,7 +254,7 @@ def dual_geometry() -> CriterionResult:
     for eps in _EPS_SWEEP:
         seq = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         est = _dual.dual_estimate(seq, N=400, grid_step=step)
-        cut = math.sqrt((1.0 - eps) / (1.0 + eps))
+        cut = _dual.exclusion_intervals(eps)[1][0]
         ivs = est.intervals
         if not (
             len(ivs) == 2
@@ -269,7 +269,7 @@ def dual_geometry() -> CriterionResult:
 
     conv = make_family("convex", eps=0.5)
     est = _dual.dual_estimate(conv, N=400, grid_step=1e-3)
-    cut = math.sqrt((1.0 - 0.5) / (1.0 + 0.5))
+    cut = _dual.exclusion_intervals(0.5)[1][0]
     evs, tails = _measures.spectrum_atoms(conv, 400)
     pos = np.sort(evs[evs > 1e-12])
     evs8, _ = _measures.spectrum_atoms(conv, 800)

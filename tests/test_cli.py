@@ -76,6 +76,14 @@ class TestErrors:
         assert code == 1
         assert "configuration error" in err
 
+    def test_custom_spec_is_config_error(self, capsys):
+        # custom needs a callable cfunc, which a spec string cannot carry
+        code, out, err = run(capsys, "report", "--family", "custom:cfunc=1/2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+
     def test_bad_parameter_value(self, capsys):
         code, _, err = run(capsys, "report", "--family", "cosh:a=-1")
         assert code == 1

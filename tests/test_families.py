@@ -162,8 +162,9 @@ def test_rejects_bad_parameters(tag, params):
 
 
 def test_unknown_tag():
-    with pytest.raises(UnsupportedFamilyError):
-        make_family("legendre")
+    for tag in ("legendre", "chebyshev"):
+        with pytest.raises(UnsupportedFamilyError):
+            make_family(tag)
 
 
 def test_missing_and_extra_params():

@@ -20,7 +20,6 @@ from hyplab.linearization import LinearizationTable
 from hyplab.measures import (
     basis_gram,
     inner_product,
-    jacobi_spectrum,
     measure_mass,
     measure_of,
     orthogonality_error,
@@ -152,9 +151,25 @@ def test_grinspun_status_not_full(measure):
     assert spec.status != "full"
 
 
+@pytest.mark.parametrize("read", [
+    measure_mass,
+    second_moment,
+    lambda spec: inner_product(spec, np.cos),
+    lambda spec: spec.density(np.linspace(-1.0, 1.0, 5)),
+], ids=["measure_mass", "second_moment", "inner_product", "density"])
+@pytest.mark.parametrize("tag,params", [
+    ("grinspun", {"c1": 0.7}),
+    ("convex", {"eps": 0.5}),
+])
+def test_no_closed_form_raises(measure, read, tag, params):
+    # no catalogued density: an error, not the 0.0 of an empty piece list
+    with pytest.raises(UnsupportedFamilyError, match="closed-form density"):
+        read(measure(tag, **params))
+
+
 class TestSpectrum:
     def test_cheb_spectrum_fills_interval(self, family):
-        eig = jacobi_spectrum(family("cheb1"), 80)
+        eig, _ = spectrum_atoms(family("cheb1"), 80)
         assert eig.min() > -1.0 and eig.max() < 1.0
         # the N-by-N truncation's characteristic polynomial is the monic
         # degree-N member, so its eigenvalues are the T_80 zeros
@@ -162,13 +177,13 @@ class TestSpectrum:
         assert np.max(np.abs(np.sort(eig) - want)) < 1e-12
 
     def test_spectrum_symmetric(self, family):
-        eig = jacobi_spectrum(family("km", alpha=8.0, beta=5.0), 101)
+        eig, _ = spectrum_atoms(family("km", alpha=8.0, beta=5.0), 101)
         assert np.max(np.abs(np.sort(eig) + np.sort(eig)[::-1])) < 1e-12
 
     def test_km_gap_respected(self, family):
         # spectrum avoids the inner gap (|x| < gamma2) except the atom at 0
         seq = family("km", alpha=8.0, beta=5.0)
-        eig = jacobi_spectrum(seq, 151)
+        eig, _ = spectrum_atoms(seq, 151)
         gamma2 = (math.sqrt(7.0) - 2.0) / math.sqrt(40.0)
         interior = np.abs(eig[np.abs(eig) > 1e-10])
         assert interior.min() > gamma2 - 1e-8
@@ -183,7 +198,7 @@ class TestSpectrum:
 
     def test_convex_spectrum_in_dual_band(self, family):
         seq = family("convex", eps=0.5, q=0.5)
-        eig = jacobi_spectrum(seq, 120)
+        eig, _ = spectrum_atoms(seq, 120)
         cut = math.sqrt((1 - 0.5) / (1 + 0.5))
         assert np.min(np.abs(eig)) > cut - 1e-9
         # the measure is discrete with atoms AT +-1, so the truncation pins

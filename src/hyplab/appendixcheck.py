@@ -90,8 +90,7 @@ class TildeSeq:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha >= 2 and self.beta >= 2):
-            raise ValueError("partner sequence needs alpha, beta >= 2")
+        KMParams(self.alpha, self.beta)  # validates alpha, beta >= 2
 
     @property
     def initial_slope(self):

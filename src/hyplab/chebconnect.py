@@ -29,13 +29,13 @@ import numpy as np
 from .core import (
     CoeffSequence,
     CoefficientDomainError,
+    UnsupportedFamilyError,
     eval_basis,
     eval_basis_grid,
     haar_values,
 )
 from . import dual as _dual
 from . import measures as _measures
-from .families import UnsupportedFamilyError
 
 __all__ = [
     "HAAR_FLOOR",

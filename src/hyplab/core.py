@@ -29,6 +29,7 @@ __all__ = [
     "CoeffSequence",
     "CoefficientDomainError",
     "HaarRangeError",
+    "UnsupportedFamilyError",
     "alpha",
     "eval_basis",
     "eval_basis_grid",
@@ -52,6 +53,10 @@ class HaarRangeError(OverflowError):
     """A Haar weight exceeded the floating-point safety range."""
 
 
+class UnsupportedFamilyError(ValueError):
+    """The requested closed-form data does not exist for this family."""
+
+
 @dataclass(eq=False)
 class CoeffSequence:
     """A symmetric orthogonal polynomial sequence, given by n -> c(n).
@@ -67,6 +72,10 @@ class CoeffSequence:
         first access and cached.
     description : str
         Human-readable one-liner.
+    closed_form : callable or None
+        Maps an integer n >= 1 to the family's closed-form h(n).
+    measure : callable or None
+        Returns a fresh ``MeasureSpec`` of the family's measure.
 
     :meth:`inv_a_array` and :meth:`alpha_array` derive their columns from
     the float c(n); a family with exact recurrence data overrides them.
@@ -80,6 +89,8 @@ class CoeffSequence:
     params: dict
     cfunc: Callable[[int], float] = field(repr=False)
     description: str = ""
+    closed_form: Callable[[int], float] | None = field(default=None, repr=False)
+    measure: Callable[[], object] | None = field(default=None, repr=False)
     _c_cache: list = field(default_factory=list, repr=False)
     _h_cache: list = field(default_factory=lambda: [1.0], repr=False)
 

@@ -19,14 +19,16 @@ custom     cfunc                         direct coefficient callable; from
                                          make_family only, not from a spec
 ========== ============================= =====================================
 
-Besides the builders, this module carries the closed-form Haar weights of
-each named family, the parameter region V for generalized Chebyshev
-nonnegative linearization, and the parameter solvers used by the two
-``h(1) = 1 + eps`` constructions.
+Each family is one builder, ``_<tag>``, that checks the family's domain
+and fills c(n), the description, the closed-form h(n) and the measure;
+:func:`make_family` reads the parameter names off its signature.  The
+module also carries the generalized Chebyshev region V and the parameter
+solvers of the two ``h(1) = 1 + eps`` constructions.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, field
@@ -35,7 +37,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CoeffSequence, CoefficientDomainError, HaarRangeError
+from .core import (
+    CoeffSequence,
+    CoefficientDomainError,
+    HaarRangeError,
+    UnsupportedFamilyError,
+)
+from .measures import DensityPiece, MeasureSpec
 
 __all__ = [
     "ConvexSeqSpec",
@@ -55,25 +63,9 @@ __all__ = [
     "s0_for_epsilon",
 ]
 
-FAMILY_TAGS = (
-    "cheb1",
-    "gencheb",
-    "cosh",
-    "grinspun",
-    "km",
-    "modkm",
-    "rational25",
-    "convex",
-    "custom",
-)
-
 
 class FamilyParameterError(ValueError):
     """A family was requested with parameters outside its domain."""
-
-
-class UnsupportedFamilyError(ValueError):
-    """The requested closed-form data does not exist for this family."""
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +291,10 @@ class _ConvexSequence(CoeffSequence):
     precision once c(n) nears 1.  Each is rounded once and kept."""
 
     def __init__(self, params: dict, spec: ConvexSeqSpec, description: str):
-        super().__init__("convex", params, spec.c, description)
+        super().__init__(
+            "convex", params, spec.c, description,
+            measure=lambda: MeasureSpec("atoms_unknown"),
+        )
         self._spec = spec
         self._inv_a = [1.0]
         self._alpha = [math.nan]
@@ -316,21 +311,74 @@ class _ConvexSequence(CoeffSequence):
 
 
 # ---------------------------------------------------------------------------
-# coefficient functions of the named families
+# one builder per family: c(n), description, closed-form h(n), measure
 
 
-def _gencheb_c(alpha: float, beta: float) -> Callable[[int], float]:
-    def cfun(n: int) -> float:
+def _poch(x: float, k: int) -> float:
+    out = 1.0
+    for j in range(k):
+        out *= x + j
+    return out
+
+
+def _cheb1() -> CoeffSequence:
+    def measure():
+        def rho(x, lo, hi):
+            return 1.0 / (np.pi * np.sqrt(hi * (1.0 + x)))
+
+        return MeasureSpec("full", [DensityPiece(0.0, 1.0, rho)])
+
+    return CoeffSequence(
+        "cheb1", {}, lambda n: 0.5, "Chebyshev polynomials of the 1st kind",
+        closed_form=lambda n: 2.0, measure=measure,
+    )
+
+
+def _gencheb(alpha, beta) -> CoeffSequence:
+    alpha, beta = float(alpha), float(beta)
+    if not (alpha > -1.0 and beta > -1.0):
+        raise FamilyParameterError(
+            f"gencheb requires alpha, beta > -1, got ({alpha}, {beta})"
+        )
+
+    def c(n: int) -> float:
         k, odd = divmod(n + 1, 2)
         if odd == 0:
             return (k + beta) / (2 * k + alpha + beta)
         m = n // 2
         return m / (2 * m + alpha + beta + 1)
 
-    return cfun
+    def h(n: int) -> float:
+        m, r = divmod(n + 1, 2)
+        common = _poch(alpha + beta + 2.0, m - 1) / _poch(beta + 1.0, m)
+        if r == 0:  # n = 2m - 1
+            return common * (2 * m + alpha + beta) * _poch(alpha + 1.0, m - 1) / math.factorial(m - 1)
+        m = n // 2  # n = 2m
+        return common * (2 * m + alpha + beta + 1) * _poch(alpha + 1.0, m) / math.factorial(m)
+
+    def measure():
+        logc = (math.lgamma(alpha + beta + 2.0) - math.lgamma(alpha + 1.0)
+                - math.lgamma(beta + 1.0))
+        cnorm = math.exp(logc)
+
+        def rho(x, lo, hi):
+            # (1 - x^2)^alpha |x|^(2 beta + 1) on (0, 1):
+            # 1 - x^2 = hi * (1 + x), |x| = lo
+            return cnorm * (hi * (1.0 + x)) ** alpha * lo ** (2.0 * beta + 1.0)
+
+        return MeasureSpec("full", [DensityPiece(0.0, 1.0, rho)])
+
+    return CoeffSequence(
+        "gencheb", {"alpha": alpha, "beta": beta}, c,
+        f"generalized Chebyshev polynomials, alpha={alpha}, beta={beta}",
+        closed_form=h, measure=measure,
+    )
 
 
-def _cosh_c(a: float) -> Callable[[int], float]:
+def _cosh(a) -> CoeffSequence:
+    a = float(a)
+    if not a > 0.0:
+        raise FamilyParameterError(f"cosh family requires a > 0, got {a}")
     # cosh(a(n-1)) / (2 cosh(an) cosh(a)), written with negative exponents
     # only so it stays finite for arbitrarily large n.  Past a = 710.47,
     # cosh(a) overflows: 2 cosh(a) is then inf, as its product already is
@@ -340,165 +388,226 @@ def _cosh_c(a: float) -> Callable[[int], float]:
     except OverflowError:
         two_cosh_a = math.inf
 
-    def cfun(n: int) -> float:
+    def c(n: int) -> float:
         num = 1.0 + math.exp(-2.0 * a * (n - 1))
         den = 1.0 + math.exp(-2.0 * a * n)
         return math.exp(-a) * num / (den * two_cosh_a)
 
-    return cfun
+    def h(n: int) -> float:
+        ch = math.cosh(a * n)
+        return 2.0 * ch * ch
+
+    def measure():
+        try:
+            gam = 1.0 / math.cosh(a)
+        except OverflowError:  # past a = 710.47, where c(1) is already 0.0
+            raise CoefficientDomainError(
+                f"cosh measure: 1/cosh(a) underflows to 0 for a = {a!r}"
+            ) from None
+
+        def rho(x, lo, hi):
+            return 1.0 / (np.pi * np.sqrt(hi * (gam + x)))
+
+        return MeasureSpec("full", [DensityPiece(0.0, gam, rho)])
+
+    return CoeffSequence(
+        "cosh", {"a": a}, c, f"cosh-modulated Chebyshev, a={a}",
+        closed_form=h, measure=measure,
+    )
 
 
-def _km_c(alpha: float, beta: float) -> Callable[[int], float]:
-    return lambda n: 1.0 / alpha if n % 2 else 1.0 / beta
+def _grinspun(c1) -> CoeffSequence:
+    c1 = float(c1)
+    if not 0.0 < c1 < 1.0:
+        raise FamilyParameterError(f"grinspun requires c1 in (0, 1), got {c1}")
+    return CoeffSequence(
+        "grinspun", {"c1": c1}, lambda n: c1 if n == 1 else 0.5,
+        f"Grinspun perturbation of Chebyshev, c1={c1}",
+        closed_form=lambda n: 1.0 / c1 if n == 1 else 2.0 * (1.0 - c1) / c1,
+        measure=lambda: MeasureSpec("density_unknown"),
+    )
 
 
-def _modkm_c(alpha: float, beta: float) -> Callable[[int], float]:
+def _km(alpha, beta) -> CoeffSequence:
+    p = KMParams(float(alpha), float(beta))
+    alpha, beta = p.alpha, p.beta
+
+    def h(n: int) -> float:
+        m, r = divmod(n + 1, 2)
+        if r == 0:  # n = 2m - 1
+            return alpha * (alpha - 1.0) ** (m - 1) * (beta - 1.0) ** (m - 1)
+        m = n // 2
+        return beta * (alpha - 1.0) ** m * (beta - 1.0) ** (m - 1)
+
+    def measure():
+        g1, g2 = p.gamma1, p.gamma2
+        atoms = [(0.0, (alpha - beta) / alpha)] if alpha > beta else []
+        if alpha == beta:
+            def rho(x, lo, hi):
+                one_minus = (1.0 - g1) + hi          # = 1 - x, exact at x -> g1
+                return alpha * np.sqrt(hi * (g1 + x)) / (
+                    2.0 * np.pi * one_minus * (1.0 + x)
+                )
+
+            return MeasureSpec("full", [DensityPiece(0.0, g1, rho)], atoms)
+
+        def rho(x, lo, hi):
+            one_minus = (1.0 - g1) + hi
+            rad = lo * (x + g2) * hi * (g1 + x)   # (x^2-g2^2)(g1^2-x^2)
+            return beta * np.sqrt(rad) / (
+                2.0 * np.pi * x * one_minus * (1.0 + x)
+            )
+
+        return MeasureSpec("full", [DensityPiece(g2, g1, rho)], atoms)
+
+    return CoeffSequence(
+        "km", {"alpha": alpha, "beta": beta},
+        lambda n: 1.0 / alpha if n % 2 else 1.0 / beta,
+        f"Karlin--McGregor walk polynomials, alpha={alpha}, beta={beta}",
+        closed_form=h, measure=measure,
+    )
+
+
+def _modkm(alpha, beta) -> CoeffSequence:
+    p = KMParams(float(alpha), float(beta))
+    alpha, beta = p.alpha, p.beta
     sa = math.sqrt(alpha - 1.0)
     sb = math.sqrt(beta - 1.0)
     S = sa + sb
     D = (alpha - 2.0) * sb + (beta - 2.0) * sa
     excess = sa * sb - 1.0
 
-    def cfun(n: int) -> float:
+    def c(n: int) -> float:
         if n % 2:
             m = (n + 1) // 2
             return sb / S * (1.0 - sa * excess / (D * m + S))
         m = n // 2
         return sa / S * (1.0 - sb * excess / (D * m + beta * sa))
 
-    return cfun
+    def h(n: int) -> float:
+        slope = (alpha - 2.0) / sa + (beta - 2.0) / sb
+        m, r = divmod(n + 1, 2)
+        if r == 0:  # n = 2m - 1
+            return (slope * (m - 1) + sa + sb) ** 2 / beta
+        m = n // 2
+        return (slope * m + beta / sb) ** 2 / beta
+
+    def measure():
+        g1, g2 = p.gamma1, p.gamma2
+        atoms = [(0.0, (alpha - beta) / alpha)] if alpha > beta else []
+        if alpha == beta:
+            def rho(x, lo, hi):
+                dm = (1.0 - g1) + g1 * hi            # = 1 - g1*x, exact at x -> 1
+                return alpha * g1 * g1 * np.sqrt(hi * (1.0 + x)) / (
+                    2.0 * np.pi * dm * (1.0 + g1 * x)
+                )
+
+            return MeasureSpec("full", [DensityPiece(0.0, 1.0, rho)], atoms)
+
+        def rho(x, lo, hi):
+            dm = (1.0 - g1) + g1 * hi
+            rad = hi * (1.0 + x) * g1 * lo * (g1 * x + g2)
+            return beta * g1 * np.sqrt(rad) / (
+                2.0 * np.pi * x * dm * (1.0 + g1 * x)
+            )
+
+        return MeasureSpec("full", [DensityPiece(p.support_cut, 1.0, rho)], atoms)
+
+    return CoeffSequence(
+        "modkm", {"alpha": alpha, "beta": beta}, c,
+        f"Karlin--McGregor rescaled walk polynomials, alpha={alpha}, beta={beta}",
+        closed_form=h, measure=measure,
+    )
 
 
-def _rational25_c(n: int) -> float:
-    if n % 2:
-        m = (n + 1) // 2
-        return (6 * m + 4) / (9 * m + 9)
-    m = n // 2
-    return (m + 1) / (3 * m + 5)
+def _rational25() -> CoeffSequence:
+    def c(n: int) -> float:
+        if n % 2:
+            m = (n + 1) // 2
+            return (6 * m + 4) / (9 * m + 9)
+        m = n // 2
+        return (m + 1) / (3 * m + 5)
+
+    def h(n: int) -> float:
+        m, r = divmod(n + 1, 2)
+        if r == 0:
+            return 1.8 * (0.5 * m + 0.5) ** 2
+        m = n // 2
+        return 1.8 * (0.5 * m + 5.0 / 6.0) ** 2
+
+    return CoeffSequence(
+        "rational25", {}, c, "rational-coefficient family with h(1)=9/5 "
+        "(rescaled Karlin--McGregor (2,5))",
+        closed_form=h, measure=lambda: _modkm(2.0, 5.0).measure(),
+    )
 
 
-# ---------------------------------------------------------------------------
-# registry
+def _convex(eps=None, s0=None, q=0.5) -> CoeffSequence:
+    q = float(q)
+    if eps is not None and s0 is not None:
+        raise FamilyParameterError("convex family takes eps or s0, not both")
+    if eps is not None:
+        eps = float(eps)
+        if not 0.0 < eps < 1.0:
+            raise FamilyParameterError(f"convex requires eps in (0, 1), got {eps}")
+        s0 = s0_for_epsilon(eps)
+        shown = {"eps": eps, "q": q}
+    elif s0 is not None:
+        s0 = float(s0)
+        shown = {"s0": s0, "q": q}
+    else:
+        raise FamilyParameterError("convex family needs eps= or s0=")
+    if not 0.0 < q < 1.0:
+        raise FamilyParameterError(f"convex requires q in (0, 1), got {q}")
+    return _ConvexSequence(
+        shown,
+        ConvexSeqSpec(geometric_sequence(s0, q)),
+        f"convex-sequence construction, s_k = {s0:.12g} * {q:.12g}**k",
+    )
+
+
+def _custom(cfunc) -> CoeffSequence:
+    return CoeffSequence("custom", {}, cfunc, "user-supplied coefficients")
+
+
+def _entry(build: Callable) -> tuple:
+    """(builder, its parameter names, the names without a default)."""
+    params = inspect.signature(build).parameters.values()
+    needed = tuple(p.name for p in params if p.default is p.empty)
+    return build, frozenset(p.name for p in params), needed
+
+
+#: tag -> :func:`_entry` of the family's builder, which is named ``_<tag>``
+_FAMILIES = {
+    build.__name__[1:]: _entry(build)
+    for build in (
+        _cheb1, _gencheb, _cosh, _grinspun, _km, _modkm, _rational25, _convex, _custom
+    )
+}
 
 
 def make_family(tag: str, /, **params) -> CoeffSequence:
     """Build a named coefficient sequence.
 
-    ``params`` are the family's own parameters, checked against its
-    documented domain; any other key raises :class:`FamilyParameterError`.
-    The coefficient-domain check c(n) in (0, 1) applies lazily.
+    ``params`` are the family's own parameters, the arguments of its
+    builder; any other key raises :class:`FamilyParameterError`, before
+    the builder checks the values against the family's domain.  The
+    coefficient-domain check c(n) in (0, 1) applies lazily.
     """
     tag = tag.lower()
-    if tag == "cheb1":
-        _reject_params(tag, params)
-        return CoeffSequence(
-            "cheb1", {}, lambda n: 0.5, "Chebyshev polynomials of the 1st kind"
-        )
-
-    if tag == "gencheb":
-        alpha, beta = _take(params, tag, "alpha", "beta")
-        if not (alpha > -1.0 and beta > -1.0):
-            raise FamilyParameterError(
-                f"gencheb requires alpha, beta > -1, got ({alpha}, {beta})"
-            )
-        return CoeffSequence(
-            "gencheb",
-            {"alpha": alpha, "beta": beta},
-            _gencheb_c(alpha, beta),
-            f"generalized Chebyshev polynomials, alpha={alpha}, beta={beta}",
-        )
-
-    if tag == "cosh":
-        (a,) = _take(params, tag, "a")
-        if not a > 0.0:
-            raise FamilyParameterError(f"cosh family requires a > 0, got {a}")
-        return CoeffSequence(
-            "cosh", {"a": a}, _cosh_c(a), f"cosh-modulated Chebyshev, a={a}"
-        )
-
-    if tag == "grinspun":
-        (c1,) = _take(params, tag, "c1")
-        if not 0.0 < c1 < 1.0:
-            raise FamilyParameterError(f"grinspun requires c1 in (0, 1), got {c1}")
-        return CoeffSequence(
-            "grinspun",
-            {"c1": c1},
-            lambda n: c1 if n == 1 else 0.5,
-            f"Grinspun perturbation of Chebyshev, c1={c1}",
-        )
-
-    if tag in ("km", "modkm"):
-        alpha, beta = _take(params, tag, "alpha", "beta")
-        KMParams(alpha, beta)  # validates alpha, beta >= 2
-        cfun = _km_c(alpha, beta) if tag == "km" else _modkm_c(alpha, beta)
-        what = "walk polynomials" if tag == "km" else "rescaled walk polynomials"
-        return CoeffSequence(
-            tag,
-            {"alpha": alpha, "beta": beta},
-            cfun,
-            f"Karlin--McGregor {what}, alpha={alpha}, beta={beta}",
-        )
-
-    if tag == "rational25":
-        _reject_params(tag, params)
-        return CoeffSequence(
-            "rational25",
-            {},
-            _rational25_c,
-            "rational-coefficient family with h(1)=9/5 "
-            "(rescaled Karlin--McGregor (2,5))",
-        )
-
-    if tag == "convex":
-        q = float(params.pop("q", 0.5))
-        if "eps" in params and "s0" in params:
-            raise FamilyParameterError("convex family takes eps or s0, not both")
-        if "eps" in params:
-            eps = float(params.pop("eps"))
-            if not 0.0 < eps < 1.0:
-                raise FamilyParameterError(f"convex requires eps in (0, 1), got {eps}")
-            s0 = s0_for_epsilon(eps)
-            shown = {"eps": eps, "q": q}
-        elif "s0" in params:
-            s0 = float(params.pop("s0"))
-            shown = {"s0": s0, "q": q}
-        else:
-            raise FamilyParameterError("convex family needs eps= or s0=")
-        _reject_params(tag, params)
-        if not 0.0 < q < 1.0:
-            raise FamilyParameterError(f"convex requires q in (0, 1), got {q}")
-        return _ConvexSequence(
-            shown,
-            ConvexSeqSpec(geometric_sequence(s0, q)),
-            f"convex-sequence construction, s_k = {s0:.12g} * {q:.12g}**k",
-        )
-
-    if tag == "custom":
-        cfunc = params.pop("cfunc", None)
-        if cfunc is None:
-            raise FamilyParameterError("custom family needs cfunc=")
-        _reject_params(tag, params)
-        return CoeffSequence("custom", {}, cfunc, "user-supplied coefficients")
-
-    raise UnsupportedFamilyError(
-        f"unknown family tag {tag!r}; known: {FAMILY_TAGS}"
-    )
-
-
-def _take(params: dict, tag: str, *names: str) -> tuple:
     try:
-        values = tuple(float(params.pop(name)) for name in names)
-    except KeyError as missing:
-        raise FamilyParameterError(f"{tag} family needs {missing.args[0]}=") from None
-    _reject_params(tag, params)
-    return values
-
-
-def _reject_params(tag: str, params: dict) -> None:
-    if params:
-        raise FamilyParameterError(
-            f"unexpected parameter(s) for {tag}: {sorted(params)}"
-        )
+        build, names, needed = _FAMILIES[tag]
+    except KeyError:
+        raise UnsupportedFamilyError(
+            f"unknown family tag {tag!r}; known: {tuple(_FAMILIES)}"
+        ) from None
+    if not names.issuperset(params):
+        extra = sorted(params.keys() - names)
+        raise FamilyParameterError(f"unexpected parameter(s) for {tag}: {extra}")
+    for name in needed:
+        if name not in params:
+            raise FamilyParameterError(f"{tag} family needs {name}=")
+    return build(**params)
 
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?::(.*))?$")
@@ -524,8 +633,9 @@ def parse_family_spec(spec: str) -> CoeffSequence:
                     f"malformed parameter {item!r} in family spec {spec!r}"
                 )
             key, _, raw = item.partition("=")
-            key = key.strip()
-            raw = raw.strip()
+            key, raw = key.strip(), raw.strip()
+            if key in params:
+                raise FamilyParameterError(f"repeated parameter {key!r} in family spec {spec!r}")
             try:
                 params[key] = float(Fraction(raw))
             except (ValueError, ZeroDivisionError):
@@ -539,24 +649,24 @@ def parse_family_spec(spec: str) -> CoeffSequence:
 # closed-form Haar weights
 
 
-def _poch(x: float, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= x + j
-    return out
-
-
 def closed_form_haar(seq: CoeffSequence, n: int) -> float:
-    """Closed-form Haar weight h(n) for the named families.
+    """Closed-form Haar weight h(n), as the family of ``seq`` declares it.
 
-    Raises :class:`UnsupportedFamilyError` for ``custom`` and ``convex``
-    (the latter has no closed form beyond the defining Q_n(1)^2), and
-    :class:`HaarRangeError` where the closed form is not a finite float.
+    Raises :class:`UnsupportedFamilyError` for a sequence without one, such
+    as ``custom`` and ``convex`` (the latter has no closed form beyond the
+    defining Q_n(1)^2), and :class:`HaarRangeError` where the closed form
+    is not a finite float.
     """
     if n < 0:
         raise ValueError(f"h(n) is defined for n >= 0, got n={n}")
+    if n == 0:
+        return 1.0
+    if seq.closed_form is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form Haar weights for family {seq.family_tag!r}"
+        )
     try:
-        value = _closed_form_haar(seq.family_tag, seq.params, n)
+        value = seq.closed_form(n)
         if math.isfinite(value):
             return value
     except OverflowError:
@@ -565,59 +675,6 @@ def closed_form_haar(seq: CoeffSequence, n: int) -> float:
         f"closed-form Haar weight h({n}) is not finite for family "
         f"{seq.family_tag!r}"
     )
-
-
-def _closed_form_haar(tag: str, p: dict, n: int) -> float:
-    if n == 0:
-        return 1.0
-
-    if tag == "cheb1":
-        return 2.0
-
-    if tag == "gencheb":
-        alpha, beta = p["alpha"], p["beta"]
-        m, r = divmod(n + 1, 2)
-        common = _poch(alpha + beta + 2.0, m - 1) / _poch(beta + 1.0, m)
-        if r == 0:  # n = 2m - 1
-            return common * (2 * m + alpha + beta) * _poch(alpha + 1.0, m - 1) / math.factorial(m - 1)
-        m = n // 2  # n = 2m
-        return common * (2 * m + alpha + beta + 1) * _poch(alpha + 1.0, m) / math.factorial(m)
-
-    if tag == "cosh":
-        ch = math.cosh(p["a"] * n)
-        return 2.0 * ch * ch
-
-    if tag == "grinspun":
-        c1 = p["c1"]
-        return 1.0 / c1 if n == 1 else 2.0 * (1.0 - c1) / c1
-
-    if tag == "km":
-        alpha, beta = p["alpha"], p["beta"]
-        m, r = divmod(n + 1, 2)
-        if r == 0:  # n = 2m - 1
-            return alpha * (alpha - 1.0) ** (m - 1) * (beta - 1.0) ** (m - 1)
-        m = n // 2
-        return beta * (alpha - 1.0) ** m * (beta - 1.0) ** (m - 1)
-
-    if tag == "modkm":
-        alpha, beta = p["alpha"], p["beta"]
-        sa = math.sqrt(alpha - 1.0)
-        sb = math.sqrt(beta - 1.0)
-        slope = (alpha - 2.0) / sa + (beta - 2.0) / sb
-        m, r = divmod(n + 1, 2)
-        if r == 0:  # n = 2m - 1
-            return (slope * (m - 1) + sa + sb) ** 2 / beta
-        m = n // 2
-        return (slope * m + beta / sb) ** 2 / beta
-
-    if tag == "rational25":
-        m, r = divmod(n + 1, 2)
-        if r == 0:
-            return 1.8 * (0.5 * m + 0.5) ** 2
-        m = n // 2
-        return 1.8 * (0.5 * m + 5.0 / 6.0) ** 2
-
-    raise UnsupportedFamilyError(f"no closed-form Haar weights for family {tag!r}")
 
 
 def closed_form_max_rel_err(seq: CoeffSequence, h) -> float:

@@ -259,7 +259,11 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
 
 
 def _as_values(f) -> np.ndarray:
-    return np.atleast_1d(np.asarray(f))
+    """f(0..K) as an array; an empty sequence has no degree and is rejected."""
+    v = np.atleast_1d(np.asarray(f))
+    if v.size == 0:
+        raise ValueError("a hypergroup sequence needs at least f(0), got none")
+    return v
 
 
 def l1h_norm(seq: CoeffSequence, f) -> float:
@@ -278,11 +282,11 @@ def translate(seq: CoeffSequence, f, n: int) -> np.ndarray:
     row i is g(n, n + i).
     """
     v = _as_values(f)
+    if n < 0:
+        raise ValueError(f"translate needs a degree n >= 0, got n={n}")
     K = v.size - 1
     c, a = _coeffs(seq, K + n)
     out = np.zeros(K + n + 1, dtype=np.result_type(v, float))
-    if K < 0:
-        return out
     for m, _, rows in islice(_block_rows(c, a, n, n + K + 1), n + 1):
         width = min(m + n + 1, v.size)
         out[m] = np.dot(rows[0, :width], v[:width])

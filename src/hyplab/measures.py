@@ -1,5 +1,8 @@
 """Orthogonalization measures: densities, atoms, quadrature, Jacobi spectra.
 
+Each family's builder in :mod:`hyplab.families` attaches a callable that
+returns a fresh :class:`MeasureSpec`; :func:`measure_of` calls it.
+
 Every measure here is symmetric about the origin, so the absolutely
 continuous part is described by density pieces on the positive half-axis
 only; integrals mirror them with the appropriate parity sign.  Piece
@@ -33,11 +36,10 @@ import numpy as np
 
 from .core import (
     CoeffSequence,
-    CoefficientDomainError,
+    UnsupportedFamilyError,
     eval_basis_grid,
     haar_values,
 )
-from .families import KMParams, UnsupportedFamilyError
 from .quadrature import (
     MAX_LEVEL,
     START_LEVEL,
@@ -106,122 +108,18 @@ class MeasureSpec:
         return out
 
 
-# ---------------------------------------------------------------------------
-# family dispatch
-# ---------------------------------------------------------------------------
-
-
-def _cheb1_pieces() -> list[DensityPiece]:
-    def fn(x, lo, hi):
-        return 1.0 / (np.pi * np.sqrt(hi * (1.0 + x)))
-
-    return [DensityPiece(0.0, 1.0, fn)]
-
-
-def _gencheb_pieces(a: float, b: float) -> list[DensityPiece]:
-    logc = math.lgamma(a + b + 2.0) - math.lgamma(a + 1.0) - math.lgamma(b + 1.0)
-    cnorm = math.exp(logc)
-
-    def fn(x, lo, hi):
-        # (1 - x^2)^a |x|^(2b+1) on (0, 1): 1 - x^2 = hi * (1 + x), |x| = lo
-        return cnorm * (hi * (1.0 + x)) ** a * lo ** (2.0 * b + 1.0)
-
-    return [DensityPiece(0.0, 1.0, fn)]
-
-
-def _cosh_pieces(a: float) -> list[DensityPiece]:
-    try:
-        gam = 1.0 / math.cosh(a)
-    except OverflowError:  # past a = 710.47, where c(1) is already 0.0
-        raise CoefficientDomainError(
-            f"cosh measure: 1/cosh(a) underflows to 0 for a = {a!r}"
-        ) from None
-
-    def fn(x, lo, hi):
-        return 1.0 / (np.pi * np.sqrt(hi * (gam + x)))
-
-    return [DensityPiece(0.0, gam, fn)]
-
-
-def _km_spec(p: KMParams) -> MeasureSpec:
-    al, be = p.alpha, p.beta
-    g1, g2 = p.gamma1, p.gamma2
-    atoms: list[tuple[float, float]] = []
-    if al == be:
-        def fn(x, lo, hi):
-            one_minus = (1.0 - g1) + hi          # = 1 - x, exact at x -> g1
-            return al * np.sqrt(hi * (g1 + x)) / (
-                2.0 * np.pi * one_minus * (1.0 + x)
-            )
-
-        pieces = [DensityPiece(0.0, g1, fn)]
-    else:
-        def fn(x, lo, hi):
-            one_minus = (1.0 - g1) + hi
-            rad = lo * (x + g2) * hi * (g1 + x)   # (x^2-g2^2)(g1^2-x^2)
-            return be * np.sqrt(rad) / (
-                2.0 * np.pi * x * one_minus * (1.0 + x)
-            )
-
-        pieces = [DensityPiece(g2, g1, fn)]
-        if al > be:
-            atoms.append((0.0, (al - be) / al))
-    return MeasureSpec("full", pieces, atoms)
-
-
-def _modkm_spec(p: KMParams) -> MeasureSpec:
-    al, be = p.alpha, p.beta
-    g1, g2 = p.gamma1, p.gamma2
-    cut = p.support_cut
-    atoms: list[tuple[float, float]] = []
-    if al == be:
-        def fn(x, lo, hi):
-            dm = (1.0 - g1) + g1 * hi            # = 1 - g1*x, exact at x -> 1
-            return al * g1 * g1 * np.sqrt(hi * (1.0 + x)) / (
-                2.0 * np.pi * dm * (1.0 + g1 * x)
-            )
-
-        pieces = [DensityPiece(0.0, 1.0, fn)]
-    else:
-        def fn(x, lo, hi):
-            dm = (1.0 - g1) + g1 * hi
-            rad = hi * (1.0 + x) * g1 * lo * (g1 * x + g2)
-            return be * g1 * np.sqrt(rad) / (
-                2.0 * np.pi * x * dm * (1.0 + g1 * x)
-            )
-
-        pieces = [DensityPiece(cut, 1.0, fn)]
-        if al > be:
-            atoms.append((0.0, (al - be) / al))
-    return MeasureSpec("full", pieces, atoms)
-
-
 def measure_of(seq: CoeffSequence) -> MeasureSpec:
-    """Orthogonalization measure of a named family.
+    """Orthogonalization measure of ``seq``, built afresh by its family.
 
-    Raises :class:`UnsupportedFamilyError` for custom sequences, whose
-    measure is not determined by the coefficient callable alone.
+    Raises :class:`UnsupportedFamilyError` when the sequence carries no
+    measure, as custom sequences do: the coefficient callable alone does
+    not determine it.
     """
-    tag = seq.family_tag
-    if tag == "cheb1":
-        return MeasureSpec("full", _cheb1_pieces())
-    if tag == "gencheb":
-        a, b = seq.params["alpha"], seq.params["beta"]
-        return MeasureSpec("full", _gencheb_pieces(a, b))
-    if tag == "cosh":
-        return MeasureSpec("full", _cosh_pieces(seq.params["a"]))
-    if tag in ("km", "modkm"):
-        p = KMParams(seq.params["alpha"], seq.params["beta"])
-        return _km_spec(p) if tag == "km" else _modkm_spec(p)
-    if tag == "rational25":
-        return _modkm_spec(KMParams(2.0, 5.0))
-    if tag == "grinspun":
-        return MeasureSpec("density_unknown")
-    if tag == "convex":
-        return MeasureSpec("atoms_unknown")
-    raise UnsupportedFamilyError(
-        f"no closed-form measure registered for family {tag!r}"
-    )
+    if seq.measure is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form measure registered for family {seq.family_tag!r}"
+        )
+    return seq.measure()
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ _CLOSED_FORM_FAMILIES = [
 _FULL_MEASURE_FAMILIES = [
     (tag, kw)
     for tag, kw in _CLOSED_FORM_FAMILIES
-    if tag not in ("grinspun",)
+    if _measures.measure_of(make_family(tag, **kw)).status == "full"
 ]
 
 _NLP_FAMILIES = [

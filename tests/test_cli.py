@@ -106,6 +106,15 @@ class TestErrors:
         assert err == ("configuration error: unexpected parameter(s) for "
                        f"{tag}: ['{key}']\n")
 
+    def test_repeated_key_is_config_error(self, capsys):
+        # the last value used to win silently: km(8,5) with exit 0
+        spec = "km:alpha=2,beta=5,alpha=8"
+        code, out, err = run(capsys, "report", "--family", spec)
+        assert code == 1
+        assert out == ""
+        assert err == ("configuration error: repeated parameter 'alpha' in "
+                       f"family spec {spec!r}\n")
+
     def test_usage_error_maps_to_one(self, capsys):
         code, _, _ = run(capsys, "report")  # --family missing
         assert code == 1

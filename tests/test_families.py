@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.core import (
+    CoeffSequence,
     CoefficientDomainError,
     HaarRangeError,
     eval_basis_grid,
@@ -127,6 +128,20 @@ def test_closed_form_unavailable_for_custom():
         closed_form_haar(seq, 3)
 
 
+@pytest.mark.parametrize("tag,params", [
+    ("km", {"alpha": 2.0, "beta": 5.0}),
+    ("cosh", {"a": 1.0}),
+    ("gencheb", {}),
+])
+def test_closed_form_is_not_read_off_the_label(tag, params):
+    # Chebyshev coefficients (h(3) = 2) under a family's label: only the
+    # family's builder carries its closed form
+    seq = CoeffSequence(tag, params, lambda n: 0.5)
+    assert closed_form_haar(seq, 0) == 1.0
+    with pytest.raises(UnsupportedFamilyError, match=f"family '{tag}'"):
+        closed_form_haar(seq, 3)
+
+
 @pytest.mark.parametrize("tag,params,n", [
     # 2 cosh(a n)^2 is inf at n = 36; cosh(a n) itself overflows at n = 72
     ("cosh", {"a": 10.0}, 36),
@@ -162,9 +177,12 @@ def test_rejects_bad_parameters(tag, params):
 
 
 def test_unknown_tag():
+    known = ("('cheb1', 'gencheb', 'cosh', 'grinspun', 'km', 'modkm', "
+             "'rational25', 'convex', 'custom')")
     for tag in ("legendre", "chebyshev"):
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(UnsupportedFamilyError) as err:
             make_family(tag)
+        assert str(err.value) == f"unknown family tag {tag!r}; known: {known}"
 
 
 def test_missing_and_extra_params():
@@ -177,6 +195,22 @@ def test_missing_and_extra_params():
                    {"eps": 0.5, "unchecked": True}):
         with pytest.raises(FamilyParameterError, match="unexpected"):
             make_family("convex" if "eps" in params else "cosh", **params)
+
+
+@pytest.mark.parametrize("tag,params,message", [
+    ("gencheb", {"alpha": 1.0}, "gencheb family needs beta="),
+    ("gencheb", {"alpha": 1.0, "foo": 1.0}, "unexpected parameter(s) for gencheb: ['foo']"),
+    ("convex", {}, "convex family needs eps= or s0="),
+    ("convex", {"foo": 1.0}, "unexpected parameter(s) for convex: ['foo']"),
+    ("convex", {"eps": 0.5, "s0": 0.1}, "convex family takes eps or s0, not both"),
+    ("custom", {}, "custom family needs cfunc="),
+])
+def test_parameter_errors_name_the_key(tag, params, message):
+    # extra keys are named first, then missing ones, then the builder
+    # checks the values against the family's domain
+    with pytest.raises(FamilyParameterError) as err:
+        make_family(tag, **params)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +239,7 @@ def test_parse_no_params():
     "modkm:=3",
     ":alpha=2",
     "modkm:alpha=two",
+    "km:alpha=2,beta=5,alpha=8",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises((FamilyParameterError, UnsupportedFamilyError, ValueError)):

@@ -436,8 +436,23 @@ class TestHypergroupOps:
 
     def test_translate_of_empty_sequence_at_zero_rejected(self):
         # the output would end at degree -1: an error, not an empty result
-        with pytest.raises(ValueError, match="table bound must be >= 0"):
+        with pytest.raises(ValueError, match=r"needs at least f\(0\)"):
             translate(make_family("cheb1"), [], 0)
+
+    @pytest.mark.parametrize("op", [
+        lambda seq: l1h_norm(seq, []),
+        lambda seq: translate(seq, [], 3),
+        lambda seq: convolve(seq, [], [1.0]),
+    ], ids=["l1h_norm", "translate", "convolve"])
+    def test_empty_sequence_rejected(self, op):
+        # one rule for every operation: an empty f has no degree at all
+        with pytest.raises(ValueError, match=r"needs at least f\(0\), got none"):
+            op(make_family("cheb1"))
+
+    @pytest.mark.parametrize("f", [[1.0], [1.0, 2.0, 3.0]])
+    def test_translate_by_negative_degree_names_it(self, f):
+        with pytest.raises(ValueError, match=r"degree n >= 0, got n=-1"):
+            translate(make_family("cheb1"), f, -1)
 
     def test_convolve_deltas_match_rows(self):
         # (delta_m * delta_n)(k) h(k) = g(m,n;k) h(m) h(n): both sides are

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from hyplab.core import (
+    CoeffSequence,
     CoefficientDomainError,
     eval_basis_grid,
     haar_values,
@@ -129,6 +130,19 @@ def test_triple_products_symmetric(family):
 def test_measure_unavailable_for_custom():
     seq = make_family("custom", cfunc=lambda n: 0.45)
     with pytest.raises(UnsupportedFamilyError):
+        measure_of(seq)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("km", {"alpha": 2.0, "beta": 5.0}),
+    ("cosh", {"a": 1.0}),
+    ("gencheb", {}),
+])
+def test_measure_is_not_read_off_the_label(tag, params):
+    # Chebyshev coefficients under a family's label: the label and params
+    # name no measure, only the family's builder does
+    seq = CoeffSequence(tag, params, lambda n: 0.5)
+    with pytest.raises(UnsupportedFamilyError, match=f"family '{tag}'"):
         measure_of(seq)
 
 

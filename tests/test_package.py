@@ -90,6 +90,46 @@ def test_no_module_reads_a_backbone_attribute():
     assert not found
 
 
+def _reads_tag(expr, bound) -> bool:
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "family_tag")
+        or (isinstance(n, ast.Name) and n.id in bound)
+        for n in ast.walk(expr)
+    )
+
+
+def test_no_module_dispatches_on_the_family_tag():
+    # each family's builder fills c(n), h(n) and the measure; outside
+    # families.py no layer branches on the tag, on a name bound from it,
+    # or reads a parameter by name
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and _reads_tag(node.value, ())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                branches = any(_reads_tag(e, bound) for e in (node.left, *node.comparators))
+            elif isinstance(node, ast.Match):
+                branches = _reads_tag(node.subject, bound)
+            elif isinstance(node, ast.Subscript):
+                branches = _reads_tag(node.slice, bound) or (
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "params"
+                )
+            else:
+                continue
+            if branches:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def _defaulted_parameters():
     """(callee, parameter, call position or None) per defaulted parameter
     of a public function; a public method is called by its own name and

@@ -143,6 +143,36 @@ def _quot(x: tuple, y: tuple) -> float:
     return (m << d) / k if d >= 0 else m / (k << -d)
 
 
+class _Column:
+    """One float column of the convex backbone: value(0) .. value(k) and
+    the exact state (k, R_k, R_{k+1}, Pi_k) of the last one."""
+
+    def __init__(self, value: Callable, error: type, message: str):
+        self._value, self._error, self._message = value, error, message
+        self._state, self._floats = (0, _ONE, _ONE, _ONE), [value(_ONE, _ONE, _ONE)]
+
+    def read(self, lam_at: Callable[[int], tuple], n: int) -> float:
+        """value(n); a raise names the first failing degree and leaves the
+        column as it was.  Past float range it is ``error(message)``."""
+        while len(self._floats) <= n:
+            k, r, r_next, pi = self._state
+            lam = lam_at(k)
+            p = _mul(pi, lam)
+            if p[0] == 0:
+                raise ZeroDivisionError(f"convex construction broke down: lambda_{k} = 0")
+            if r_next[0] == 0 or (r_next[0] > 0) != (p[0] > 0):
+                q = _quot(r_next, p)
+                raise FamilyParameterError(
+                    f"convex construction broke down: Q_{k + 1}(1) = {q!r} is not positive")
+            state = (k + 1, r_next, _sub(r_next, _mul(_mul(lam, lam), r)), p)
+            try:
+                self._floats.append(self._value(*state[1:]))
+            except OverflowError:
+                raise self._error(self._message.format(n=k + 1)) from None
+            self._state = state
+        return self._floats[n]
+
+
 @dataclass(eq=False)
 class ConvexSeqSpec:
     """Convex-sequence construction data.
@@ -173,17 +203,25 @@ class ConvexSeqSpec:
         Q_n(1) = R_n / Pi_n,       h(n) = Q_n(1)^2,
 
     each rounded once by integer true division, which is correctly
-    rounded.  No step reduces by a gcd, and only the rounded floats
-    leave the object.  s is checked to stay in (0, 1), strictly decreasing
-    and convex as it is read; a non-positive Q_n(1) or zero lambda_n raises.
+    rounded.  No step reduces by a gcd, and only the rounded floats leave the
+    object.  The columns c, 1/a and h are read to very different depths, so
+    each streams the recurrence on its own and keeps only its last exact state
+    and its floats: memory is linear in N.  s is checked to stay in (0, 1),
+    strictly decreasing and convex as it is read; a non-positive Q_n(1), a zero
+    lambda_n or a float overflow raises, naming the first failing degree.
     """
 
     s: Callable[[int], float]
     _s_cache: list = field(default_factory=list, repr=False)
-    _lam: list = field(default_factory=list, repr=False)
-    # R_0..R_{n+1} and Pi_0..Pi_n once Q_j(1) > 0 is known for j <= n
-    _r: list = field(default_factory=lambda: [_ONE, _ONE], repr=False)
-    _pi: list = field(default_factory=lambda: [_ONE], repr=False)
+
+    def __post_init__(self):
+        self._c = _Column(lambda r, r_next, pi: _quot(_sub(r, r_next), r),
+                          CoefficientDomainError, "c(n) exceeds float range at n = {n}")
+        self._inv_a = _Column(lambda r, r_next, pi: _quot(r, r_next),
+                              CoefficientDomainError, "1/a(n) exceeds float range at n = {n}")
+        self._haar = _Column(lambda r, r_next, pi: _quot(_mul(r, r), _mul(pi, pi)),
+                             HaarRangeError,
+                             "Haar weight h({n}) exceeds float range on the convex backbone")
 
     def _s_at(self, k: int) -> tuple:
         while len(self._s_cache) <= k:
@@ -218,34 +256,10 @@ class ConvexSeqSpec:
         return self._s_cache[k]
 
     def _lam_at(self, n: int) -> tuple:
-        while len(self._lam) <= n:
-            j = len(self._lam)
-            if j % 2 == 0:
-                val = _sub(_ONE, self._s_at(j // 2))
-            else:
-                k = (j + 1) // 2  # lambda_{2k-1} = s_k - s_{k+1}
-                val = _sub(self._s_at(k), self._s_at(k + 1))
-            self._lam.append(val)
-        return self._lam[n]
-
-    def _extend(self, n: int) -> None:
-        """Fill R up to index n+1 and Pi up to n, checking Q_j(1) > 0."""
-        r, pi = self._r, self._pi
-        while len(pi) <= n:
-            j = len(pi)
-            lam = self._lam_at(j - 1)
-            p = _mul(pi[j - 1], lam)
-            if p[0] == 0:
-                raise ZeroDivisionError(
-                    f"convex construction broke down: lambda_{j - 1} = 0"
-                )
-            if r[j][0] == 0 or (r[j][0] > 0) != (p[0] > 0):
-                raise FamilyParameterError(
-                    f"convex construction broke down: Q_{j}(1) = "
-                    f"{_quot(r[j], p)!r} is not positive"
-                )
-            r.append(_sub(r[j], _mul(_mul(lam, lam), r[j - 1])))
-            pi.append(p)
+        if n % 2 == 0:
+            return _sub(_ONE, self._s_at(n // 2))
+        k = (n + 1) // 2  # lambda_{2k-1} = s_k - s_{k+1}
+        return _sub(self._s_at(k), self._s_at(k + 1))
 
     def lam(self, n: int) -> float:
         """Recurrence weight lambda_n, n >= 0."""
@@ -253,9 +267,7 @@ class ConvexSeqSpec:
 
     def c(self, n: int) -> float:
         """Recurrence coefficient of the normalized sequence."""
-        self._extend(n)
-        r = self._r[n]
-        return _quot(_sub(r, self._r[n + 1]), r)
+        return self._c.read(self._lam_at, n)
 
     def inv_a(self, n: int) -> float:
         """1/a(n), correctly rounded.
@@ -265,24 +277,12 @@ class ConvexSeqSpec:
         remains comfortably representable.  Past float range (n = 2047 for
         eps = 0.5) it raises :class:`CoefficientDomainError`.
         """
-        self._extend(n)
-        try:
-            return _quot(self._r[n], self._r[n + 1])
-        except OverflowError:
-            raise CoefficientDomainError(
-                f"1/a(n) exceeds float range at n = {n}"
-            ) from None
+        return self._inv_a.read(self._lam_at, n)
 
     def haar(self, n: int) -> float:
-        """h(n) = Q_n(1)^2; past float range it raises :class:`HaarRangeError`."""
-        self._extend(n)
-        r, p = self._r[n], self._pi[n]
-        try:
-            return _quot(_mul(r, r), _mul(p, p))
-        except OverflowError:
-            raise HaarRangeError(
-                f"Haar weight h({n}) exceeds float range on the convex backbone"
-            ) from None
+        """h(n) = Q_n(1)^2; past float range (n = 348 for eps = 0.5) it
+        raises :class:`HaarRangeError`."""
+        return self._haar.read(self._lam_at, n)
 
 
 class _ConvexSequence(CoeffSequence):
@@ -638,9 +638,9 @@ def parse_family_spec(spec: str) -> CoeffSequence:
                 raise FamilyParameterError(f"repeated parameter {key!r} in family spec {spec!r}")
             try:
                 params[key] = float(Fraction(raw))
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError, OverflowError):  # 1e400 overflows
                 raise FamilyParameterError(
-                    f"cannot parse value {raw!r} for {key!r} in {spec!r}"
+                    f"cannot parse value {raw!r} for {key!r} in {spec!r} as a float"
                 ) from None
     return make_family(tag, **params)
 

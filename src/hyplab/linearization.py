@@ -259,10 +259,12 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
 
 
 def _as_values(f) -> np.ndarray:
-    """f(0..K) as an array; an empty sequence has no degree and is rejected."""
+    """f(0..K) as an array; an empty or multi-dimensional f is rejected."""
     v = np.atleast_1d(np.asarray(f))
     if v.size == 0:
         raise ValueError("a hypergroup sequence needs at least f(0), got none")
+    if v.ndim > 1:
+        raise ValueError(f"a hypergroup sequence is one-dimensional, got shape {v.shape}")
     return v
 
 

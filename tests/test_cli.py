@@ -88,6 +88,19 @@ class TestErrors:
         code, _, err = run(capsys, "report", "--family", "cosh:a=-1")
         assert code == 1
 
+    @pytest.mark.parametrize("spec,key,raw", [
+        ("cosh:a=1e400", "a", "1e400"),
+        ("km:alpha=1e400,beta=5", "alpha", "1e400"),
+    ])
+    def test_value_past_float_range_is_config_error(self, capsys, spec, key, raw):
+        # float(Fraction("1e400")) overflows; it used to end in a traceback
+        code, out, err = run(capsys, "report", "--family", spec)
+        assert code == 1
+        assert out == ""
+        assert err == (f"configuration error: cannot parse value {raw!r} for "
+                       f"{key!r} in {spec!r} as a float\n")
+        assert "Traceback" not in err
+
     def test_malformed_grammar(self, capsys):
         code, _, err = run(capsys, "report", "--family", "cosh:a")
         assert code == 1

@@ -1,6 +1,7 @@
 """Family registry: parameter validation, closed forms, the two
 small-Haar constructions, and the exact-arithmetic convex backbone."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hyplab.core import (
     eval_basis_grid,
     haar_values,
 )
+from hyplab.dual import divergence_classify
 from hyplab.families import (
     ConvexSeqSpec,
     FamilyParameterError,
@@ -385,15 +387,20 @@ class TestConvexColumns:
         assert prefix.tobytes() == want.tobytes()
 
 
+def _fraction_lam(s, nmax):
+    """lambda_n, n < nmax, in Fractions."""
+    sv = [Fraction(s(k)) for k in range(nmax // 2 + 2)]
+    return [
+        1 - sv[j // 2] if j % 2 == 0 else sv[(j + 1) // 2] - sv[(j + 1) // 2 + 1]
+        for j in range(nmax)
+    ]
+
+
 def _fraction_backbone(s, nmax):
     """lambda_n and Q_n(1), n <= nmax, by the rational recurrence
     x Q_n = lambda_n Q_{n+1} + lambda_{n-1} Q_{n-1} at x = 1, in reduced
     Fractions: an oracle independent of the dyadic backbone."""
-    sv = [Fraction(s(k)) for k in range(nmax // 2 + 2)]
-    lam = [
-        1 - sv[j // 2] if j % 2 == 0 else sv[(j + 1) // 2] - sv[(j + 1) // 2 + 1]
-        for j in range(nmax)
-    ]
+    lam = _fraction_lam(s, nmax)
     q = [Fraction(1), 1 / lam[0]]
     for j in range(2, nmax + 1):
         q.append((q[j - 1] - lam[j - 2] * q[j - 2]) / lam[j - 1])
@@ -408,15 +415,10 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
     lam, q1 = _fraction_backbone(s, nmax)
     spec = convex_spec(eps, q)
     for n in range(1, nmax + 1):
-        # c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1) as an unreduced quotient;
-        # int / int rounds correctly, as Fraction.__float__ does
-        a, b = q1[n - 1], q1[n]
-        num = lam[n - 1].numerator * a.numerator * b.denominator
-        den = lam[n - 1].denominator * a.denominator * b.numerator
-        assert spec.c(n).hex() == (num / den).hex()
-        assert spec.inv_a(n).hex() == (den / (den - num)).hex()
+        assert spec.c(n).hex() == _oracle("c", n, lam, q1).hex()
+        assert spec.inv_a(n).hex() == _oracle("inv_a", n, lam, q1).hex()
         try:
-            h = b.numerator**2 / b.denominator**2
+            h = _oracle("haar", n, lam, q1)
         except OverflowError:
             with pytest.raises(OverflowError):
                 spec.haar(n)
@@ -427,11 +429,28 @@ def test_dyadic_backbone_bitwise_equals_fraction_oracle(eps, q):
 @pytest.mark.parametrize("n", [348, 2000])
 def test_convex_haar_past_float_range_names_n(n):
     # h(347) = 5.4e307 is the last Haar weight of the default convex
-    # family inside float range
+    # family inside float range; a read past it names h(348), the first
+    # degree that fails, and names it again when read again
     spec = convex_spec(0.5)
     assert np.isfinite(spec.haar(347))
-    with pytest.raises(HaarRangeError, match=rf"^Haar weight h\({n}\) exceeds float range"):
-        spec.haar(n)
+    for _ in range(2):
+        with pytest.raises(HaarRangeError,
+                           match=r"^Haar weight h\(348\) exceeds float range"):
+            spec.haar(n)
+    assert spec.haar(347) == convex_spec(0.5).haar(347)
+
+
+def test_convex_backbone_memory_is_linear_in_n():
+    # R_n and Pi_n take about n^2 bits each: kept for every n they take
+    # about 18 MB at N = 1000, one state per column about 0.3 MB
+    seq = make_family("convex", eps=0.5)
+    tracemalloc.start()
+    try:
+        assert divergence_classify(seq, 0.9, N=1000) == "nonmember_diverged"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_unchecked_nonpositive_q1_still_raises():
@@ -442,10 +461,56 @@ def test_unchecked_nonpositive_q1_still_raises():
     spec = ConvexSeqSpec(geometric_sequence(0.5, 1.5))
     spec._s_cache.extend((3**k, -(k + 1)) for k in range(12))
     assert spec.inv_a(1) == 4.0 / 3.0
+    for _ in range(2):  # a raise leaves the column as it was
+        with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
+            spec.inv_a(2)
+    assert spec.inv_a(1) == 4.0 / 3.0
     with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
-        spec.inv_a(2)
-    with pytest.raises(FamilyParameterError, match="not positive"):
         spec.haar(9)
+
+
+def test_convex_inv_a_past_float_range_names_first_degree():
+    # 1/a(n) of the default convex family first leaves float range at
+    # n = 2047; a read far past it names that degree, twice
+    spec = convex_spec(0.5)
+    for _ in range(2):
+        with pytest.raises(CoefficientDomainError,
+                           match=r"^1/a\(n\) exceeds float range at n = 2047$"):
+            spec.inv_a(3000)
+    assert np.isfinite(spec.inv_a(2046))
+
+
+def test_convex_columns_independent_of_read_order():
+    # the columns stream on their own: reading one deep first changes no
+    # value of another, and every value is the rational recurrence's
+    spec, s = convex_spec(0.5), geometric_sequence(s0_for_epsilon(0.5), 0.5)
+    _, q1 = _fraction_backbone(s, 401)
+    lam = _fraction_lam(s, 800)
+    reads = [("inv_a", range(400, -1, -1)), ("haar", range(61)),
+             ("c", range(1, 151)), ("lam", range(800))]
+    for name, ns in reads:
+        got = [getattr(spec, name)(n) for n in ns]
+        fresh = convex_spec(0.5)
+        assert [getattr(fresh, name)(n).hex() for n in ns] == [g.hex() for g in got]
+        for n, g in zip(ns, got):
+            assert g.hex() == _oracle(name, n, lam, q1).hex()
+
+
+def _oracle(name, n, lam, q1):
+    """lam(n), c(n), 1/a(n) or h(n) from the Fraction recurrence, each
+    rounded once from an unreduced integer quotient: int / int rounds
+    correctly, as Fraction.__float__ does."""
+    if name == "lam":
+        return float(lam[n])
+    if n == 0:
+        return {"c": 0.0, "inv_a": 1.0, "haar": 1.0}[name]
+    b = q1[n]
+    if name == "haar":
+        return b.numerator**2 / b.denominator**2
+    a = q1[n - 1]  # c(n) = lambda_{n-1} Q_{n-1}(1) / Q_n(1)
+    num = lam[n - 1].numerator * a.numerator * b.denominator
+    den = lam[n - 1].denominator * a.denominator * b.numerator
+    return num / den if name == "c" else den / (den - num)
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,17 @@ class TestHypergroupOps:
         with pytest.raises(ValueError, match=r"needs at least f\(0\), got none"):
             op(make_family("cheb1"))
 
+    @pytest.mark.parametrize("op", [
+        lambda seq, f: l1h_norm(seq, f),
+        lambda seq, f: translate(seq, f, 3),
+        lambda seq, f: convolve(seq, f, [1.0]),
+        lambda seq, f: convolve(seq, [1.0], f),
+    ], ids=["l1h_norm", "translate", "convolve-f", "convolve-g"])
+    def test_multidimensional_sequence_rejected(self, op):
+        # named up front, not a broadcast error from deep inside numpy
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)$"):
+            op(make_family("cheb1"), np.ones((2, 2)))
+
     @pytest.mark.parametrize("f", [[1.0], [1.0, 2.0, 3.0]])
     def test_translate_by_negative_degree_names_it(self, f):
         with pytest.raises(ValueError, match=r"degree n >= 0, got n=-1"):

@@ -136,6 +136,11 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return x[0] * y[0], x[1] + y[1]
 
 
+def _subnormal(x: tuple) -> bool:
+    """Whether the positive dyadic x lies below the smallest normal float."""
+    return x[0] > 0 and x[0].bit_length() + x[1] <= -1022
+
+
 def _quot(x: tuple, y: tuple) -> float:
     """x / y correctly rounded, by one integer true division."""
     (m, e), (k, f) = x, y
@@ -207,8 +212,12 @@ class ConvexSeqSpec:
     object.  The columns c, 1/a and h are read to very different depths, so
     each streams the recurrence on its own and keeps only its last exact state
     and its floats: memory is linear in N.  s is checked to stay in (0, 1),
-    strictly decreasing and convex as it is read; a non-positive Q_n(1), a zero
-    lambda_n or a float overflow raises, naming the first failing degree.
+    strictly decreasing and convex as it is read, and a value that fails is
+    never kept; a non-positive Q_n(1), a zero lambda_n or a float overflow
+    raises, naming the first failing degree.  A check that fails once s has
+    underflowed to subnormal floats (or to 0.0 right after them) raises
+    :class:`CoefficientDomainError` with the degree it limits, not
+    :class:`FamilyParameterError`.
     """
 
     s: Callable[[int], float]
@@ -234,26 +243,44 @@ class ConvexSeqSpec:
                 )
             val = (num, 1 - den.bit_length())
             if not 0 < num < den:
+                if num == 0 and j >= 1 and _subnormal(self._s_cache[j - 1]):
+                    raise self._underflow(j, val, "stay positive")
                 raise FamilyParameterError(
                     f"convex sequence must stay in (0, 1); s({j}) = "
                     f"{_quot(val, _ONE)!r}"
                 )
             if j >= 1 and not _sub(self._s_cache[j - 1], val)[0] > 0:
+                if _subnormal(val):
+                    raise self._underflow(j, val, "decrease strictly")
                 raise FamilyParameterError(
                     f"convex sequence must be strictly decreasing; "
                     f"s({j - 1}) = {_quot(self._s_cache[j - 1], _ONE)!r}, "
                     f"s({j}) = {_quot(val, _ONE)!r}"
                 )
-            self._s_cache.append(val)
             if j >= 2:
                 s2, s1 = self._s_cache[j - 2], self._s_cache[j - 1]
                 second = _sub(_sub(s2, s1), _sub(s1, val))
                 if second[0] < 0:
+                    if _subnormal(val):
+                        raise self._underflow(j, val, "stay convex")
                     raise FamilyParameterError(
                         f"convex sequence must be convex; second difference "
                         f"at k={j - 2} is {_quot(second, _ONE)!r}"
                     )
+            self._s_cache.append(val)
         return self._s_cache[k]
+
+    @staticmethod
+    def _underflow(j: int, val: tuple, check: str) -> CoefficientDomainError:
+        """The error for an s(j) whose check fails because s has underflowed
+        below the normal floats: a degree limit, not a parameter error.
+        lambda_{2j-3} = s(j-1) - s(j) is the first weight that reads s(j)
+        (lambda_1 when j = 1), so degrees up to max(2j-3, 1) are reachable."""
+        return CoefficientDomainError(
+            f"convex sequence underflows below the normal floats: s({j}) = "
+            f"{_quot(val, _ONE)!r} fails to {check}, which limits the "
+            f"construction to degree n <= {max(2 * j - 3, 1)}"
+        )
 
     def _lam_at(self, n: int) -> tuple:
         if n % 2 == 0:

@@ -238,21 +238,41 @@ def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
 
     Together with the Haar weights this is the quadrature-side oracle for
     product-linearization coefficients: g(m, n; k) = h(k) * T[m, n, k].
+
+    The measure is symmetric, so T[m, n, k] = 0 when m + n + k is odd, and
+    T is symmetric in m, n.  Only the triples with m <= n and m + n + k
+    even are integrated, over the positive half-axis and doubled; each
+    result is written to both (m, n, k) and (n, m, k), and the odd-parity
+    entries of the a.c. part stay exactly 0.0.
     """
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     spec = measure_of(seq)
     K = 2 * M
+    # the pairs m <= n with m + n of parity p meet the degrees k = p, p + 2,
+    # ..., so each parity is one block of rows (P_m P_n) P_k, pair-major
+    pm, pn = np.triu_indices(M + 1)
+    par = (pm + pn) % 2
+    blocks = [(pm[par == p], pn[par == p], p) for p in (0, 1)]
+    I = np.concatenate([np.repeat(m, M + 1 - p) for m, _, p in blocks])
+    J = np.concatenate([np.repeat(n, M + 1 - p) for _, n, p in blocks])
+    L = np.concatenate([np.tile(np.arange(p, K + 1, 2), m.size) for m, _, p in blocks])
 
     def rows(x, lo, hi):
         B = eval_basis_grid(seq, K, x)
-        Bm = B[: M + 1]
-        prod = np.einsum("in,jn,kn->ijkn", Bm, Bm, B)
-        return prod.reshape((M + 1) * (M + 1) * (K + 1), x.size)
+        out = np.empty((I.size, x.size))
+        start = 0
+        for m, n, p in blocks:
+            block = out[start : start + m.size * (M + 1 - p)]
+            np.multiply((B[m] * B[n])[:, None], B[p::2],
+                        out=block.reshape(m.size, M + 1 - p, x.size))
+            start += block.shape[0]
+        return out
 
-    pos = np.asarray(integrate_positive(spec, rows, tol=TRIPLE_QUAD_TOL))
-    T = pos.reshape(M + 1, M + 1, K + 1)
-    idx = np.add.outer(np.add.outer(np.arange(M + 1), np.arange(M + 1)),
-                       np.arange(K + 1))
-    T = T * (1.0 + (-1.0) ** idx)
+    pos = 2.0 * np.asarray(integrate_positive(spec, rows, tol=TRIPLE_QUAD_TOL))
+    T = np.zeros((M + 1, M + 1, K + 1))
+    T[I, J, L] = pos
+    T[J, I, L] = pos
     for t, m in spec.atoms:
         col = eval_basis_grid(seq, K, np.array([t]))[:, 0]
         T += m * np.einsum("i,j,k->ijk", col[: M + 1], col[: M + 1], col)

@@ -186,12 +186,16 @@ def nlp_audits() -> CriterionResult:
 
 def _g_defect(tab: _lin.LinearizationTable, T: np.ndarray, h: np.ndarray) -> float:
     """max |g(m, n; k) - h(k) T[m, n, k]| over m, n <= tab.N and k <= m + n,
-    one row (m, n) at a time; NaN if any difference is NaN."""
-    return float(np.max([
-        np.max(np.abs(tab.row(m, n) - h[: m + n + 1] * T[m, n, : m + n + 1]))
-        for m in range(tab.N + 1)
-        for n in range(tab.N + 1)
-    ]))
+    in one array pass; NaN if any difference in that band is NaN."""
+    N = tab.N
+    G = np.zeros((N + 1, N + 1, 2 * N + 1))
+    for m in range(N + 1):
+        for n in range(m, N + 1):
+            G[m, n, : m + n + 1] = G[n, m, : m + n + 1] = tab.row(m, n)
+    m, n, k = np.ogrid[: N + 1, : N + 1, : 2 * N + 1]
+    band = k <= m + n
+    D = G - h[: 2 * N + 1] * T[: N + 1, : N + 1, : 2 * N + 1]
+    return float(np.max(np.abs(D[band])))
 
 
 def linearization_oracles() -> CriterionResult:

@@ -59,6 +59,36 @@ def test_nan_triple_product_fails_criterion_4(monkeypatch):
     assert "max |g - h*integral| nan" in result.detail
 
 
+def test_nan_table_row_fails_criterion_4(monkeypatch):
+    # a NaN coefficient inside the band k <= m + n reaches the defect
+    class WithNan(verify._lin.LinearizationTable):
+        def __init__(self, seq, N):
+            super().__init__(seq, N)
+            self.row(2, 3)[4] = np.nan
+
+    monkeypatch.setattr(verify._lin, "LinearizationTable", WithNan)
+    result = verify.linearization_oracles()
+    assert not result.passed
+    assert "max |g - h*integral| nan" in result.detail
+
+
+def test_nan_triple_product_past_the_band_is_ignored(monkeypatch):
+    # g(m, n; k) = 0 for k > m + n is not compared, so a NaN in T there
+    # changes nothing, as in the row-by-row defect
+    clean = verify.linearization_oracles()
+    triple_products = verify._measures.triple_products
+
+    def with_nan(seq, M):
+        T = triple_products(seq, M)
+        T[2, 3, 7] = T[3, 2, 7] = T[0, 0, 1] = np.nan
+        return T
+
+    monkeypatch.setattr(verify._measures, "triple_products", with_nan)
+    result = verify.linearization_oracles()
+    assert result.passed
+    assert result.detail == clean.detail
+
+
 # --- a NaN measurement fails its criterion ---------------------------------
 # max(0.0, nan) is 0.0, so each fold below once passed a NaN; every test
 # turns one measurement into NaN and expects the check to fail

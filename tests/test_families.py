@@ -480,6 +480,39 @@ def test_convex_inv_a_past_float_range_names_first_degree():
     assert np.isfinite(spec.inv_a(2046))
 
 
+@pytest.mark.parametrize("q,j,check", [
+    (0.5, 1072, "decrease strictly"),  # s(1071) = s(1072) = 5e-324
+    (0.1, 323, "stay positive"),  # s(322) subnormal, s(323) = 0.0
+])
+def test_convex_underflow_is_a_degree_limit(q, j, check):
+    # s0 * q**k underflows to subnormal floats; the check it then fails
+    # names the index and the degree it limits, twice, and degrees below
+    # that limit stay readable
+    seq = make_family("convex", eps=0.5, q=q)
+    limit = 2 * j - 3
+    for _ in range(2):
+        with pytest.raises(CoefficientDomainError,
+                           match=rf"s\({j}\) = \S+ fails to {check}, .* "
+                                 rf"degree n <= {limit}$"):
+            seq.alpha_array(limit + 1)
+    assert np.all(np.isfinite(seq.alpha_array(limit)[1:]))
+
+
+@pytest.mark.parametrize("values,match", [
+    ([0.5, 0.25, 0.25], "must be strictly decreasing"),
+    ([0.5, 0.25, 0.2, 0.01], "must be convex"),
+    ([2.0**-1000, 2.0**-1010, 2.0**-1010], "must be strictly decreasing"),
+])
+def test_convex_normal_float_failures_stay_parameter_errors(values, match):
+    # a check that fails on normal floats is the sequence's fault, however
+    # small the values; the failed value is not kept, so a second read
+    # raises again
+    spec = ConvexSeqSpec(lambda k: values[k] if k < len(values) else 0.0)
+    for _ in range(2):
+        with pytest.raises(FamilyParameterError, match=match):
+            spec.lam(2 * len(values))
+
+
 def test_convex_columns_independent_of_read_order():
     # the columns stream on their own: reading one deep first changes no
     # value of another, and every value is the rational recurrence's

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from hyplab import verify
 from hyplab.core import (
     CoeffSequence,
     CoefficientDomainError,
@@ -19,8 +20,10 @@ from hyplab.core import (
 from hyplab.families import UnsupportedFamilyError, make_family
 from hyplab.linearization import LinearizationTable
 from hyplab.measures import (
+    TRIPLE_QUAD_TOL,
     basis_gram,
     inner_product,
+    integrate_positive,
     measure_mass,
     measure_of,
     orthogonality_error,
@@ -28,6 +31,7 @@ from hyplab.measures import (
     spectrum_atoms,
     triple_products,
 )
+from hyplab.quadrature import default_rule
 
 FULL = [
     ("cheb1", {}),
@@ -125,6 +129,69 @@ def test_triple_products_symmetric(family):
     cube = T[:, :, :6]  # full permutation symmetry on the m,n,k <= M block
     for perm in ((0, 2, 1), (2, 1, 0), (1, 2, 0)):
         assert np.allclose(cube, np.transpose(cube, perm), atol=1e-12)
+
+
+def einsum_triple_products(seq, M):
+    """T as triple_products once computed it: every (m, n, k) integrated,
+    then multiplied by 1 + (-1)**(m + n + k)."""
+    spec = measure_of(seq)
+    K = 2 * M
+
+    def rows(x, lo, hi):
+        B = eval_basis_grid(seq, K, x)
+        Bm = B[: M + 1]
+        prod = np.einsum("in,jn,kn->ijkn", Bm, Bm, B)
+        return prod.reshape((M + 1) * (M + 1) * (K + 1), x.size)
+
+    pos = np.asarray(integrate_positive(spec, rows, tol=TRIPLE_QUAD_TOL))
+    T = pos.reshape(M + 1, M + 1, K + 1)
+    idx = np.add.outer(np.add.outer(np.arange(M + 1), np.arange(M + 1)),
+                       np.arange(K + 1))
+    T = T * (1.0 + (-1.0) ** idx)
+    for t, m in spec.atoms:
+        col = eval_basis_grid(seq, K, np.array([t]))[:, 0]
+        T += m * np.einsum("i,j,k->ijk", col[: M + 1], col[: M + 1], col)
+    return T
+
+
+def levels_read(call):
+    """call()'s result and the refinement levels it read, in order."""
+    rule = default_rule()
+    level_nodes, seen = rule.level_nodes, []
+
+    def counted(level):
+        seen.append(level)
+        return level_nodes(level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rule, "level_nodes", counted)
+        return call(), seen
+
+
+@pytest.mark.parametrize("tag,kw,M", [
+    *((tag, kw, 12) for tag, kw in verify._FULL_MEASURE_FAMILIES),
+    *(("km", {"alpha": 8, "beta": 5}, M) for M in (3, 6, 24)),
+])
+def test_triple_products_match_einsum_oracle(tag, kw, M, family):
+    # only m <= n and even m + n + k are integrated; the entries, and the
+    # level each piece stops at, are those of the full einsum
+    seq = family(tag, **kw)
+    T, levels = levels_read(lambda: triple_products(seq, M))
+    want, want_levels = levels_read(lambda: einsum_triple_products(seq, M))
+    assert levels == want_levels
+    assert np.max(np.abs(T - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(T, T.transpose(1, 0, 2))
+    odd = np.add.outer(np.add.outer(np.arange(M + 1), np.arange(M + 1)),
+                       np.arange(2 * M + 1)) % 2 == 1
+    assert np.all(T[odd] == 0.0)  # km(8,5)'s atom sits at 0, P_odd(0) = 0
+
+
+def test_triple_products_degree_bounds(family):
+    seq = family("cheb1")
+    assert triple_products(seq, 0).tolist() == [[[1.0]]]
+    for M in (-1, -3):
+        with pytest.raises(ValueError, match=rf"^M must be >= 0, got {M}$"):
+            triple_products(seq, M)
 
 
 def test_measure_unavailable_for_custom():

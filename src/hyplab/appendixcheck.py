@@ -171,6 +171,8 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     r_n is (alpha-1)/alpha for n = 0 and (alpha-1)(beta-1)/(alpha beta)
     for n >= 1.  Exactly 0 for rational alpha, beta.
     """
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     KMParams(float(alpha), float(beta))  # validate the parameter domain
     a, b = _exact(alpha, beta)
     r = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
@@ -280,6 +282,8 @@ def chebyshev_partner_residual(nmax: int) -> float:
     with the ratio r_n computed from values at 1 (not from a closed
     form), over all n <= nmax.  Exactly 0.
     """
+    if nmax < 0:
+        raise ValueError(f"degree bound nmax must be >= 0, got {nmax}")
     lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)
     lam_u = lambda k: Fraction(1, 4)
     at_one = [sum(row) for row in monic_rows(lam_t, nmax + 2)]  # sigma_n(1)

@@ -120,7 +120,16 @@ def build_report(
     ``PROFILE_DEGREE``, of :func:`criterion_grid` and :func:`estimate_grid`
     concatenated; each reads its own slice, which is bitwise what
     ``criterion_report`` and ``dual_estimate`` would profile on their own.
+
+    That profile freezes at ``DIVERGE_THRESHOLD``, so a frozen point stays
+    below a band ``1 + tol`` past it: ``tol`` above ``DIVERGE_THRESHOLD - 1``
+    raises ``ValueError``.
     """
+    if 1.0 + tol > _dual.DIVERGE_THRESHOLD:
+        raise ValueError(
+            f"tol must be <= DIVERGE_THRESHOLD - 1 = "
+            f"{_dual.DIVERGE_THRESHOLD - 1:g}, got {tol!r}"
+        )
     seq = parse_family_spec(family)
     report: dict = {
         "family": seq.family_tag,

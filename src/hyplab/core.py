@@ -91,8 +91,8 @@ class CoeffSequence:
     description: str = ""
     closed_form: Callable[[int], float] | None = field(default=None, repr=False)
     measure: Callable[[], object] | None = field(default=None, repr=False)
-    _c_cache: list = field(default_factory=list, repr=False)
-    _h_cache: list = field(default_factory=lambda: [1.0], repr=False)
+    _c_cache: list = field(default_factory=list, init=False, repr=False)
+    _h_cache: list = field(default_factory=lambda: [1.0], init=False, repr=False)
 
     def c(self, n: int) -> float:
         """Validated recurrence coefficient c(n), n >= 1."""

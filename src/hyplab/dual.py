@@ -74,7 +74,12 @@ def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     only on its own path, and a point that crosses is dropped at the
     first multiple of ``_COMPRESS_EVERY`` at or after its crossing
     whatever the other points do.
+
+    A negative ``N`` raises ``ValueError``; every profile reader runs
+    through here.
     """
+    if N < 0:
+        raise ValueError(f"degree bound N must be >= 0, got {N}")
     zs = np.asarray(zs)
     z = zs.ravel().astype(np.result_type(zs.dtype, np.float64), copy=False)
     fold = None
@@ -131,6 +136,12 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     out[idx] = m
 
 
+def _check_step(name: str, step: float) -> None:
+    """Refuse a grid step that is not a finite positive number."""
+    if not 0.0 < step < np.inf:  # also false on a NaN
+        raise ValueError(f"{name} must be finite and > 0, got {step!r}")
+
+
 def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int) -> np.ndarray:
     """Frozen-at-divergence sup_{n<=N} |P_n(x)| over a set of points."""
     out, _ = _profile(seq, np.asarray(xs, dtype=float), N, DIVERGE_THRESHOLD)
@@ -172,6 +183,7 @@ def _merge_intervals(xs: np.ndarray, mask: np.ndarray) -> tuple:
 def estimate_grid(grid_step: float) -> np.ndarray:
     """The grid of :func:`dual_estimate`: ``round(2/grid_step) + 1`` even
     points on [-1, 1], both endpoints included."""
+    _check_step("grid_step", grid_step)
     return np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
 
 
@@ -279,6 +291,7 @@ def complex_scan(seq: CoeffSequence, N: int = 400, step: float = 4e-3):
     path is the one under ``DIVERGE_THRESHOLD``, and a point that crosses
     the band has a running max above it under both thresholds.
     """
+    _check_step("step", step)
     band = 1.0 + MEMBER_TOL
     ims = np.arange(-1.5, 1.5 + 0.5 * step, step)
     n = ims.size

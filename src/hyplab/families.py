@@ -221,7 +221,7 @@ class ConvexSeqSpec:
     """
 
     s: Callable[[int], float]
-    _s_cache: list = field(default_factory=list, repr=False)
+    _s_cache: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self._c = _Column(lambda r, r_next, pi: _quot(_sub(r, r_next), r),

@@ -16,10 +16,11 @@ Rows are computed by induction on m,
     P_{m+1} P_n = (x (P_m P_n) - c(m) P_{m-1} P_n) / a(m),
 
 where multiplication by x acts termwise through the three-term recurrence
-x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1).  Rows of one n
-depend only on each other, so a block of consecutive degrees n advances
-together: each step of m is one update of a zero-padded 2-D array whose
-row i holds g(m, n0 + i; .) and whose columns are the degrees.
+x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1; with P_{-1} = 0 the
+step from m = 0 is the same).  Rows of one n depend only on each other, so
+a block of consecutive degrees n advances together: each step of m is one
+update of a zero-padded 2-D array whose row i holds g(m, n0 + i; .) and
+whose columns are the degrees.  A table keeps that layout for all m and n.
 """
 
 from __future__ import annotations
@@ -63,25 +64,20 @@ def _block_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
 
     ``rows[i, k]`` is g(m, n0 + i; k) for the live rows i >= first (those
     with n >= m); column k is degree k, zero outside the band.  Each step
-    allocates one array and only the two latest are held.  Every entry takes
-    the elementwise operations, in the order, of the recurrence run for one
-    n alone; the terms added here that it leaves out are exact zeros, so
-    each row is bitwise what that run gives.
+    allocates one array and only the two latest are held.  Every step,
+    m = 0 included, is the one update below: ``c[0]`` must read 0 and
+    ``a[0]`` 1, so the identity block may stand in for P_{-1} P_n = 0.
+    Every entry takes the elementwise operations, in the order, of the
+    recurrence run for one n alone; the terms added here that it leaves
+    out are exact zeros, so each row is bitwise what that run gives.
     """
     B, W = n1 - n0, 2 * n1 - 1
     ns = np.arange(n0, n1)
     r_cur = np.zeros((B, W))
     r_cur[ns - n0, ns] = 1.0
+    r_prev = r_cur  # read only times c(0) = 0
     yield 0, 0, r_cur
-    if n1 == 1:  # the block holds n = 0 alone
-        return
-    first = max(0, 1 - n0)
-    live = ns[first:]
-    r_prev, r_cur = r_cur, np.zeros((B, W))
-    r_cur[live - n0, live + 1] = a[live]
-    r_cur[live - n0, live - 1] = c[live]
-    yield 1, first, r_cur
-    for m in range(1, n1 - 1):
+    for m in range(n1 - 1):
         first = max(0, m + 1 - n0)
         # row m + 1 of the live degrees can be nonzero at degrees lo .. hi-1
         lo, hi = n0 + first - m - 1, n1 + m + 1
@@ -97,45 +93,50 @@ def _block_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
 
 def _coeffs(seq: CoeffSequence, N: int):
     """c(0..2N) and a(0..2N): every coefficient the rows g(m, n) with
-    m, n <= N read."""
+    m, n <= N read, with c(0) = 0 (P_{-1} = 0) and a(0) = 1."""
     if N < 0:
         raise ValueError(f"table bound must be >= 0, got {N}")
-    return seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
+    c = seq.c_array(max(2 * N, 1))
+    c[0] = 0.0
+    return c, seq.a_array(max(2 * N, 1))
 
 
-def _blocks(seq: CoeffSequence, N: int):
-    """Yield (n0, n1, steps) per block n0 <= n < n1 of the degrees 0 .. N, in
-    order, with ``steps`` from :func:`_block_rows`."""
+def _blocks(seq: CoeffSequence, N: int) -> list:
+    """(n0, n1, steps) per block n0 <= n < n1 of the degrees 0 .. N, in
+    order, with ``steps`` from :func:`_block_rows`; the coefficients are
+    read, and a bad bound refused, on the call."""
     c, a = _coeffs(seq, N)
-    for n0 in range(0, N + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, N + 1)
-        yield n0, n1, _block_rows(c, a, n0, n1)
+    bounds = [(n0, min(n0 + _BLOCK, N + 1)) for n0 in range(0, N + 1, _BLOCK)]
+    return [(n0, n1, _block_rows(c, a, n0, n1)) for n0, n1 in bounds]
 
 
 class LinearizationTable:
-    """All linearization rows g(m, n; .) for 0 <= m <= n <= N."""
+    """All linearization rows g(m, n; .) for 0 <= m <= n <= N.
+
+    ``coeffs[m, n, k]`` is g(m, n; k) for m <= n, in the zero-padded
+    layout of the block engine: shape (N + 1, N + 1, 2N + 1), zero past
+    k = m + n and below the diagonal m > n (g is symmetric in m and n;
+    read those through :meth:`row` or :meth:`g`).
+    """
 
     def __init__(self, seq: CoeffSequence, N: int):
         self.N = N
-        self._rows = {}
-        for n0, n1, steps in _blocks(seq, N):
-            block = [[] for _ in range(n0, n1)]
+        blocks = _blocks(seq, N)
+        self.coeffs = np.zeros((N + 1, N + 1, 2 * N + 1))
+        for n0, n1, steps in blocks:
             for m, first, rows in steps:
-                for i in range(first, n1 - n0):
-                    # a compact copy: a view would pin the whole block array
-                    block[i].append(rows[i, : m + n0 + i + 1].copy())
-            for i, n_rows in enumerate(block):
-                self._rows.update(((m, n0 + i), row) for m, row in enumerate(n_rows))
+                self.coeffs[m, n0 + first : n1, : 2 * n1 - 1] = rows[first:]
 
     def row(self, m: int, n: int) -> np.ndarray:
-        """The coefficient row of P_m P_n (length m + n + 1)."""
+        """The coefficient row of P_m P_n (length m + n + 1), a view of
+        :attr:`coeffs`."""
         if m > n:
             m, n = n, m
         if m < 0 or n > self.N:
             raise DegreeOverflowError(
                 f"row ({m}, {n}) outside table bound N={self.N}"
             )
-        return self._rows[(m, n)]
+        return self.coeffs[m, n, : m + n + 1]
 
     def g(self, m: int, n: int, k: int) -> float:
         """Linearization coefficient g(m, n; k); zero outside the band."""

@@ -188,14 +188,11 @@ def _g_defect(tab: _lin.LinearizationTable, T: np.ndarray, h: np.ndarray) -> flo
     """max |g(m, n; k) - h(k) T[m, n, k]| over m, n <= tab.N and k <= m + n,
     in one array pass; NaN if any difference in that band is NaN."""
     N = tab.N
-    G = np.zeros((N + 1, N + 1, 2 * N + 1))
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            G[m, n, : m + n + 1] = G[n, m, : m + n + 1] = tab.row(m, n)
     m, n, k = np.ogrid[: N + 1, : N + 1, : 2 * N + 1]
-    band = k <= m + n
+    # the table holds m <= n; g(m, n; k) = g(n, m; k) mirrors it
+    G = np.where(m <= n, tab.coeffs, tab.coeffs.transpose(1, 0, 2))
     D = G - h[: 2 * N + 1] * T[: N + 1, : N + 1, : 2 * N + 1]
-    return float(np.max(np.abs(D[band])))
+    return float(np.max(np.abs(D[k <= m + n])))
 
 
 def linearization_oracles() -> CriterionResult:

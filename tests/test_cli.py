@@ -171,6 +171,25 @@ class TestErrors:
         assert code == 0
         assert json.loads(out)["all_checks_passed"] is True
 
+    @pytest.mark.parametrize("tol,code", [
+        ("999999", 0),
+        (repr(float(np.nextafter(999999.0, np.inf))), 1),
+        ("1e7", 1),
+    ])
+    def test_tol_is_bounded_by_the_divergence_threshold(self, capsys, tol, code):
+        # the report's profile freezes at DIVERGE_THRESHOLD = 1e6: past
+        # tol = 999999 a frozen point would sit inside the band 1 + tol
+        got, out, err = run(capsys, "report", "--family", "modkm:alpha=2,beta=5",
+                            "--tol", tol)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == ("configuration error: tol must be <= "
+                           f"DIVERGE_THRESHOLD - 1 = 999999, got {float(tol)!r}\n")
+        else:
+            # the frozen points stay out: the two intervals of a 1e-9 band
+            assert len(json.loads(out)["dual"]["intervals"]) == 2
+
     def test_smallest_grid_step_is_accepted(self):
         # parsed only: a report on 2,000,001 points takes over a second
         args = cli._build_parser().parse_args(

@@ -79,6 +79,19 @@ class TestDomains:
             assert as_[n] == seq.a(n)
 
 
+def test_caches_are_not_constructor_parameters():
+    # a cache passed in was read as computed values, past every check
+    with pytest.raises(TypeError):
+        CoeffSequence("custom", {}, lambda n: 0.5, _h_cache=[1.0, 5.0])
+    with pytest.raises(TypeError):
+        CoeffSequence("custom", {}, lambda n: 0.5, _c_cache=[0.9])
+    with pytest.raises(TypeError):
+        ConvexSeqSpec(geometric_sequence(0.5, 0.5), [(1, 0)])
+    with pytest.raises(TypeError):
+        ConvexSeqSpec(geometric_sequence(0.5, 0.5), _s_cache=[(1, 0)])
+    assert haar_values(CoeffSequence("custom", {}, lambda n: 0.5), 2).tolist() == [1.0, 2.0, 2.0]
+
+
 class TestChebyshevOracle:
     """First-kind Chebyshev (c = 1/2) has everything in closed form."""
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from hyplab import dual, verify
+from hyplab import appendixcheck, dual, verify
 from hyplab.core import CoefficientDomainError
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
@@ -113,6 +113,29 @@ def test_exclusion_intervals_cut_values(eps, cut):
 def test_exclusion_intervals_rejects_out_of_range(eps):
     with pytest.raises(ValueError):
         exclusion_intervals(eps)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda s: dual_estimate(s, grid_step=0), "grid_step"),
+    (lambda s: dual_estimate(s, grid_step=-1e-3), "grid_step"),
+    (lambda s: dual_estimate(s, grid_step=math.nan), "grid_step"),
+    (lambda s: dual_estimate(s, grid_step=math.inf), "grid_step"),
+    (lambda s: dual_estimate(s, N=-1, grid_step=0.1), "N"),
+    (lambda s: complex_scan(s, step=0), "step"),
+    (lambda s: complex_scan(s, step=-0.5), "step"),
+    (lambda s: complex_scan(s, N=-3, step=0.5), "N"),
+    (lambda s: divergence_classify(s, 0.5, N=-1), "N"),
+    (lambda s: max_abs_profile(s, [0.5], -1), "N"),
+    (lambda s: appendixcheck.kernel_identity_residual(5, 8, -1), "n"),
+    (lambda s: appendixcheck.chebyshev_partner_residual(-1), "nmax"),
+], ids=["grid_step=0", "grid_step<0", "grid_step=nan", "grid_step=inf",
+        "estimate-N<0", "step=0", "step<0", "scan-N<0", "classify-N<0",
+        "profile-N<0", "kernel-n<0", "partner-nmax<0"])
+def test_out_of_domain_degree_or_step_is_named(call, name):
+    # each once ended in a ZeroDivisionError, an IndexError, a numpy message
+    # that names no argument, or a silent answer for a negative degree
+    with pytest.raises(ValueError, match=rf"(^|\s){name} must be "):
+        call(make_family("modkm", alpha=2, beta=5))
 
 
 def test_exclusion_intervals_narrow_to_endpoints():

@@ -18,18 +18,20 @@ Rows are computed by induction on m,
 where multiplication by x acts termwise through the three-term recurrence
 x P_k = a(k) P_{k+1} + c(k) P_{k-1} (and x P_0 = P_1; with P_{-1} = 0 the
 step from m = 0 is the same).  Rows of one n depend only on each other, so
-a block of consecutive degrees n advances together: each step of m is one
-update of a zero-padded 2-D array whose row i holds g(m, n0 + i; .) and
-whose columns are the degrees.  A table keeps that layout for all m and n.
+all the degrees n of a call advance together.  g(m, n; k) = 0 unless
+k = n - m + 2j with 0 <= j <= m, so a step stores only that parity band:
+row i of one 2-D array holds g(m, n; n - m + 2j) of the i-th live degree
+n >= m at column j.  Readers spread it into zero-padded rows wherever a
+sum or a dot product must see the full row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import CoeffSequence, haar_values
 
@@ -56,80 +58,83 @@ class DegreeOverflowError(IndexError):
     """A linearization row beyond the table's degree bound was requested."""
 
 
-_BLOCK = 32  # degrees n per block: the rows of one block share each step
+def _degree(value, name: str) -> int:
+    """``value`` as a plain int; anything but an integer is refused by name."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _block_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
-    """Yield (m, first, rows) for m = 0 .. n1 - 1 over the degrees n0 <= n < n1.
+def _band_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
+    """Yield the band of step m, for m = 0 .. n1 - 1, over n0 <= n < n1.
 
-    ``rows[i, k]`` is g(m, n0 + i; k) for the live rows i >= first (those
-    with n >= m); column k is degree k, zero outside the band.  Each step
-    allocates one array and only the two latest are held.  Every step,
-    m = 0 included, is the one update below: ``c[0]`` must read 0 and
-    ``a[0]`` 1, so the identity block may stand in for P_{-1} P_n = 0.
-    Every entry takes the elementwise operations, in the order, of the
-    recurrence run for one n alone; the terms added here that it leaves
-    out are exact zeros, so each row is bitwise what that run gives.
+    Row i of the band is the i-th live degree n of the step, n >= max(n0, m),
+    and ``band[i, j]`` is g(m, n; n - m + 2j) for j = 0 .. m.  Each step
+    allocates one array and only the two latest are held.  The coefficients
+    a(n - m + 2j) and c(n - m + 2j) of a step are plain slices of one
+    strided view of each sequence, built once; c(0) only ever multiplies
+    the empty band of P_{-1} P_n = 0.  Every entry takes the
+    elementwise operations, in the order, of the recurrence run for one n
+    alone on the full row; the terms left out here are products with its
+    exact zeros outside the band, so each entry is bitwise that run's.
     """
-    B, W = n1 - n0, 2 * n1 - 1
-    ns = np.arange(n0, n1)
-    r_cur = np.zeros((B, W))
-    r_cur[ns - n0, ns] = 1.0
-    r_prev = r_cur  # read only times c(0) = 0
-    yield 0, 0, r_cur
+    A, C = _diagonals(a, n1), _diagonals(c, n1)
+    cur = np.ones((n1 - n0, 1))
+    prev = cur[:, :0]  # P_{-1} P_n = 0
+    yield cur
     for m in range(n1 - 1):
-        first = max(0, m + 1 - n0)
-        # row m + 1 of the live degrees can be nonzero at degrees lo .. hi-1
-        lo, hi = n0 + first - m - 1, n1 + m + 1
-        nxt = np.zeros((B, W))
-        out, cur = nxt[first:, lo:hi], r_cur[first:]
-        out[:, 1:] += a[lo : hi - 1] * cur[:, lo : hi - 1]
-        out[:, :-1] += c[lo + 1 : hi] * cur[:, lo + 1 : hi]
-        out -= c[m] * r_prev[first:, lo:hi]
-        out /= a[m]
-        r_prev, r_cur = r_cur, nxt
-        yield m + 1, first, r_cur
+        rows = n1 - max(n0, m + 1)  # the live degrees of step m + 1
+        d = slice(n1 - m - rows, n1 - m)  # their n - m
+        cur, prev = cur[-rows:], prev[-rows:]
+        nxt = np.zeros((rows, m + 2))
+        nxt[:, 1:] += A[d, : m + 1] * cur
+        nxt[:, :-1] += C[d, : m + 1] * cur
+        nxt[:, 1:-1] -= c[m] * prev
+        nxt /= a[m]
+        prev, cur = cur, nxt
+        yield cur
+
+
+def _diagonals(x: np.ndarray, n1: int) -> np.ndarray:
+    """The (n1, n1) view with x(d + 2j) at [d, j] for d + 2j <= 2 n1 - 2."""
+    xp = np.zeros(3 * n1 - 2)
+    xp[: 2 * n1 - 1] = x[: 2 * n1 - 1]
+    return np.ndarray((n1, n1), buffer=xp, strides=(xp.itemsize, 2 * xp.itemsize))
 
 
 def _coeffs(seq: CoeffSequence, N: int):
     """c(0..2N) and a(0..2N): every coefficient the rows g(m, n) with
-    m, n <= N read, with c(0) = 0 (P_{-1} = 0) and a(0) = 1."""
+    m, n <= N read; a bad bound is refused first."""
     if N < 0:
         raise ValueError(f"table bound must be >= 0, got {N}")
-    c = seq.c_array(max(2 * N, 1))
-    c[0] = 0.0
-    return c, seq.a_array(max(2 * N, 1))
-
-
-def _blocks(seq: CoeffSequence, N: int) -> list:
-    """(n0, n1, steps) per block n0 <= n < n1 of the degrees 0 .. N, in
-    order, with ``steps`` from :func:`_block_rows`; the coefficients are
-    read, and a bad bound refused, on the call."""
-    c, a = _coeffs(seq, N)
-    bounds = [(n0, min(n0 + _BLOCK, N + 1)) for n0 in range(0, N + 1, _BLOCK)]
-    return [(n0, n1, _block_rows(c, a, n0, n1)) for n0, n1 in bounds]
+    return seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
 
 
 class LinearizationTable:
     """All linearization rows g(m, n; .) for 0 <= m <= n <= N.
 
-    ``coeffs[m, n, k]`` is g(m, n; k) for m <= n, in the zero-padded
-    layout of the block engine: shape (N + 1, N + 1, 2N + 1), zero past
-    k = m + n and below the diagonal m > n (g is symmetric in m and n;
-    read those through :meth:`row` or :meth:`g`).
+    ``coeffs[m, n, k]`` is g(m, n; k) for m <= n, zero-padded: shape
+    (N + 1, N + 1, 2N + 1), zero off the band, past k = m + n and below
+    the diagonal m > n (g is symmetric in m and n; read those through
+    :meth:`row` or :meth:`g`).
     """
 
     def __init__(self, seq: CoeffSequence, N: int):
-        self.N = N
-        blocks = _blocks(seq, N)
+        self.N = N = _degree(N, "N")
+        c, a = _coeffs(seq, N)
         self.coeffs = np.zeros((N + 1, N + 1, 2 * N + 1))
-        for n0, n1, steps in blocks:
-            for m, first, rows in steps:
-                self.coeffs[m, n0 + first : n1, : 2 * n1 - 1] = rows[first:]
+        # band[m, n, j] is coeffs[m, n, n - m + 2j]
+        W, s = 2 * N + 1, self.coeffs.itemsize
+        band = np.ndarray((N + 1,) * 3, buffer=self.coeffs,
+                          strides=(((N + 1) * W - 1) * s, (W + 1) * s, 2 * s))
+        for m, rows in enumerate(_band_rows(c, a, 0, N + 1)):
+            band[m, m:, : m + 1] = rows
 
     def row(self, m: int, n: int) -> np.ndarray:
         """The coefficient row of P_m P_n (length m + n + 1), a view of
         :attr:`coeffs`."""
+        m, n = _degree(m, "m"), _degree(n, "n")
         if m > n:
             m, n = n, m
         if m < 0 or n > self.N:
@@ -140,7 +145,7 @@ class LinearizationTable:
 
     def g(self, m: int, n: int, k: int) -> float:
         """Linearization coefficient g(m, n; k); zero outside the band."""
-        row = self.row(m, n)
+        row, k = self.row(m, n), _degree(k, "k")
         if k < 0 or k >= row.size:
             return 0.0
         return float(row[k])
@@ -151,12 +156,15 @@ def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
 
     Only the rows of degree max(m, n) are generated, up to the one asked for.
     """
+    m, n = _degree(m, "m"), _degree(n, "n")
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
     lo, hi = min(m, n), max(m, n)
     c, a = _coeffs(seq, hi)
-    _, _, rows = next(islice(_block_rows(c, a, hi, hi + 1), lo, None))
-    return rows[0, : lo + hi + 1].copy()
+    band = next(islice(_band_rows(c, a, hi, hi + 1), lo, None))
+    out = np.zeros(lo + hi + 1)
+    out[hi - lo :: 2] = band[0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,69 +189,57 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
     g(m,n;|m-n|) and g(m,n;m+n) are additionally required to be above
     ``NLP_TOL``.  The report carries the tolerance as ``tol``.
 
-    Each step m of a block n0 <= n < n1 is audited with a fixed number of
-    array calls.  numpy's pairwise sum depends on the length, so every row
-    sum must run over exactly the m + n + 1 entries of its row; one
-    ``np.add.reduceat`` over the flat (B, W) step array gives them all.
-    The segment of row i >= 1 starts one element early, at column
-    W - 1 = 2 n1 - 2 of row i - 1.  That column is always 0.0: rows of a
-    block are zero outside their band (all zero before they are live), and
-    the band of a row n < n1 - 1 ends at degree m + n <= 2 n1 - 3.  reduceat's first element plus the
-    pairwise sum of the rest is then bitwise ``np.add.reduce`` of the row.
-    Row 0 of the block has no zero before it and is summed on its own.
+    Each step m is audited with a fixed number of array calls, and every
+    result is folded into running values.  numpy's pairwise sum depends on
+    the length, so every row sum must run over exactly the m + n + 1
+    entries of its full row; the band is written into one zero-padded
+    (N + 1, W = 2N + 1) step array, one ``np.add.reduceat`` over it gives
+    every sum, and the band's places are cleared again.  The segment of row
+    n starts one element early, at the last column of row n - 1, or at a
+    zero in front of row 0.  That column is always 0.0: the band of row
+    n - 1 ends at degree m + n - 1 <= 2N - 2.  reduceat's first element
+    plus the pairwise sum of the rest is then bitwise ``np.add.reduce`` of
+    the row.
     """
+    N = _degree(N, "N")
+    c, a = _coeffs(seq, N)
+    # flat[P + n W + k] is degree k of row n, and so is skew[n, P - m + 2j]
+    # for k = n - m + 2j; the P zeros in front of row 0 are never written
+    W, P = 2 * N + 1, max(N, 1)
+    flat = np.zeros((N + 1) * (W + 1))
+    skew = flat.reshape(N + 1, W + 1)
+    starts = P - 1 + W * np.arange(N + 1)
+    # reduceat bounds of row n at step m: [P + n W - 1, P + n W + n + 1 + m)
+    bounds = np.stack((starts, starts + np.arange(N + 1) + 1), axis=1)
     min_coeff = np.inf
     min_witness = (0, 0, 0)
     row_sum_max_error = 0.0
     endpoints_positive = True
-    for n0, n1, steps in _blocks(seq, N):
-        B, W = n1 - n0, 2 * n1 - 1
-        rix = np.arange(B)
-        # reduceat bounds of row i at step m: [i W - 1, i W + n0 + i + 1 + m)
-        bounds = np.stack((rix * W - 1, rix * W + n0 + rix + 1), axis=1)
-        # per (n, m) of the block: the row sum, the two band ends, the band
-        # minimum and the place of its first occurrence in the band; entries
-        # of rows not yet live keep values that pass every check
-        sums = np.ones((B, n1))
-        ends = np.full((2, B, n1), np.inf)
-        band_min = np.full((B, n1), np.inf)
-        band_k = np.zeros((B, n1), dtype=np.intp)
-        for m, first, rows in steps:
-            flat = rows.reshape(-1)
-            if first == 0:
-                sums[0, m] = np.add.reduce(flat[: m + n0 + 1])
-            lo = max(first, 1)
-            if lo < B:
-                cuts = (bounds[lo:] + (0, m)).ravel()
-                # the last row's segment ends where the sliced array does
-                sums[lo:, m] = np.add.reduceat(flat[: cuts[-1]], cuts[:-1])[::2]
-            # degrees n - m, n - m + 2, ..., n + m of each live row n: row i
-            # starts at flat index i W + (n0 + i - m)
-            band = as_strided(
-                flat[(W + 1) * first + n0 - m :],
-                shape=(B - first, m + 1),
-                strides=((W + 1) * flat.itemsize, 2 * flat.itemsize),
-                writeable=False,
-            )
-            k = band.argmin(axis=1)  # a row's first minimum, or its first NaN
-            band_min[first:, m] = band[rix[: B - first], k]
-            band_k[first:, m] = k
-            ends[0, first:, m] = band[:, 0]
-            ends[1, first:, m] = band[:, -1]
+    for m, band in enumerate(_band_rows(c, a, 0, N + 1)):
+        at = skew[m:, P - m : P + m + 1 : 2]
+        at[...] = band
+        bounds[:, 1] += 1
+        cuts = bounds[m:].ravel()
+        # the last row's segment ends where the sliced array does
+        sums = np.add.reduceat(flat[: cuts[-1]], cuts[:-1])[::2]
+        at[...] = 0.0
         # a NaN sum is never adopted
-        err = np.fmax.reduce(np.abs(sums - 1.0), axis=None)
+        err = np.fmax.reduce(np.abs(sums - 1.0))
         if err > row_sum_max_error:
             row_sum_max_error = float(err)
-        if not (ends > NLP_TOL).all():
-            endpoints_positive = False
-        # a NaN minimum is never adopted; the first strict minimum in n-outer,
-        # m-inner order is the one a running `<` over the rows would keep
-        band_min[np.isnan(band_min)] = np.inf
-        j = int(band_min.argmin())
-        if band_min.flat[j] < min_coeff:
-            i, m = divmod(j, n1)
-            min_coeff = float(band_min.flat[j])
-            min_witness = (m, n0 + i, n0 + i - m + 2 * int(band_k.flat[j]))
+        if endpoints_positive:  # the columns j = 0 and j = m
+            endpoints_positive = bool((band[:, :: m or 1] > NLP_TOL).all())
+        # a row holding a NaN is never adopted; of equal minima the first in
+        # n-outer, m-inner order is the one a running `<` over the rows keeps
+        lows = band.min(axis=1)
+        i = int(lows.argmin())
+        if lows[i] != lows[i]:
+            lows[np.isnan(lows)] = np.inf
+            i = int(lows.argmin())
+        if lows[i] < min_coeff or (lows[i] == min_coeff and m + i < min_witness[1]):
+            j = int(band[i].argmin())
+            min_coeff = float(band[i, j])
+            min_witness = (m, m + i, i + 2 * j)
     return NLPReport(
         is_nonnegative=bool(min_coeff >= -NLP_TOL),
         min_coeff=min_coeff,
@@ -276,26 +272,34 @@ def l1h_norm(seq: CoeffSequence, f) -> float:
     return float(np.sum(np.abs(v) * h))
 
 
+def _dot_row(band_row: np.ndarray, m: int, n: int, v: np.ndarray):
+    """sum_k g(m, n; k) v(k) over k < min(m + n + 1, v.size), from the band
+    row of (m, n) spread into a zero row of that length."""
+    row = np.zeros(min(m + n + 1, v.size))
+    band = row[n - m :: 2]
+    band[...] = band_row[: band.size]
+    return np.dot(row, v[: row.size])
+
+
 def translate(seq: CoeffSequence, f, n: int) -> np.ndarray:
     """Hypergroup translate T_n f(m) = sum_k g(m, n; k) f(k), as an array of
     dtype ``result_type(f, float)``.
 
-    With K the top degree of ``f``, one block of the degrees n .. n + K
-    runs to step n: at step m <= n its row 0 is g(m, n), and at step n its
-    row i is g(n, n + i).
+    With K the top degree of ``f``, the degrees n .. n + K run to step n:
+    at step m <= n its row 0 is g(m, n), and at step n its row i is
+    g(n, n + i).
     """
     v = _as_values(f)
+    n = _degree(n, "n")
     if n < 0:
         raise ValueError(f"translate needs a degree n >= 0, got n={n}")
     K = v.size - 1
     c, a = _coeffs(seq, K + n)
     out = np.zeros(K + n + 1, dtype=np.result_type(v, float))
-    for m, _, rows in islice(_block_rows(c, a, n, n + K + 1), n + 1):
-        width = min(m + n + 1, v.size)
-        out[m] = np.dot(rows[0, :width], v[:width])
+    for m, band in enumerate(islice(_band_rows(c, a, n, n + K + 1), n + 1)):
+        out[m] = _dot_row(band[0], m, n, v)
     for i in range(1, K + 1):
-        width = min(2 * n + i + 1, v.size)
-        out[n + i] = np.dot(rows[i, :width], v[:width])
+        out[n + i] = _dot_row(band[i], n, n + i, v)
     return out
 
 
@@ -303,22 +307,26 @@ def convolve(seq: CoeffSequence, f, g) -> np.ndarray:
     """Hypergroup convolution (f * g)(n) = sum_k (T_n f)(k) g(k) h(k), as an
     array of dtype ``result_type(f, g, float)``.
 
-    Only the (T_n f)(k) with k <= Kg, the top degree of ``g``, are formed,
-    from the rows g(k, n) of one table to degree Kf + Kg.
+    Only the (T_n f)(k) with k <= Kg, the top degree of ``g``, are formed:
+    row g(k, n) is the band of step min(k, n), so the degrees 0 .. Kf + Kg
+    run to step Kg, and no table is held.
     """
     fv, gv = _as_values(f), _as_values(g)
     Kf, Kg = fv.size - 1, gv.size - 1
-    table = LinearizationTable(seq, Kf + Kg)
+    c, a = _coeffs(seq, Kf + Kg)
     weights = gv * haar_values(seq, Kg)
     out = np.zeros(Kf + Kg + 1, dtype=np.result_type(fv, gv, float))
-    tf = np.empty(Kg + 1, dtype=np.result_type(fv, float))
+    # tf[n, k] = (T_n f)(k) for k <= min(Kg, Kf + n)
+    tf = np.empty((out.size, Kg + 1), dtype=np.result_type(fv, float))
+    for m, band in enumerate(islice(_band_rows(c, a, 0, out.size), Kg + 1)):
+        for i in range(band.shape[0]):
+            n = m + i
+            tf[n, m] = _dot_row(band[i], m, n, fv)
+            if n <= min(Kg, Kf + m):
+                tf[m, n] = tf[n, m]
     for n in range(out.size):
         width = min(Kf + n + 1, Kg + 1)
-        for k in range(width):
-            row = table.row(k, n)
-            w = min(row.size, fv.size)
-            tf[k] = np.dot(row[:w], fv[:w])
-        out[n] = np.dot(tf[:width], weights[:width])
+        out[n] = np.dot(tf[n, :width], weights[:width])
     return out
 
 

@@ -316,14 +316,14 @@ def haar_floor_composite() -> CriterionResult:
             hmin = float(np.min(haar_values(seq, 50)[1:]))
             if hmin < HAAR_FLOOR:
                 violations.append(f"{seq!r}: min h = {hmin}")
+        if (tag, kw) == ("modkm", dict(alpha=8, beta=5)):
+            # the converse witness: its profile and h(1..50) serve both checks
+            witness, hmin_w = est, float(np.min(haar_values(seq, 50)[1:]))
 
-    witness = make_family("modkm", alpha=8, beta=5)
-    est = _dual.dual_estimate(witness, N=400, grid_step=1e-3)
-    hmin_w = float(np.min(haar_values(witness, 50)[1:]))
-    gap_present = len(est.intervals) > 1
-    zero_member = any(a <= 0.0 <= b for a, b in est.intervals)
+    gap_present = len(witness.intervals) > 1
+    zero_member = any(a <= 0.0 <= b for a, b in witness.intervals)
     punctured = any(
-        0.0 < x < 0.13 for x in est.xs[est.member_mask]
+        0.0 < x < 0.13 for x in witness.xs[witness.member_mask]
     )
     witness_ok = hmin_w >= HAAR_FLOOR and gap_present and zero_member and not punctured
     if not witness_ok:

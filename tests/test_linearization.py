@@ -1,6 +1,8 @@
 """Product linearization tables, nonnegativity audits, and the induced
 convolution algebra."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from hyplab.core import CoeffSequence, CoefficientDomainError, eval_basis, haar_values
 from hyplab.families import make_family
+from hyplab import linearization
 from hyplab.linearization import (
-    _BLOCK,
     DegreeOverflowError,
     LinearizationTable,
     NLPReport,
@@ -50,6 +52,49 @@ def iter_oracle_rows(seq, N):
             nxt /= a[m]
             r_prev, r_cur = r_cur, nxt
             yield (m + 1, n), r_cur
+
+
+def block_rows(c, a, n0, n1):
+    """The full-layout engine the parity-band engine replaced, as it ran:
+    (m, first, rows) for m = 0 .. n1 - 1, with ``rows[i, k]`` = g(m, n0 + i; k)
+    for the live rows i >= first, zero-padded to 2 n1 - 1 degrees.  It reads
+    c(0) times the identity block as P_{-1} P_n, so ``c[0]`` must be 0.
+    """
+    B, W = n1 - n0, 2 * n1 - 1
+    ns = np.arange(n0, n1)
+    r_cur = np.zeros((B, W))
+    r_cur[ns - n0, ns] = 1.0
+    r_prev = r_cur  # read only times c(0) = 0
+    yield 0, 0, r_cur
+    for m in range(n1 - 1):
+        first = max(0, m + 1 - n0)
+        # row m + 1 of the live degrees can be nonzero at degrees lo .. hi-1
+        lo, hi = n0 + first - m - 1, n1 + m + 1
+        nxt = np.zeros((B, W))
+        out, cur = nxt[first:, lo:hi], r_cur[first:]
+        out[:, 1:] += a[lo : hi - 1] * cur[:, lo : hi - 1]
+        out[:, :-1] += c[lo + 1 : hi] * cur[:, lo + 1 : hi]
+        out -= c[m] * r_prev[first:, lo:hi]
+        out /= a[m]
+        r_prev, r_cur = r_cur, nxt
+        yield m + 1, first, r_cur
+
+
+def assert_bands_match_block_rows(seq, n0, n1):
+    """Every band entry of the engine over n0 <= n < n1 is bitwise the
+    full-layout engine's, and every other entry of its live rows is 0.0."""
+    c, a = linearization._coeffs(seq, n1 - 1)
+    c_full = c.copy()
+    c_full[0] = 0.0
+    for (m, first, rows), band in zip(block_rows(c_full, a, n0, n1),
+                                      linearization._band_rows(c, a, n0, n1),
+                                      strict=True):
+        live = rows[first:]
+        assert band.shape == (live.shape[0], m + 1), (n0, n1, m)
+        want = np.zeros_like(live)
+        ns = np.arange(n0 + first, n1)
+        want[ns[:, None] - n0 - first, ns[:, None] - m + 2 * np.arange(m + 1)] = band
+        assert want.tobytes() == live.tobytes(), (n0, n1, m)
 
 
 def oracle_rows(seq, N):
@@ -119,11 +164,10 @@ class TestStreamedRows:
                            oracle_nlp(want.items(), N))
 
     @pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
-    @pytest.mark.parametrize("N", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
-                                   2 * _BLOCK, 2 * _BLOCK + 1, 100])
+    @pytest.mark.parametrize("N", [31, 32, 33, 63, 64, 65, 100])
     def test_block_seams_match_oracle(self, tag, params, N):
-        # rows of degrees n advance in blocks of _BLOCK; bounds just below,
-        # at and past a block end must give the rows and audit of one n at a time
+        # rows once advanced in blocks of 32 degrees; bounds just below, at
+        # and past a block end must give the rows and audit of one n at a time
         try:
             want = oracle_rows(make_family(tag, **params), N)
         except CoefficientDomainError:
@@ -142,13 +186,13 @@ class TestStreamedRows:
     def test_audit_tie_keeps_the_first_row(self):
         # every cheb1 row (m, n) with 2 <= m <= n has an interior zero; the
         # witness is the first of them in n-outer, m-inner order
-        N = 2 * _BLOCK + 1
+        N = 65
         rep = check_nlp(make_family("cheb1"), N)
         assert rep.min_coeff == 0.0 and rep.min_witness == (2, 2, 2)
         want = oracle_nlp(iter_oracle_rows(make_family("cheb1"), N), N)
         assert_same_report(rep, want)
 
-    @pytest.mark.parametrize("N", [_BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("N", [33, 65])
     def test_non_finite_rows_match_oracle(self, N):
         # a(n) = 2**-52 divides every step: rows overflow to inf, then NaN
         def seq():
@@ -165,7 +209,7 @@ class TestStreamedRows:
         assert rep.min_coeff == -np.inf and not rep.endpoints_positive
 
     def test_audit_matches_oracle_at_the_ladder_top(self):
-        # gencheb(0.5, 0.5) at N = 256: nine blocks, rows of up to 513 entries
+        # gencheb(0.5, 0.5) at N = 256: 257 steps, rows of up to 513 entries
         seq = make_family("gencheb", alpha=0.5, beta=0.5)
         assert_same_report(check_nlp(seq, 256),
                            oracle_nlp(iter_oracle_rows(seq, 256), 256))
@@ -189,28 +233,24 @@ class TestStreamedRows:
             LinearizationTable(seq, 40)
 
     def test_linearize_generates_only_rows_of_its_top_degree(self, monkeypatch):
-        # every generated row is one np.zeros in the linearization module;
+        # every generated row is one band row a step of the engine yields;
         # row (lo, hi) needs the rows (0..lo, hi) and nothing of lower degree
-        from hyplab import linearization
-
         made = []
+        engine = linearization._band_rows
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def zeros(self, shape, *args, **kwargs):
-                made.append(shape)
-                return np.zeros(shape, *args, **kwargs)
+        def counting_rows(c, a, n0, n1):
+            for band in engine(c, a, n0, n1):
+                made.extend([n0 + i for i in range(n1 - n0 - band.shape[0], n1 - n0)])
+                yield band
 
         seq = make_family("gencheb", alpha=0.5, beta=0.5)
         want = oracle_rows(seq, 64)
-        monkeypatch.setattr(linearization, "np", CountingNumpy())
+        monkeypatch.setattr(linearization, "_band_rows", counting_rows)
         for m, n in ((0, 64), (64, 5), (17, 40), (40, 40), (0, 0)):
             made.clear()
             row = linearize(seq, m, n)
             lo, hi = min(m, n), max(m, n)
-            assert len(made) == lo + 1, (m, n)
+            assert made == [hi] * (lo + 1), (m, n)
             assert row.tobytes() == want[(lo, hi)].tobytes(), (m, n)
 
     def test_audit_builds_no_table(self, monkeypatch):
@@ -238,6 +278,58 @@ class TestStreamedRows:
             LinearizationTable(make_family("cheb1"), -1)
         with pytest.raises(ValueError):
             check_nlp(make_family("cheb1"), N=-1)
+
+
+# every (n0, n1) range a reader runs the engine over: the table and the audit
+# all degrees 0 .. N, linearize one degree, translate the degrees n .. n + K
+ENGINE_RANGES = [(0, 1), (0, 2), (0, 6), (0, 21), (0, 34), (0, 66),
+                 (0, 101), (5, 6), (40, 41), (3, 10), (29, 50)]
+
+
+@pytest.mark.parametrize("tag,params", STREAM_FAMILIES)
+def test_band_engine_matches_block_oracle(tag, params):
+    seq = make_family(tag, **params)
+    for n0, n1 in ENGINE_RANGES:
+        if tag == "convex" and 2 * (n1 - 1) >= 107:
+            continue  # c(107) of convex(eps=0.5) rounds to 1.0
+        assert_bands_match_block_rows(seq, n0, n1)
+
+
+def test_band_engine_matches_block_oracle_on_non_finite_rows():
+    # the sequence of test_non_finite_rows_match_oracle: rows reach inf, NaN
+    seq = CoeffSequence("custom", {}, lambda n: 1 - 2**-52)
+    with np.errstate(all="ignore"):
+        for n0, n1 in ENGINE_RANGES:
+            assert_bands_match_block_rows(seq, n0, n1)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda seq, d: check_nlp(seq, d), "N"),
+    (lambda seq, d: LinearizationTable(seq, d).coeffs, "N"),
+    (lambda seq, d: linearize(seq, d, 3), "m"),
+    (lambda seq, d: linearize(seq, 2, d), "n"),
+    (lambda seq, d: translate(seq, [1.0, 0.5], d), "n"),
+    (lambda seq, d: LinearizationTable(seq, 4).row(d, 4), "m"),
+    (lambda seq, d: np.float64(LinearizationTable(seq, 4).g(2, 4, d)), "k"),
+], ids=["check_nlp", "LinearizationTable", "linearize-m", "linearize-n", "translate",
+        "row", "g"])
+def test_degrees_are_plain_integers(call, name):
+    # any integer type is a degree, and the results hold plain Python values;
+    # anything else is refused by the argument's name
+    seq = make_family("gencheb", alpha=0.5, beta=0.5)
+    want = call(seq, 3)
+    for d in (np.int64(3), np.int32(3), np.uint8(3)):
+        got = call(seq, d)
+        if isinstance(want, NLPReport):
+            assert json.dumps(dataclasses.asdict(got)) == json.dumps(dataclasses.asdict(want))
+            assert type(got.N) is int and got.N == 3
+            assert [type(k) for k in got.min_witness] == [int] * 3
+            assert [type(v) for v in dataclasses.astuple(got)[:2]] == [bool, float]
+        else:
+            assert got.tobytes() == want.tobytes()
+    for bad in (3.0, np.float64(3.0), "3", None):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            call(seq, bad)
 
 
 def test_numpy_reduceat_after_a_zero_is_the_exact_length_reduce():
@@ -558,6 +650,22 @@ def test_convolve_bitwise_equals_table_path(tag, params):
             fv, gv = rng.standard_normal(Kf + 1), rng.standard_normal(Kg + 1)
             got = convolve(seq, fv, gv)
             assert np.array_equal(got, table_convolve(seq, fv, gv, table)), (Kf, Kg)
+
+
+def test_convolve_builds_no_table():
+    # the table path held every row to degree Kf + Kg = 80 (8.45 MB)
+    seq = make_family("km", alpha=8.0, beta=5.0)
+    rng = np.random.default_rng(5)
+    fv, gv = rng.standard_normal(41), rng.standard_normal(41)
+    seq.c_array(160)  # fill the coefficient cache outside the measurement
+    haar_values(seq, 40)
+    tracemalloc.start()
+    try:
+        convolve(seq, fv, gv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_translate_holds_one_block_of_rows():

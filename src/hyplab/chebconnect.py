@@ -46,6 +46,7 @@ __all__ = [
     "CriterionReport",
     "criterion_grid",
     "criterion_report",
+    "measured_floor",
     "minimax_probe",
 ]
 
@@ -54,6 +55,8 @@ HAAR_FLOOR = 2.0 * (1.0 - 1e-9)
 
 #: Degree to which :func:`criterion_report` profiles its grid.
 PROFILE_DEGREE = 400
+
+_GRID_STEP = 1e-3  # of criterion_grid
 
 #: A connection coefficient below -CONNECTION_TOL counts as negative.
 CONNECTION_TOL = 1e-12
@@ -207,44 +210,47 @@ def _tail_convergent(read, N: int) -> tuple[bool, float, float]:
 def criterion_grid() -> np.ndarray:
     """The fixed grid of :func:`criterion_report`'s dual entries:
     ``arange(-1, 1 + 5e-4, 1e-3)``, 2001 points."""
-    return np.arange(-1.0, 1.0 + 0.5 * 1e-3, 1e-3)
+    return np.arange(-1.0, 1.0 + 0.5 * _GRID_STEP, _GRID_STEP)
+
+
+def measured_floor(seq: CoeffSequence) -> tuple[float, bool]:
+    """(min h(1..50), whether it meets ``HAAR_FLOOR``)."""
+    haar_min = float(np.min(haar_values(seq, 50)[1:]))
+    return haar_min, haar_min >= HAAR_FLOOR
 
 
 def criterion_report(
     seq: CoeffSequence,
     *,
     nlp_verified: bool | None = None,
-    profile: tuple[np.ndarray, np.ndarray] | None = None,
+    profile: np.ndarray | None = None,
 ) -> CriterionReport:
     """Evaluate every implemented sufficient criterion for h(n) >= 2.
 
     ``nlp_verified`` should be the outcome of a linearization check (or
     None when unknown); it gates the criteria that assume nonnegative
-    linearization.  The sizes are fixed: connection rows n <= 40, a profile
-    of max_{n<=400} |P_n(x)| on :func:`criterion_grid` for the
-    dual-coverage and uniform-boundedness entries, the catalogued
-    orthogonalization measure for the support entry (None when it is not
-    catalogued), c(n) and alpha(n) on [500, 1000] at tolerance 1e-8 for
-    the tail entries, and h(1..50) for the measured minimum.
+    linearization.  The sizes are fixed: connection rows n <= 40, the
+    profile below, the catalogued orthogonalization measure for the
+    support entry (None when it is not catalogued), c(n) and alpha(n) on
+    [500, 1000] at tolerance 1e-8 for the tail entries, and h(1..50) for
+    the measured minimum (:func:`measured_floor`).
 
-    The profile freezes at ``DIVERGE_THRESHOLD``, not at the membership
-    band: ``uniform_bound`` and ``profile_sup`` read frozen non-members.
-    A caller that has already profiled the grid, e.g. together with other
-    points in one ``dual._profile`` call, passes ``profile``: the pair
-    ``(max_abs, diverged_at)`` of ``dual._profile(seq, criterion_grid(),
-    PROFILE_DEGREE, DIVERGE_THRESHOLD)``.  Since each point's profile
-    depends only on its own path, the slice of a larger call is bitwise
-    the profile of the grid alone.
+    The profile is ``dual.max_abs_profile(seq, criterion_grid(),
+    PROFILE_DEGREE)``: ``dual_full_interval`` is the ``full_interval`` of its
+    ``dual.classify_profile``, and ``uniform_bound`` (no point past
+    ``DIVERGE_THRESHOLD``) and ``profile_sup`` read frozen non-members.  A
+    caller that has profiled the grid together with other points passes its
+    slice, which is bitwise the profile of the grid alone, as ``profile``.
     """
     conn_ok, conn_worst = connection_nonneg(seq, 40)
 
+    xs = criterion_grid()
     if profile is None:
-        profile = _dual._profile(seq, criterion_grid(), PROFILE_DEGREE,
-                                 _dual.DIVERGE_THRESHOLD)
-    prof, dvg = profile
-    dual_full = bool(np.all(prof <= 1.0 + _dual.MEMBER_TOL))
-    uniform = bool(np.all(dvg == 0))
-    sup_measured = float(np.max(prof))
+        profile = _dual.max_abs_profile(seq, xs, PROFILE_DEGREE)
+    dual_full = _dual.classify_profile(
+        xs, profile, PROFILE_DEGREE, _GRID_STEP, _dual.MEMBER_TOL).full_interval
+    uniform = not np.any(profile > _dual.DIVERGE_THRESHOLD)
+    sup_measured = float(np.max(profile))
 
     supp_symmetric: bool | None
     try:
@@ -275,9 +281,7 @@ def criterion_report(
     )
     predicted = conn_ok or dual_full or nlp_gated
 
-    h = haar_values(seq, 50)
-    haar_min = float(np.min(h[1:]))
-    floor_met = haar_min >= HAAR_FLOOR
+    haar_min, floor_met = measured_floor(seq)
     consistent = (not predicted) or floor_met
 
     return CriterionReport(

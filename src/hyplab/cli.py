@@ -116,10 +116,10 @@ def build_report(
 ) -> dict:
     """Aggregate report for one family; every check carries its tolerance.
 
-    The criteria and the dual estimate read one real profile, to degree
-    ``PROFILE_DEGREE``, of :func:`criterion_grid` and :func:`estimate_grid`
-    concatenated; each reads its own slice, which is bitwise what
-    ``criterion_report`` and ``dual_estimate`` would profile on their own.
+    The criteria and the dual estimate read one ``max_abs_profile`` array,
+    to degree ``PROFILE_DEGREE``, of :func:`criterion_grid` and
+    :func:`estimate_grid` concatenated; each reads its own slice, which is
+    bitwise what ``criterion_report`` and ``dual_estimate`` would profile.
 
     That profile freezes at ``DIVERGE_THRESHOLD``, so a frozen point stays
     below a band ``1 + tol`` past it: ``tol`` above ``DIVERGE_THRESHOLD - 1``
@@ -130,6 +130,7 @@ def build_report(
             f"tol must be <= DIVERGE_THRESHOLD - 1 = "
             f"{_dual.DIVERGE_THRESHOLD - 1:g}, got {tol!r}"
         )
+    xs_dual = _dual.estimate_grid(grid_step)
     seq = parse_family_spec(family)
     report: dict = {
         "family": seq.family_tag,
@@ -164,13 +165,11 @@ def build_report(
 
     N = _cheb.PROFILE_DEGREE
     xs_crit = _cheb.criterion_grid()
-    xs_dual = _dual.estimate_grid(grid_step)
-    prof, dvg = _dual._profile(seq, np.concatenate((xs_crit, xs_dual)), N,
-                               _dual.DIVERGE_THRESHOLD)
+    prof = _dual.max_abs_profile(seq, np.concatenate((xs_crit, xs_dual)), N)
     k = xs_crit.size
 
     crit = _cheb.criterion_report(seq, nlp_verified=nlp.is_nonnegative,
-                                  profile=(prof[:k], dvg[:k]))
+                                  profile=prof[:k])
     report["criteria"] = _criteria_block(crit)
     checks.append(_check("criteria_consistent", crit.haar_min,
                          _cheb.HAAR_FLOOR, passed=crit.consistent))

@@ -17,6 +17,7 @@ the resolution of c(n) near 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,11 +76,9 @@ def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     first multiple of ``_COMPRESS_EVERY`` at or after its crossing
     whatever the other points do.
 
-    A negative ``N`` raises ``ValueError``; every profile reader runs
-    through here.
+    ``N`` goes through :func:`_degree`, as every profile reader does.
     """
-    if N < 0:
-        raise ValueError(f"degree bound N must be >= 0, got {N}")
+    N = _degree(N)
     zs = np.asarray(zs)
     z = zs.ravel().astype(np.result_type(zs.dtype, np.float64), copy=False)
     fold = None
@@ -136,6 +135,17 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     out[idx] = m
 
 
+def _degree(N) -> int:
+    """``N`` as a plain int; a non-integer or a negative one is refused."""
+    try:
+        N = int(operator.index(N))
+    except TypeError:
+        raise TypeError(f"N must be an integer, got {N!r}") from None
+    if N < 0:
+        raise ValueError(f"degree bound N must be >= 0, got {N}")
+    return N
+
+
 def _check_step(name: str, step: float) -> None:
     """Refuse a grid step that is not a finite positive number."""
     if not 0.0 < step < np.inf:  # also false on a NaN
@@ -143,7 +153,9 @@ def _check_step(name: str, step: float) -> None:
 
 
 def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int) -> np.ndarray:
-    """Frozen-at-divergence sup_{n<=N} |P_n(x)| over a set of points."""
+    """Frozen-at-divergence sup_{n<=N} |P_n(x)| over a set of points; a point
+    crossed ``DIVERGE_THRESHOLD`` exactly when its value exceeds it, as the
+    crossing value enters the max (unless the path turns NaN after it)."""
     out, _ = _profile(seq, np.asarray(xs, dtype=float), N, DIVERGE_THRESHOLD)
     return out
 
@@ -162,6 +174,11 @@ class DualEstimate:
     @property
     def members(self) -> np.ndarray:
         return self.xs[self.member_mask]
+
+    @property
+    def full_interval(self) -> bool:
+        """Every grid point is a member: the estimate covers [-1, 1]."""
+        return bool(self.member_mask.all())
 
 
 def _merge_intervals(xs: np.ndarray, mask: np.ndarray) -> tuple:
@@ -182,9 +199,12 @@ def _merge_intervals(xs: np.ndarray, mask: np.ndarray) -> tuple:
 
 def estimate_grid(grid_step: float) -> np.ndarray:
     """The grid of :func:`dual_estimate`: ``round(2/grid_step) + 1`` even
-    points on [-1, 1], both endpoints included."""
+    points on [-1, 1], both endpoints included, so ``grid_step < 4``."""
     _check_step("grid_step", grid_step)
-    return np.linspace(-1.0, 1.0, int(round(2.0 / grid_step)) + 1)
+    n = int(round(2.0 / grid_step)) + 1
+    if n < 2:
+        raise ValueError(f"grid_step must be < 4 to hold both endpoints, got {grid_step!r}")
+    return np.linspace(-1.0, 1.0, n)
 
 
 def classify_profile(
@@ -197,11 +217,14 @@ def classify_profile(
     frozen at a threshold of at least ``1 + tol`` (a point that never
     crosses the band has the same path under every such threshold); a
     caller that profiles ``xs`` together with other points reads its slice
-    here.
+    here, which must be shaped like ``xs``.
     """
+    if np.shape(max_abs) != np.shape(xs):
+        raise ValueError(f"profile shape {np.shape(max_abs)} differs from "
+                         f"grid shape {np.shape(xs)}")
     mask = max_abs <= 1.0 + tol
     return DualEstimate(
-        N=N,
+        N=_degree(N),
         grid_step=grid_step,
         tol=tol,
         xs=xs,
@@ -213,14 +236,11 @@ def classify_profile(
 def dual_estimate(seq: CoeffSequence, N: int = 400, grid_step: float = 2e-4) -> DualEstimate:
     """Classify an even grid on [-1, 1] by boundedness of |P_n|.
 
-    Membership evidence is ``max_abs <= 1 + MEMBER_TOL``; the endpoints
-    -1 and 1 are always on the grid (:func:`estimate_grid`).  The profile
-    iterates only the distinct |x| of the grid (see ``_profile``):
-    ``linspace(-1, 1, 10001)`` has an exact mirror for 36% of its points
-    and needs 8198 magnitudes.
-
-    Points freeze at the band ``1 + MEMBER_TOL``, as in :func:`complex_scan`,
-    and the members are those of a profile frozen at ``DIVERGE_THRESHOLD``.
+    Membership evidence is ``max_abs <= 1 + MEMBER_TOL`` on
+    :func:`estimate_grid`.  Points freeze at that band, as in
+    :func:`complex_scan`, and the members are those of a profile frozen at
+    ``DIVERGE_THRESHOLD``.  Only the distinct |x| are iterated (see
+    ``_profile``): ``linspace(-1, 1, 10001)`` needs 8198 magnitudes.
     """
     xs = estimate_grid(grid_step)
     prof, _ = _profile(seq, xs, N, 1.0 + MEMBER_TOL)

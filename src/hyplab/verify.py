@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebconnect import HAAR_FLOOR
+from .chebconnect import measured_floor
 from .core import haar_values
 from .families import (
     ConvexSeqSpec,
@@ -311,21 +311,21 @@ def haar_floor_composite() -> CriterionResult:
     for tag, kw in _CLOSED_FORM_FAMILIES:
         seq = make_family(tag, **kw)
         est = _dual.dual_estimate(seq, N=400, grid_step=1e-3)
-        if est.intervals == ((-1.0, 1.0),):
+        if est.full_interval:
             covering += 1
-            hmin = float(np.min(haar_values(seq, 50)[1:]))
-            if hmin < HAAR_FLOOR:
+            hmin, met = measured_floor(seq)
+            if not met:
                 violations.append(f"{seq!r}: min h = {hmin}")
         if (tag, kw) == ("modkm", dict(alpha=8, beta=5)):
             # the converse witness: its profile and h(1..50) serve both checks
-            witness, hmin_w = est, float(np.min(haar_values(seq, 50)[1:]))
+            witness, (hmin_w, met_w) = est, measured_floor(seq)
 
     gap_present = len(witness.intervals) > 1
     zero_member = any(a <= 0.0 <= b for a, b in witness.intervals)
     punctured = any(
         0.0 < x < 0.13 for x in witness.xs[witness.member_mask]
     )
-    witness_ok = hmin_w >= HAAR_FLOOR and gap_present and zero_member and not punctured
+    witness_ok = met_w and gap_present and zero_member and not punctured
     if not witness_ok:
         violations.append(
             f"converse witness: hmin={hmin_w:.3f} gap={gap_present} "

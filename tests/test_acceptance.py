@@ -8,7 +8,7 @@ prints a single ``[PASS]``/``[FAIL]`` line with the measured figures, so
 import numpy as np
 import pytest
 
-from hyplab import verify
+from hyplab import chebconnect, verify
 
 
 @pytest.mark.parametrize(
@@ -163,8 +163,9 @@ def test_nan_coefficient_fails_criterion_5(monkeypatch):
 
 def test_criterion_7_failure_detail_is_deterministic(monkeypatch):
     # a violating family is shown by its repr, which once included the
-    # address of its coefficient lambda and so differed between processes
-    monkeypatch.setattr(verify, "HAAR_FLOOR", 1e9)
+    # address of its coefficient lambda and so differed between processes;
+    # the floor lives in chebconnect, whose measured_floor criterion 7 reads
+    monkeypatch.setattr(chebconnect, "HAAR_FLOOR", 1e9)
     result = verify.haar_floor_composite()
     assert result.passed is False
     assert "family_tag='cheb1'" in result.detail

@@ -3,18 +3,26 @@ criterion report, and the monic minimax floor."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyplab import dual, verify
 from hyplab.chebconnect import (
+    PROFILE_DEGREE,
     connection_coeffs,
     connection_nonneg,
     connection_row_checks,
+    criterion_grid,
     criterion_report,
     minimax_probe,
 )
-from hyplab.families import make_family
+from hyplab.families import make_family, parse_family_spec
+
+GOLDEN_REPORTS = sorted(json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json").read_text()
+)["report"])
 
 
 def cheb_eval(k, x):
@@ -260,6 +268,52 @@ class TestCriterionReport:
         rep = criterion_report(make_family("cheb1"), nlp_verified=True)
         text = "\n".join(rep.lines())
         assert "min h(n)" in text and "consistent" in text
+
+
+# criterion 7's families and convex(0.5): coverage of [-1, 1] was once
+# decided by the bridged intervals of their estimate in criterion 7 and by a
+# band test of their own profile in criterion_report
+COVERAGE_FAMILIES = [*verify._CLOSED_FORM_FAMILIES, ("convex", dict(eps=0.5))]
+
+
+def test_coverage_is_one_predicate_with_the_bridged_interval_verdict():
+    verdicts = []
+    for tag, params in COVERAGE_FAMILIES:
+        seq = make_family(tag, **params)
+        est = dual.dual_estimate(seq, N=400, grid_step=1e-3)
+        bridged = est.intervals == ((-1.0, 1.0),)
+        assert est.full_interval is bridged, (tag, params)
+        assert criterion_report(seq).dual_full_interval is bridged, (tag, params)
+        verdicts.append(bridged)
+    assert sum(verdicts) == 11
+
+
+@pytest.mark.parametrize("spec", GOLDEN_REPORTS)
+def test_uniform_bound_is_the_divergence_degree_rule(spec):
+    # the crossing value enters the running max, so a point crossed the
+    # threshold exactly when its max_abs is above it
+    seq = parse_family_spec(spec)
+    max_abs, dvg = dual._profile(seq, criterion_grid(), PROFILE_DEGREE,
+                                 dual.DIVERGE_THRESHOLD)
+    assert np.array_equal(max_abs > dual.DIVERGE_THRESHOLD, dvg > 0)
+    rep = criterion_report(seq, profile=max_abs)
+    assert rep.uniform_bound is bool(np.all(dvg == 0))
+
+
+def test_nan_profile_point_counts_as_bounded_but_not_member():
+    profile = np.ones(criterion_grid().size)
+    profile[7] = np.nan
+    rep = criterion_report(make_family("cheb1"), profile=profile)
+    assert rep.uniform_bound is True
+    assert rep.dual_full_interval is False
+
+
+def test_profile_of_another_shape_is_refused():
+    # a five-point profile once classified modkm(2,5) as covering [-1, 1]
+    with pytest.raises(ValueError, match=r"profile shape \(5,\) differs "
+                       r"from grid shape \(2001,\)"):
+        criterion_report(make_family("modkm", alpha=2, beta=5),
+                         profile=np.ones(5))
 
 
 class TestMinimaxFloor:

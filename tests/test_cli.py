@@ -197,6 +197,26 @@ class TestErrors:
         assert args.grid_step == 1e-6
         assert dual.estimate_grid(args.grid_step).size == 2_000_001
 
+    @pytest.mark.parametrize("step,code", [
+        (repr(float(np.nextafter(4.0, 0.0))), 0),
+        ("4", 1),
+        ("5", 1),
+    ])
+    def test_largest_grid_step_keeps_both_endpoints(self, capsys, step, code):
+        # round(2/grid_step) reaches 0 at grid_step = 4, which once left
+        # the one-point grid [-1] and a report of it
+        got, out, err = run(capsys, "report", "--family", "cheb1",
+                            "--grid-step", step)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == ("configuration error: grid_step must be < 4 to hold "
+                           f"both endpoints, got {float(step)!r}\n")
+        else:
+            block = json.loads(out)["dual"]
+            assert block["intervals"] == [[-1.0, 1.0]]
+            assert block["member_count"] == 2
+
 
 class TestNumericalFailure:
     # a numerical failure inside a command is named on one stderr line and

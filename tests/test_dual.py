@@ -1,13 +1,14 @@
 """Structure-space estimation: bounded-profile grids, interval recovery,
 the degree-2 lower bound, and complex-plane scans."""
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from hyplab import appendixcheck, dual, verify
+from hyplab import appendixcheck, cli, dual, verify
 from hyplab.core import CoefficientDomainError
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
@@ -477,3 +478,45 @@ def test_merge_intervals_matches_loop_on_random_masks():
             for _ in range(20):
                 m = rng.random(n) < p
                 assert dual._merge_intervals(xs, m) == reference_merge(xs, m)
+
+
+def dual_json(est):
+    return json.dumps(cli._dual_block(est))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, N: dual_json(dual_estimate(s, N=N, grid_step=0.1)),
+    lambda s, N: complex_scan(s, N=N, step=0.5),
+    lambda s, N: divergence_classify(s, 0.5, N=N),
+    lambda s, N: max_abs_profile(s, [0.5], N),
+    lambda s, N: dual_json(dual.classify_profile(np.zeros(1), np.ones(1), N,
+                                                 1.0, 1e-9)),
+], ids=["estimate", "scan", "classify", "profile", "classify_profile"])
+def test_degree_is_a_plain_integer(call):
+    # a float N once ended in "list indices must be integers or slices", and
+    # an np.int64 N in a DualEstimate that json could not dump
+    seq = make_family("modkm", alpha=2, beta=5)
+    with pytest.raises(TypeError, match=r"^N must be an integer, got 3\.0$"):
+        call(seq, 3.0)
+    assert repr(call(seq, np.int64(3))) == repr(call(seq, 3))
+
+
+@pytest.mark.parametrize("step,size", [
+    (float(np.nextafter(4.0, 0.0)), 2),
+    (4.0, None),
+    (5.0, None),
+])
+def test_estimate_grid_holds_both_endpoints(step, size):
+    # round(2/grid_step) is 0 from grid_step = 4 on: a one-point grid [-1]
+    if size is None:
+        with pytest.raises(ValueError, match=r"^grid_step must be < 4 "):
+            dual.estimate_grid(step)
+    else:
+        assert dual.estimate_grid(step).tolist() == [-1.0, 1.0]
+
+
+def test_classify_profile_refuses_a_profile_of_another_shape():
+    xs = dual.estimate_grid(0.5)
+    with pytest.raises(ValueError, match=r"profile shape \(4,\) differs "
+                       r"from grid shape \(5,\)"):
+        dual.classify_profile(xs, np.ones(4), 10, 0.5, 1e-9)

@@ -90,6 +90,23 @@ def test_no_module_reads_a_backbone_attribute():
     assert not found
 
 
+def test_only_dual_names_its_profile_kernel():
+    # every other layer reads the profile through max_abs_profile and the
+    # verdicts through DualEstimate, so no second coverage rule grows
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        if path.name == "dual.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None)
+            if name == "_profile":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found
+
+
 def _reads_tag(expr, bound) -> bool:
     return any(
         (isinstance(n, ast.Attribute) and n.attr == "family_tag")

@@ -67,6 +67,7 @@ from .dual import (
     complex_scan,
     divergence_classify,
     dual_estimate,
+    dual_estimates,
     max_abs_profile,
     exclusion_bound,
     exclusion_intervals,
@@ -75,6 +76,7 @@ from .appendixcheck import (
     TildeSeq,
     chebyshev_partner_residual,
     kernel_identity_residual,
+    kernel_identity_residuals,
     km_monic_lambda,
     mustar_orthogonality,
     tilde_density,

@@ -43,6 +43,7 @@ __all__ = [
     "tilde_monic_lambda",
     "monic_rows",
     "kernel_identity_residual",
+    "kernel_identity_residuals",
     "mustar_orthogonality",
     "tilde_density",
     "tilde_density_ratio",
@@ -123,25 +124,31 @@ def _one_minus_x2_times(p: Sequence) -> list:
     return out
 
 
-def _kernel_residual(lam, lam_star, n: int, r):
-    """Max |coefficient| of (1-x^2) sigma*_n + sigma_{n+2} - r sigma_n,
-    with sigma from the monic weights ``lam`` and sigma* from ``lam_star``.
+def _kernel_residuals(lam, lam_star, ratios: dict) -> dict:
+    """n -> max |coefficient| of (1-x^2) sigma*_n + sigma_{n+2} - r sigma_n
+    with r = ``ratios[n]``, sigma from the monic weights ``lam`` and sigma*
+    from ``lam_star``; every n from one build of the rows.
 
-    Exact (a Fraction) when r and the weights are rational, on the integer
-    rows tau_k(y) = D^k sigma_k(y / D): with D the common denominator of
-    the weights, tau is monic with the integer weights D^2 lambda_k, and
-    coefficient j of sigma_k is tau_{k,j} / D^(k-j).  For r = p/q the
-    residual scaled by q D^(n+2) then has integer coefficients.  Floating
-    point otherwise.
+    Exact (a Fraction) when every r and the weights are rational, on the
+    integer rows tau_k(y) = D^k sigma_k(y / D): with D the common
+    denominator of the weights, tau is monic with the integer weights
+    D^2 lambda_k, and coefficient j of sigma_k is tau_{k,j} / D^(k-j).  For
+    r = p/q the residual scaled by q D^(n+2) then has integer coefficients,
+    and its value does not depend on which common denominator D is.
+    Floating point otherwise.
     """
-    if not isinstance(r, Rational):
-        sig = monic_rows(lam, n + 2)
-        sig_star = monic_rows(lam_star, max(n, 1))
-        lhs = _one_minus_x2_times(sig_star[n])
-        rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
-        return max(abs(c) for c in _poly_sub(lhs, rhs))
-    lams = [lam(k) for k in range(1, n + 2)]
-    lams_star = [lam_star(k) for k in range(1, n)]
+    top = max(ratios)
+    if not all(isinstance(r, Rational) for r in ratios.values()):
+        sig = monic_rows(lam, top + 2)
+        sig_star = monic_rows(lam_star, max(top, 1))
+        out = {}
+        for n, r in ratios.items():
+            lhs = _one_minus_x2_times(sig_star[n])
+            rhs = _poly_sub(_poly_scale(sig[n], r), sig[n + 2])
+            out[n] = max(abs(c) for c in _poly_sub(lhs, rhs))
+        return out
+    lams = [lam(k) for k in range(1, top + 2)]
+    lams_star = [lam_star(k) for k in range(1, top)]
     D = math.lcm(*(v.denominator for v in (*lams, *lams_star)))
     D2 = D * D
 
@@ -149,20 +156,23 @@ def _kernel_residual(lam, lam_star, n: int, r):
         mu = [v.numerator * (D2 // v.denominator) for v in weights]
         return lambda k: mu[k - 1]
 
-    tau = monic_rows(scaled(lams), n + 2)
-    tau_star = monic_rows(scaled(lams_star), n)[n]
-    p, q = r.numerator, r.denominator
-    # coefficient j of q D^(n+2) times the residual is D^j times
-    # q D^2 tau*_{n,j} - q tau*_{n,j-2} + q tau_{n+2,j} - p D^2 tau_{n,j}
-    resid = [q * c for c in tau[n + 2]]
-    for j, c in enumerate(tau_star):
-        resid[j] += q * D2 * c
-        resid[j + 2] -= q * c
-    for j, c in enumerate(tau[n]):
-        resid[j] -= p * D2 * c
-    return Fraction(
-        max(abs(c) * D**j for j, c in enumerate(resid)), q * D ** (n + 2)
-    )
+    tau = monic_rows(scaled(lams), top + 2)
+    tau_star = monic_rows(scaled(lams_star), top)
+    out = {}
+    for n, r in ratios.items():
+        p, q = r.numerator, r.denominator
+        # coefficient j of q D^(n+2) times the residual is D^j times
+        # q D^2 tau*_{n,j} - q tau*_{n,j-2} + q tau_{n+2,j} - p D^2 tau_{n,j}
+        resid = [q * c for c in tau[n + 2]]
+        for j, c in enumerate(tau_star[n]):
+            resid[j] += q * D2 * c
+            resid[j + 2] -= q * c
+        for j, c in enumerate(tau[n]):
+            resid[j] -= p * D2 * c
+        out[n] = Fraction(
+            max(abs(c) * D**j for j, c in enumerate(resid)), q * D ** (n + 2)
+        )
+    return out
 
 
 def kernel_identity_residual(alpha, beta, n: int) -> float:
@@ -171,11 +181,21 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     r_n is (alpha-1)/alpha for n = 0 and (alpha-1)(beta-1)/(alpha beta)
     for n >= 1.  Exactly 0 for rational alpha, beta.
     """
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    return kernel_identity_residuals(alpha, beta, (n,))[0]
+
+
+def kernel_identity_residuals(alpha, beta, ns) -> list[float]:
+    """:func:`kernel_identity_residual` at each degree of ``ns``, in order,
+    from one build of the monic rows up to max(ns) + 2; each value equals
+    that of the single call."""
+    ns = list(ns)
+    for n in ns:
+        if n < 0:
+            raise ValueError(f"degree n must be >= 0, got {n}")
     KMParams(float(alpha), float(beta))  # validate the parameter domain
+    if not ns:
+        return []
     a, b = _exact(alpha, beta)
-    r = (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b)
     # the weights repeat from k = 2 on with period 2: read them once
     w = {k: km_monic_lambda(a, b, k) for k in (1, 2, 3)}
     w_star_1 = tilde_monic_lambda(a, b, 1)
@@ -183,9 +203,11 @@ def kernel_identity_residual(alpha, beta, n: int) -> float:
     def lam(k):
         return w[1] if k == 1 else w[2 + k % 2]
 
-    return float(_kernel_residual(
-        lam, lambda k: w_star_1 if k == 1 else lam(k), n, r
-    ))
+    residuals = _kernel_residuals(
+        lam, lambda k: w_star_1 if k == 1 else lam(k),
+        {n: (a - 1) / a if n == 0 else (a - 1) * (b - 1) / (a * b) for n in ns},
+    )
+    return [float(residuals[n]) for n in ns]
 
 
 def _poly_eval_grid(coeffs: Sequence, x: np.ndarray) -> np.ndarray:
@@ -287,7 +309,6 @@ def chebyshev_partner_residual(nmax: int) -> float:
     lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)
     lam_u = lambda k: Fraction(1, 4)
     at_one = [sum(row) for row in monic_rows(lam_t, nmax + 2)]  # sigma_n(1)
-    return float(max(
-        _kernel_residual(lam_t, lam_u, n, at_one[n + 2] / at_one[n])
-        for n in range(nmax + 1)
-    ))
+    return float(max(_kernel_residuals(
+        lam_t, lam_u, {n: at_one[n + 2] / at_one[n] for n in range(nmax + 1)}
+    ).values()))

@@ -17,6 +17,7 @@ the resolution of c(n) near 1.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +34,7 @@ __all__ = [
     "estimate_grid",
     "classify_profile",
     "dual_estimate",
+    "dual_estimates",
     "exclusion_bound",
     "exclusion_intervals",
     "divergence_classify",
@@ -44,23 +46,34 @@ DIVERGE_THRESHOLD = 1e6
 MEMBER_TOL = 1e-9
 _COMPRESS_EVERY = 16
 _BLOCK = 16384
+#: The largest grid a dual estimate or a complex scan builds (16 MB of
+#: float64); ``report --grid-step 1e-6`` reaches it.
+_MAX_GRID_POINTS = 2_000_001
 
 
-def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
+def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     """max_n<=N |P_n(z)| per point, frozen once it exceeds threshold.
 
-    Returns (max_abs, diverged_at) shaped like ``zs``, where
-    diverged_at[i] is the degree at which the threshold was crossed, or
-    0 if it never was.  The update P_{n+1} = P_{n-1} + (1/a(n)) (z P_n -
-    P_{n-1}) keeps the two points z = +-1 exact (the increment vanishes
-    identically there).  Points are taken as float64, or complex128 when
-    complex.  max_abs starts at max(1, |z|), also for N = 0 and N = 1.
+    ``seqs`` is one sequence, or a list of F sequences profiled on the same
+    points in one pass.  Returns (max_abs, diverged_at), shaped like ``zs``
+    for one sequence and ``(F, *zs.shape)`` for a list, where diverged_at
+    is the degree at which the threshold was crossed, or 0 if it never
+    was.  Each family's row is bitwise its own one-sequence profile.  The
+    update P_{n+1} = P_{n-1} + (1/a(n)) (z P_n - P_{n-1}) keeps the two
+    points z = +-1 exact (the increment vanishes identically there).
+    Points are taken as float64, or complex128 when complex.  max_abs
+    starts at max(1, |z|), also for N = 0 and N = 1.
 
     Freezing: the value that crosses the threshold enters the max and is
-    then replaced by 0.  The point keeps iterating until the next degree
-    n that is a multiple of ``_COMPRESS_EVERY``, where it is dropped; in
-    between, its later values still enter the max and a second crossing
-    overwrites diverged_at.
+    then replaced by 0.  The entry keeps iterating until the next degree
+    n that is a multiple of ``_COMPRESS_EVERY``, where its max becomes
+    final; in between, its later values still enter the max and a second
+    crossing overwrites diverged_at.  From there on the entry is held: its
+    z and its last two values are set to 0, so it adds nothing more to its
+    max.  A point is dropped once every family has crossed at it, at a
+    compression where such points are at least an eighth of the live ones
+    (dropping copies every working array, holding costs one share of each
+    step).
 
     Real points are folded: only the distinct magnitudes ``|x|`` are
     iterated, and their results are scattered back to every point.  The
@@ -70,69 +83,104 @@ def _profile(seq: CoeffSequence, zs: np.ndarray, N: int, threshold: float):
     and so do max_abs and diverged_at, freezing included.  Complex points
     are not folded here (``complex_scan`` folds its own grid).
 
-    The iterated points run in blocks of ``_BLOCK`` so that the working
-    arrays stay in cache.  Blocking is exact: each point's values depend
-    only on its own path, and a point that crosses is dropped at the
-    first multiple of ``_COMPRESS_EVERY`` at or after its crossing
-    whatever the other points do.
+    The iterated points run in blocks of ``_BLOCK // F`` so that the
+    working arrays stay in cache.  Blocking and batching are exact: each
+    entry's values depend only on its own path, and its max is final at
+    the first multiple of ``_COMPRESS_EVERY`` at or after its crossing
+    whatever the other entries do.
 
     ``N`` goes through :func:`_degree`, as every profile reader does.
     """
     N = _degree(N)
+    one = isinstance(seqs, CoeffSequence)
+    if one:
+        seqs = [seqs]
     zs = np.asarray(zs)
     z = zs.ravel().astype(np.result_type(zs.dtype, np.float64), copy=False)
     fold = None
     if not np.iscomplexobj(z):
         z, fold = np.unique(np.abs(z), return_inverse=True)
-    inv_a = seq.inv_a_array(N - 1 if N > 0 else 0)
-    out = np.maximum(1.0, np.abs(z))
-    dvg = np.zeros(z.size, dtype=np.int32)
-    for start in range(0, z.size, _BLOCK):
-        stop = min(start + _BLOCK, z.size)
-        _profile_block(z[start:stop], inv_a, N, threshold,
-                       out[start:stop], dvg[start:stop])
+    inv_a = np.empty((len(seqs), max(N, 1)))
+    for row, seq in zip(inv_a, seqs):
+        row[:] = seq.inv_a_array(N - 1 if N > 0 else 0)
+    out = np.empty((len(seqs), z.size))
+    out[:] = np.maximum(1.0, np.abs(z))
+    dvg = np.zeros(out.shape, dtype=np.int32)
+    if seqs:
+        width = max(_BLOCK // len(seqs), 1)
+        for start in range(0, z.size, width):
+            stop = min(start + width, z.size)
+            _profile_block(z[start:stop], inv_a, N, threshold,
+                           out[:, start:stop], dvg[:, start:stop])
     if fold is not None:
-        out, dvg = out[fold], dvg[fold]
-    return out.reshape(zs.shape), dvg.reshape(zs.shape)
+        out, dvg = out[:, fold], dvg[:, fold]
+    shape = zs.shape if one else out.shape[:1] + zs.shape
+    return out.reshape(shape), dvg.reshape(shape)
+
+
+def _empty(shape, dtype=float) -> np.ndarray:
+    """``np.empty`` starting on a 64-byte boundary, so that no vector load
+    of the iteration straddles a cache line."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -buf.__array_interface__["data"][0] % 64
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _profile_block(z, inv_a, N, threshold, out, dvg):
-    """Run the frozen recurrence on one block, writing into out and dvg."""
+    """Run the frozen recurrence on one block of points for every family,
+    writing into the (F, points) arrays out and dvg.
+
+    The live state is (F, live points), or 1-D for one family; ``a.T``
+    puts the point axis first in either shape, so ``a.T[i]`` indexes points.
+    """
+    if len(inv_a) == 1:  # one family: 1-D arrays and a scalar 1/a(n)
+        out, dvg, steps = out[0], dvg[0], inv_a[0]
+    else:  # 1/a(n) as an (F, 1) column
+        steps = np.ascontiguousarray(inv_a.T)[:, :, None]
     idx = np.arange(z.size)
-    m = out.copy()  # running max of the live points idx
-    p_prev = np.ones_like(z)
-    p_cur = z.copy()
-    p_next = np.empty_like(z)
-    r = np.empty(z.size)
+    d = dvg.copy()  # diverged_at of the live points idx
+    m, zs, p_prev, p_cur, p_next, r = (
+        _empty(out.shape, t) for t in (float, z.dtype, z.dtype, z.dtype, z.dtype, float))
+    m[...] = out  # running max
+    zs[...] = p_cur[...] = z  # z per entry, so that one entry can be held
+    p_prev[...] = 1.0
+    z = zs
     pending = False
     for n in range(1, N):
         np.multiply(z, p_cur, out=p_next)
         p_next -= p_prev
-        p_next *= inv_a[n]
+        p_next *= steps[n]
         p_next += p_prev
         np.abs(p_next, out=r)
         np.maximum(m, r, out=m)
         if not r.max() <= threshold:  # also true on a NaN
             over = r > threshold
             if over.any():
-                dvg[idx[over]] = n + 1
-                p_next[over] = 0.0  # stop growth; dropped at next compression
+                np.copyto(d, n + 1, where=over)
+                np.copyto(p_next, 0.0, where=over)  # final at next compression
                 pending = True
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
         if pending and n % _COMPRESS_EVERY == 0:
-            out[idx] = m
-            keep = dvg[idx] == 0
-            idx = idx[keep]
-            if idx.size == 0:
-                return
-            z = z[keep]
-            m = m[keep]
-            p_prev = p_prev[keep]
-            p_cur = p_cur[keep]
-            p_next = np.empty_like(p_cur)
-            r = np.empty(idx.size)
+            crossed = d != 0
+            gone = crossed.all(axis=0) if crossed.ndim > 1 else crossed
+            if np.count_nonzero(gone) * 8 >= idx.size:  # write out and drop them
+                done = np.flatnonzero(gone)
+                out.T[idx[done]] = m.T[done]
+                dvg.T[idx[done]] = d.T[done]
+                if done.size == idx.size:
+                    return
+                keep = np.flatnonzero(~gone)
+                shape = m.shape[:-1] + keep.shape
+                idx, d = idx[keep], d.take(keep, axis=-1)
+                m, z, p_prev, p_cur = (a.take(keep, -1, _empty(shape, a.dtype), "clip")
+                                       for a in (m, z, p_prev, p_cur))
+                p_next, r = _empty(shape, z.dtype), _empty(shape)
+                crossed = d != 0
+            z[crossed] = p_prev[crossed] = p_cur[crossed] = 0.0  # hold them
             pending = False
-    out[idx] = m
+    out.T[idx] = m.T
+    dvg.T[idx] = d.T
 
 
 def _degree(N) -> int:
@@ -150,6 +198,13 @@ def _check_step(name: str, step: float) -> None:
     """Refuse a grid step that is not a finite positive number."""
     if not 0.0 < step < np.inf:  # also false on a NaN
         raise ValueError(f"{name} must be finite and > 0, got {step!r}")
+
+
+def _check_grid(name: str, step: float, points: float) -> None:
+    """Refuse a step whose grid has more than ``_MAX_GRID_POINTS`` points."""
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{name} must give at most {_MAX_GRID_POINTS:,} grid "
+                         f"points, got {step!r}")
 
 
 def max_abs_profile(seq: CoeffSequence, xs: Sequence[float], N: int) -> np.ndarray:
@@ -199,11 +254,13 @@ def _merge_intervals(xs: np.ndarray, mask: np.ndarray) -> tuple:
 
 def estimate_grid(grid_step: float) -> np.ndarray:
     """The grid of :func:`dual_estimate`: ``round(2/grid_step) + 1`` even
-    points on [-1, 1], both endpoints included, so ``grid_step < 4``."""
+    points on [-1, 1], both endpoints included, so ``grid_step < 4``; a
+    grid of more than ``_MAX_GRID_POINTS`` is refused before it is built."""
     _check_step("grid_step", grid_step)
-    n = int(round(2.0 / grid_step)) + 1
+    n = round(min(2.0 / grid_step, _MAX_GRID_POINTS)) + 1
     if n < 2:
         raise ValueError(f"grid_step must be < 4 to hold both endpoints, got {grid_step!r}")
+    _check_grid("grid_step", grid_step, n)
     return np.linspace(-1.0, 1.0, n)
 
 
@@ -233,18 +290,27 @@ def classify_profile(
     )
 
 
-def dual_estimate(seq: CoeffSequence, N: int = 400, grid_step: float = 2e-4) -> DualEstimate:
-    """Classify an even grid on [-1, 1] by boundedness of |P_n|.
+def dual_estimates(
+    seqs: Sequence[CoeffSequence], N: int = 400, grid_step: float = 2e-4
+) -> list[DualEstimate]:
+    """Classify an even grid on [-1, 1] by boundedness of |P_n|, for each
+    sequence of ``seqs``; all are profiled in one pass over one grid.
 
     Membership evidence is ``max_abs <= 1 + MEMBER_TOL`` on
     :func:`estimate_grid`.  Points freeze at that band, as in
     :func:`complex_scan`, and the members are those of a profile frozen at
     ``DIVERGE_THRESHOLD``.  Only the distinct |x| are iterated (see
-    ``_profile``): ``linspace(-1, 1, 10001)`` needs 8198 magnitudes.
+    ``_profile``): ``linspace(-1, 1, 10001)`` needs 8198 magnitudes.  Each
+    estimate is bitwise the one :func:`dual_estimate` gives alone.
     """
     xs = estimate_grid(grid_step)
-    prof, _ = _profile(seq, xs, N, 1.0 + MEMBER_TOL)
-    return classify_profile(xs, prof, N, grid_step, MEMBER_TOL)
+    prof, _ = _profile(list(seqs), xs, N, 1.0 + MEMBER_TOL)
+    return [classify_profile(xs, p, N, grid_step, MEMBER_TOL) for p in prof]
+
+
+def dual_estimate(seq: CoeffSequence, N: int = 400, grid_step: float = 2e-4) -> DualEstimate:
+    """:func:`dual_estimates` of the one sequence ``seq``."""
+    return dual_estimates([seq], N, grid_step)[0]
 
 
 def exclusion_bound(seq: CoeffSequence) -> float:
@@ -309,16 +375,27 @@ def complex_scan(seq: CoeffSequence, N: int = 400, step: float = 4e-3):
     Points freeze at the band ``1 + MEMBER_TOL``, since only survivors are
     returned.  This is exact: a survivor never exceeds the band, so its
     path is the one under ``DIVERGE_THRESHOLD``, and a point that crosses
-    the band has a running max above it under both thresholds.
+    the band has a running max above it under both thresholds.  For the
+    same reason only the points with |z| <= band are profiled: max_abs
+    starts at max(1, |z|), so the others are out from the start, and they
+    get |z| as their profile.
+
+    A step whose grid has more than ``_MAX_GRID_POINTS`` points is refused
+    before anything is built (the default 4e-3 has 564,001 points).
     """
     _check_step("step", step)
     band = 1.0 + MEMBER_TOL
-    ims = np.arange(-1.5, 1.5 + 0.5 * step, step)
-    n = ims.size
+    # the length of np.arange(-1.5, stop, step), reckoned as numpy does
+    stop = 1.5 + 0.5 * step
+    n = math.ceil(min((stop + 1.5) / step, _MAX_GRID_POINTS))
+    _check_grid("step", step, n * n)
+    ims = np.arange(-1.5, stop, step)
     res = (np.arange(n) - 0.5 * (n - 1)) * step
-    Z = res[None, :] + 1j * ims[:, None]
-    half, _ = _profile(seq, Z[:, n // 2:], N, band)
-    prof = np.concatenate((half[:, ::-1][:, : n // 2], half), axis=1).ravel()
-    Z = Z.ravel()
+    half = res[None, n // 2:] + 1j * ims[:, None]
+    prof = np.abs(half)
+    inband = prof <= band
+    prof[inband] = _profile(seq, half[inband], N, band)[0]
+    prof = np.concatenate((prof[:, ::-1][:, : n // 2], prof), axis=1)
     alive = prof <= band
-    return Z[alive], prof[alive]
+    rows, cols = np.nonzero(alive)
+    return res[cols] + 1j * ims[rows], prof[alive]

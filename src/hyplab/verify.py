@@ -308,9 +308,9 @@ def haar_floor_composite() -> CriterionResult:
     """Full dual coverage forces h(n) >= 2; converse failure witnessed."""
     covering = 0
     violations = []
-    for tag, kw in _CLOSED_FORM_FAMILIES:
-        seq = make_family(tag, **kw)
-        est = _dual.dual_estimate(seq, N=400, grid_step=1e-3)
+    seqs = [make_family(tag, **kw) for tag, kw in _CLOSED_FORM_FAMILIES]
+    estimates = _dual.dual_estimates(seqs, N=400, grid_step=1e-3)
+    for (tag, kw), seq, est in zip(_CLOSED_FORM_FAMILIES, seqs, estimates):
         if est.full_interval:
             covering += 1
             hmin, met = measured_floor(seq)
@@ -347,12 +347,12 @@ def partner_identities() -> CriterionResult:
     """Kernel identity lattice, partner-measure orthogonality, densities."""
     lattice = [(a, b) for a in (2, 3, 5, 8) for b in (2, 3, 5, 8)]
     exact_worst = _fold(max, 0.0, (
-        _appendix.kernel_identity_residual(a, b, n)
-        for a, b in lattice for n in range(0, 13)
+        r for a, b in lattice
+        for r in _appendix.kernel_identity_residuals(a, b, range(0, 13))
     ))
     float_worst = _fold(max, 0.0, (
-        _appendix.kernel_identity_residual(float(a), float(b), n)
-        for a, b in lattice for n in range(13, 16)
+        r for a, b in lattice
+        for r in _appendix.kernel_identity_residuals(float(a), float(b), range(13, 16))
     ))
     cheb_resid = _appendix.chebyshev_partner_residual(12)
 

@@ -9,9 +9,10 @@ import pytest
 
 from hyplab.appendixcheck import (
     TildeSeq,
-    _kernel_residual,
+    _kernel_residuals,
     chebyshev_partner_residual,
     kernel_identity_residual,
+    kernel_identity_residuals,
     km_monic_lambda,
     monic_rows,
     mustar_orthogonality,
@@ -146,11 +147,36 @@ def test_integer_path_matches_fraction_oracle_off_the_identity(a, b):
             (lam, lam_star, n, Fraction(1, 3)),
             (lam_star, lam, n, r),
         ):
-            got = _kernel_residual(*args)
+            got = _kernel_residuals(*args[:2], {n: args[3]})[n]
             want = fraction_kernel_residual(*args)
             assert type(got) is Fraction and got == want, (n, args[3])
             assert got != 0
             assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("a,b", [*LATTICE, *((float(a), float(b)) for a, b in LATTICE),
+                                 (2.5, 5.5), (3, 7.5), (Fraction(5, 2), 3.0)])
+def test_residual_list_equals_per_n_calls(a, b):
+    # criterion 8 reads all n of one (alpha, beta) from one row build
+    ns = [*range(16), 3, 0]
+    got = kernel_identity_residuals(a, b, ns)
+    assert [r.hex() for r in got] == [
+        kernel_identity_residual(a, b, n).hex() for n in ns]
+    assert kernel_identity_residuals(a, b, []) == []
+
+
+@pytest.mark.parametrize("a,b", RATIONAL_PARAMS)
+def test_residuals_of_one_row_build_match_fraction_oracle(a, b):
+    # off the identity the residuals are nonzero; one common denominator
+    # for all n gives each the exact value of its own build
+    lam = lambda k: km_monic_lambda(a, b, k)
+    lam_star = lambda k: tilde_monic_lambda(a, b, k)
+    ratios = {n: Fraction(1, 7 + n) for n in range(21)}
+    got = _kernel_residuals(lam, lam_star, ratios)
+    assert list(got) == list(ratios)
+    for n, r in ratios.items():
+        want = fraction_kernel_residual(lam, lam_star, n, r)
+        assert type(got[n]) is Fraction and got[n] == want != 0, n
 
 
 def test_chebyshev_pair_with_a_wrong_ratio():
@@ -159,9 +185,9 @@ def test_chebyshev_pair_with_a_wrong_ratio():
     for n in range(31):
         # r_n = 1/4 for n >= 1 and 1/2 at n = 0; perturb it
         r = (Fraction(1, 2) if n == 0 else Fraction(1, 4)) - Fraction(1, 1000)
-        got = _kernel_residual(lam_t, lam_u, n, r)
+        got = _kernel_residuals(lam_t, lam_u, {n: r})[n]
         assert got == fraction_kernel_residual(lam_t, lam_u, n, r) != 0
-        assert _kernel_residual(lam_u, lam_t, n, r) == fraction_kernel_residual(
+        assert _kernel_residuals(lam_u, lam_t, {n: r})[n] == fraction_kernel_residual(
             lam_u, lam_t, n, r)
 
 

@@ -373,6 +373,182 @@ def test_profile_folds_real_points_by_magnitude(N, monkeypatch):
     assert iterated.size < xs.size
 
 
+# --- several sequences in one pass against one at a time -------------------
+
+def batch_inputs():
+    re = np.arange(-1.5, 1.5 + 0.045, 0.09)
+    return {
+        "real": np.concatenate((
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 1.0],
+            np.linspace(-1.5, 1.5, 1201),
+        )),
+        "complex": np.concatenate((
+            (re[None, :] + 1j * re[:, None]).ravel(),
+            [complex(np.inf, 0.0), complex(0.0, np.inf), complex(np.inf, 1.0),
+             complex(np.nan, 0.5), complex(0.3, np.nan), complex(0.2, 0.1)],
+        )),
+        "real 2-D": np.linspace(-1.5, 1.5, 600).reshape(20, 30),
+        "empty": np.array([]),
+    }
+
+
+@pytest.mark.parametrize("threshold", [DIVERGE_THRESHOLD, 1.0 + dual.MEMBER_TOL],
+                         ids=["diverge", "band"])
+@pytest.mark.parametrize("N", [0, 1, 2, 16, 17, 400])
+def test_batched_profile_rows_equal_single_profiles(N, threshold):
+    # each family's row of one batched pass is bitwise its own profile, and
+    # that of the unblocked oracle, at frozen points, NaN and +-inf included
+    seqs = [make_family(tag, **params) for tag, params in ORACLE_FAMILIES]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, zs in batch_inputs().items():
+            got_max, got_dvg = dual._profile(seqs, zs, N, threshold)
+            assert got_max.shape == got_dvg.shape == (len(seqs), *zs.shape), name
+            assert got_max.dtype == np.float64 and got_dvg.dtype == np.int32
+            for f, seq in enumerate(seqs):
+                one_max, one_dvg = dual._profile([seq], zs, N, threshold)
+                want_max, want_dvg = dual._profile(seq, zs, N, threshold)
+                ref_max, ref_dvg = reference_profile(seq, zs, N, threshold)
+                for m, d in ((one_max[0], one_dvg[0]), (want_max, want_dvg),
+                             (ref_max, ref_dvg)):
+                    assert np.array_equal(got_max[f], m, equal_nan=True), (name, f)
+                    assert np.array_equal(got_dvg[f], d), (name, f)
+
+
+def test_batched_profile_holds_entries_of_live_points():
+    # the batch must hold crossed entries at points another family keeps
+    # iterating, and drop points every family crossed
+    seqs = [make_family(tag, **params) for tag, params in ORACLE_FAMILIES]
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, dvg = dual._profile(seqs, batch_inputs()["real"], 400, DIVERGE_THRESHOLD)
+    crossed = dvg > 0
+    assert np.any(crossed.any(axis=0) & ~crossed.all(axis=0))
+    assert np.any(crossed.all(axis=0))
+
+
+@pytest.mark.parametrize("grid_step", [2e-4, 1e-3])
+def test_dual_estimates_equal_one_at_a_time(grid_step):
+    seqs = [make_family(tag, **params) for tag, params in ORACLE_FAMILIES]
+    for seq, est in zip(seqs, dual.dual_estimates(seqs, N=400, grid_step=grid_step)):
+        want = dual_estimate(seq, N=400, grid_step=grid_step)
+        assert np.array_equal(est.xs, want.xs)
+        assert np.array_equal(est.member_mask, want.member_mask)
+        assert est.intervals == want.intervals
+        assert (est.N, est.grid_step, est.tol) == (want.N, want.grid_step, want.tol)
+    assert dual.dual_estimates([], N=400, grid_step=grid_step) == []
+
+
+def load_tracing():
+    from test_trace_hooks import load_tracing
+    return load_tracing()
+
+
+PROFILE_READERS = {
+    "complex_scan": lambda s: complex_scan(s, N=40, step=0.1),
+    "dual_estimate": lambda s: dual_estimate(s, N=40, grid_step=1e-2),
+    "dual_estimates": lambda s: dual.dual_estimates([s, s], N=40, grid_step=1e-2),
+    "max_abs_profile": lambda s: max_abs_profile(s, [0.2, 0.5], 40),
+    "divergence_classify": lambda s: divergence_classify(s, 0.2, N=40),
+    "criterion 7": lambda s: verify.haar_floor_composite(),
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE_READERS))
+def test_every_profile_reaches_the_traced_kernel(name):
+    # the benchmark tracer wraps dual._profile by name; each reader must run
+    # its profile through it, in one call, so dual.profile.* sees it all
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        tracer.op("run", name, lambda: PROFILE_READERS[name](
+            make_family("modkm", alpha=2, beta=5)))
+    finally:
+        tracer.uninstall()
+    assert [s[3] for s in tracer.spans].count("dual.profile") == 1
+    assert tracer.stats["dual.profile.point_degrees"] > 0
+
+
+def test_criterion_7_profiles_its_families_in_one_call(monkeypatch):
+    profile = dual._profile
+    calls = []
+
+    def recording_profile(seqs, zs, N, threshold):
+        calls.append((len(seqs), zs.size, N, threshold))
+        return profile(seqs, zs, N, threshold)
+
+    monkeypatch.setattr(dual, "_profile", recording_profile)
+    assert verify.haar_floor_composite().passed
+    assert calls == [(len(verify._CLOSED_FORM_FAMILIES), 2001, 400, 1.0 + 1e-9)]
+
+
+# --- the grid-size cap -----------------------------------------------------
+
+class Built(Exception):
+    """Raised in place of building a grid the cap let through."""
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Built(args)
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
+
+
+def test_estimate_grid_cap_both_sides(no_grid):
+    # 1e-6 gives 2,000,001 points, the most that is built; 2/2000001 gives
+    # one more, and is refused before anything is allocated
+    with pytest.raises(Built) as built:
+        dual.estimate_grid(1e-6)
+    assert built.value.args[0] == (-1.0, 1.0, 2_000_001)
+    seq = make_family("modkm", alpha=2, beta=5)
+    for step in (2 / 2_000_001, 1e-9, 1e-300, 5e-324):
+        for call in (dual.estimate_grid, lambda g: dual_estimate(seq, grid_step=g),
+                     lambda g: dual.dual_estimates([seq], grid_step=g)):
+            with pytest.raises(ValueError, match=r"^grid_step must give at most "
+                               r"2,000,001 grid points, got "):
+                call(step)
+
+
+def scan_axis_size(step):
+    return np.arange(-1.5, 1.5 + 0.5 * step, step).size
+
+
+def test_complex_scan_cap_both_sides(monkeypatch):
+    # the square grid has n^2 points for n = scan_axis_size(step): 1414^2 =
+    # 1,999,396 is built, 1415^2 = 2,002,225 is refused before allocating
+    ok, over = 3 / 1413.5, np.nextafter(3 / 1413.5, 0.0)
+    assert (scan_axis_size(ok), scan_axis_size(over)) == (1414, 1415)
+    seq = make_family("cosh", a=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(np, "arange", lambda *a, **k: (_ for _ in ()).throw(Built(a)))
+        with pytest.raises(Built):
+            complex_scan(seq, step=ok)
+        for step in (over, 1e-6, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=r"^step must give at most "
+                               r"2,000,001 grid points, got "):
+                complex_scan(seq, step=step)
+
+
+@pytest.mark.parametrize("step", [4e-3, 1e-2, 8e-3, 0.05, 0.1, 0.3, 0.5, 1.0,
+                                  2.0, 3.0, 7.0, 3 / 1413.5, 2.2e-3, 2.5e-3])
+def test_complex_scan_grid_is_arange(step, monkeypatch):
+    # the cap counts the axis before building it; the count is its length
+    sizes = []
+    arange = np.arange
+
+    def recording(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(dual, "_profile", lambda *a: (_ for _ in ()).throw(Built()))
+    monkeypatch.setattr(np, "arange", recording)
+    with pytest.raises(Built):
+        complex_scan(make_family("cosh", a=1.0), N=2, step=step)
+    assert sizes[0] == scan_axis_size(step) == sizes[1]
+
+
 # --- the folded complex scan against the full grid -------------------------
 
 FOLD_FAMILIES = [
@@ -420,13 +596,14 @@ def test_complex_scan_fold_bitwise_equals_full_grid(tag, params, N, monkeypatch)
         pts, prof = complex_scan(seq, N=N, step=step)
         assert np.array_equal(pts, Z[alive]), step
         assert np.array_equal(prof, full[alive]), step
-        # only the half-plane Re z >= 0 is profiled, frozen at the band
+        # only the half-plane points Re z >= 0 with |z| <= band are
+        # profiled, in row-major order, frozen at the band
         assert len(calls) == 1
         assert calls[0][1] == 1.0 + 1e-9
-        zs = calls[0][0]
-        assert zs.shape == (ims.size, n - n // 2)
-        assert np.array_equal(zs.real[0], res[n // 2:])
-        assert np.array_equal(zs.imag[:, 0], ims)
+        half = (res[None, n // 2:] + 1j * ims[:, None]).ravel()
+        want = half[np.abs(half) <= 1.0 + 1e-9]
+        assert 0 < want.size < half.size
+        assert np.array_equal(calls[0][0], want)
     assert parities == {0, 1}  # odd and even column counts
 
 

@@ -44,9 +44,9 @@ print("   the degree-2 floor criterion is sufficient, not necessary.")
 # from the closed form, measured on the family where we know the answer
 seq = make_family("cheb1")
 theta = 1.234
-from hyplab import eval_basis
+from hyplab import eval_basis_grid
 
-vals = eval_basis(seq, 200, np.cos(theta))
+vals = eval_basis_grid(seq, 200, [np.cos(theta)])[:, 0]
 drift = np.abs(vals - np.cos(np.arange(201) * theta))
 print()
 print("recurrence drift for cheb1 at x = cos(1.234):")

@@ -12,7 +12,6 @@ from hyplab import (
     connection_row_checks,
     criterion_report,
     make_family,
-    minimax_probe,
 )
 
 seq = make_family("grinspun", c1=0.3)
@@ -45,14 +44,3 @@ for tag, params in (
     print()
     for line in rep.lines():
         print(line)
-
-print()
-print("monic minimax values (sup-norm of the monic member on [-1,1])")
-print("the degree-n value can never drop below 2^(1-n), and only the")
-print("Chebyshev family attains it:")
-for tag, params in (("cheb1", {}), ("km", {"alpha": 2.0, "beta": 5.0})):
-    seq = make_family(tag, **params)
-    for n in (4, 8):
-        sup, floor = minimax_probe(seq, n)
-        print(f"   {tag:6s} n={n}:  sup = {sup:.6e}   floor = {floor:.6e}"
-              f"   ratio = {sup / floor:.4f}")

@@ -11,10 +11,7 @@ from .core import (
     CoeffSequence,
     CoefficientDomainError,
     HaarRangeError,
-    alpha,
-    eval_basis,
     eval_basis_grid,
-    haar,
     haar_values,
     monic_coeffs,
 )
@@ -48,7 +45,6 @@ from .chebconnect import (
     connection_nonneg,
     connection_row_checks,
     criterion_report,
-    minimax_probe,
 )
 from .measures import (
     DensityPiece,

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import monic_rows
+from .core import _degree, monic_rows
 from .families import KMParams, make_family
 from . import measures as _measures
 
@@ -188,7 +188,7 @@ def kernel_identity_residuals(alpha, beta, ns) -> list[float]:
     """:func:`kernel_identity_residual` at each degree of ``ns``, in order,
     from one build of the monic rows up to max(ns) + 2; each value equals
     that of the single call."""
-    ns = list(ns)
+    ns = [_degree(n, "n") for n in ns]
     for n in ns:
         if n < 0:
             raise ValueError(f"degree n must be >= 0, got {n}")
@@ -304,6 +304,7 @@ def chebyshev_partner_residual(nmax: int) -> float:
     with the ratio r_n computed from values at 1 (not from a closed
     form), over all n <= nmax.  Exactly 0.
     """
+    nmax = _degree(nmax, "nmax")
     if nmax < 0:
         raise ValueError(f"degree bound nmax must be >= 0, got {nmax}")
     lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)

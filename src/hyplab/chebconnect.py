@@ -30,8 +30,7 @@ from .core import (
     CoeffSequence,
     CoefficientDomainError,
     UnsupportedFamilyError,
-    eval_basis,
-    eval_basis_grid,
+    _degree,
     haar_values,
 )
 from . import dual as _dual
@@ -47,7 +46,6 @@ __all__ = [
     "criterion_grid",
     "criterion_report",
     "measured_floor",
-    "minimax_probe",
 ]
 
 #: The floor h(n) >= 2 with a relative rounding allowance of 1e-9.
@@ -76,6 +74,7 @@ def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
     computed over its n + 2 possibly nonzero entries only; C carries two
     zero columns past nmax, so r[n + 2] reads 0 in the last row.
     """
+    nmax = _degree(nmax, "nmax")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     C = np.zeros((nmax + 1, nmax + 3))
@@ -306,51 +305,3 @@ def criterion_report(
             "alpha_tail_value": a_ref,
         },
     )
-
-
-def minimax_probe(seq: CoeffSequence, n: int):
-    """Estimate sup_{[-1,1]} of the monic normalization of P_n.
-
-    Scans a uniform grid of 20001 points, then refines around the five
-    largest local maxima of the absolute value by 60 golden-section
-    steps each.  Returns (sup_estimate,
-    2^(1-n)); the first is always >= the second for every admissible
-    coefficient sequence (no monic polynomial beats the rescaled
-    Chebyshev minimax).
-    """
-    if n < 1:
-        raise ValueError("minimax probe needs n >= 1")
-    grid = 20001
-    xs = np.linspace(-1.0, 1.0, grid)
-    vals = np.abs(eval_basis_grid(seq, n, xs, norm="monic")[n])
-
-    def f(x: float) -> float:
-        return abs(eval_basis(seq, n, x, norm="monic")[n])
-
-    interior = np.zeros(grid, dtype=bool)
-    interior[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    interior[0] = vals[0] >= vals[1]
-    interior[-1] = vals[-1] >= vals[-2]
-    cand = np.flatnonzero(interior)
-    cand = cand[np.argsort(vals[cand])[::-1][:5]]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best = float(np.max(vals))
-    h = xs[1] - xs[0]
-    for i in cand:
-        a = max(-1.0, xs[i] - h)
-        b = min(1.0, xs[i] + h)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = f(d)
-        best = max(best, fc, fd)
-    return best, 2.0 ** (1 - n)

@@ -10,16 +10,14 @@ with a(n) = 1 - c(n), a(0) = 1, and the normalization P_n(1) = 1.  The
 induced Haar weights are h(0) = 1 and h(n) = h(n-1) * a(n-1) / c(n); they
 coincide with 1 / integral(P_n^2 dmu) for the orthogonalization measure mu.
 
-Two normalizations of the same basis are evaluated:
-
-* ``"P"``     -- P_n(1) = 1 (the hypergroup normalization),
-* ``"monic"`` -- sigma_n with leading coefficient 1, recurrence
-  x sigma_n = sigma_{n+1} + alpha(n)^2 sigma_{n-1}, where alpha(n) =
-  sqrt(c(n) a(n-1)) drives the orthonormal basis sqrt(h(n)) P_n.
+The basis is evaluated in this normalization only; the monic sequence
+sigma_n of the same recurrence is kept as monomial coefficient rows
+(:func:`monic_rows`, :func:`monic_coeffs`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,10 +28,7 @@ __all__ = [
     "CoefficientDomainError",
     "HaarRangeError",
     "UnsupportedFamilyError",
-    "alpha",
-    "eval_basis",
     "eval_basis_grid",
-    "haar",
     "haar_values",
     "monic_coeffs",
     "monic_rows",
@@ -41,8 +36,6 @@ __all__ = [
 
 #: Haar weights beyond this magnitude raise :class:`HaarRangeError`.
 HAAR_MAX = 1e300
-
-_NORMS = ("P", "monic")
 
 
 class CoefficientDomainError(ValueError):
@@ -142,12 +135,21 @@ class CoeffSequence:
         return out
 
 
+def _degree(value, name: str) -> int:
+    """``value`` as a plain int; anything but an integer is refused by name."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
     """h(0..nmax) as a float array: h(0) = 1, h(n) = h(n-1) a(n-1) / c(n).
 
     The weights are cached on ``seq``.  Extension past :data:`HAAR_MAX`
     raises :class:`HaarRangeError` rather than silently losing precision.
     """
+    nmax = _degree(nmax, "nmax")
     if nmax < 0:
         raise IndexError(f"h(n) is defined for n >= 0, got n={nmax}")
     h = seq._h_cache
@@ -163,40 +165,15 @@ def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
     return np.asarray(h[: nmax + 1])
 
 
-def haar(seq: CoeffSequence, n: int) -> float:
-    """Haar weight h(n) of the polynomial hypergroup induced by ``seq``."""
-    haar_values(seq, n)
-    return seq._h_cache[n]
+def eval_basis_grid(seq: CoeffSequence, N: int, x: np.ndarray) -> np.ndarray:
+    """Evaluate P_0..P_N on a grid of points.
 
-
-def alpha(seq: CoeffSequence, n: int) -> float:
-    """Orthonormal recurrence coefficient alpha(n) = sqrt(c(n) a(n-1)), n >= 1."""
-    if n < 1:
-        raise IndexError(f"alpha(n) is defined for n >= 1, got n={n}")
-    return float(seq.alpha_array(n)[n])
-
-
-def eval_basis(seq: CoeffSequence, N: int, x: float, norm: str = "P") -> np.ndarray:
-    """Evaluate degrees 0..N of the basis at a scalar point x.
-
-    Returns the array whose entry n is the degree-n value.  ``norm``
-    selects the normalization: ``"P"`` (value 1 at x=1) or ``"monic"``.
-    This is the one-point column of :func:`eval_basis_grid`.
+    Returns an array of shape ``(N+1, len(x))`` whose row n holds P_n on
+    the grid; at one point x, ``eval_basis_grid(seq, N, [x])[:, 0]`` is the
+    column of degrees.  Only the coefficients the recurrence uses are
+    requested: c(1..N-1).
     """
-    return eval_basis_grid(seq, N, np.array([float(x)]), norm)[:, 0]
-
-
-def eval_basis_grid(
-    seq: CoeffSequence, N: int, x: np.ndarray, norm: str = "P"
-) -> np.ndarray:
-    """Evaluate degrees 0..N of the basis on a grid of points.
-
-    Returns an array of shape ``(N+1, len(x))`` whose row n holds the
-    degree-n values on the grid.  Only the coefficients the recurrence
-    uses are requested: c(1..N-1).
-    """
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
+    N = _degree(N, "N")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     x = np.asarray(x, dtype=float)
@@ -208,12 +185,8 @@ def eval_basis_grid(
     if N == 1:
         return out
     c, a = seq.c_array(N - 1), seq.a_array(N - 1)
-    if norm == "P":
-        for n in range(1, N):
-            out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]
-    else:
-        for n in range(1, N):
-            out[n + 1] = x * out[n] - (c[n] * a[n - 1]) * out[n - 1]
+    for n in range(1, N):
+        out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]
     return out
 
 

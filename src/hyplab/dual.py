@@ -18,13 +18,12 @@ the resolution of c(n) near 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import CoeffSequence
+from .core import CoeffSequence, _degree
 
 __all__ = [
     "DIVERGE_THRESHOLD",
@@ -89,9 +88,9 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     the first multiple of ``_COMPRESS_EVERY`` at or after its crossing
     whatever the other entries do.
 
-    ``N`` goes through :func:`_degree`, as every profile reader does.
+    ``N`` goes through :func:`_degree_bound`, as every profile reader does.
     """
-    N = _degree(N)
+    N = _degree_bound(N)
     one = isinstance(seqs, CoeffSequence)
     if one:
         seqs = [seqs]
@@ -183,12 +182,9 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     dvg.T[idx] = d.T
 
 
-def _degree(N) -> int:
+def _degree_bound(N) -> int:
     """``N`` as a plain int; a non-integer or a negative one is refused."""
-    try:
-        N = int(operator.index(N))
-    except TypeError:
-        raise TypeError(f"N must be an integer, got {N!r}") from None
+    N = _degree(N, "N")
     if N < 0:
         raise ValueError(f"degree bound N must be >= 0, got {N}")
     return N
@@ -281,7 +277,7 @@ def classify_profile(
                          f"grid shape {np.shape(xs)}")
     mask = max_abs <= 1.0 + tol
     return DualEstimate(
-        N=_degree(N),
+        N=_degree_bound(N),
         grid_step=grid_step,
         tol=tol,
         xs=xs,

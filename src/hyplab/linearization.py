@@ -27,13 +27,12 @@ sum or a dot product must see the full row.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .core import CoeffSequence, haar_values
+from .core import CoeffSequence, _degree, haar_values
 
 __all__ = [
     "DegreeOverflowError",
@@ -56,14 +55,6 @@ SZWARC_N = 200
 
 class DegreeOverflowError(IndexError):
     """A linearization row beyond the table's degree bound was requested."""
-
-
-def _degree(value, name: str) -> int:
-    """``value`` as a plain int; anything but an integer is refused by name."""
-    try:
-        return int(operator.index(value))
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _band_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):

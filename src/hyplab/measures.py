@@ -37,6 +37,7 @@ import numpy as np
 from .core import (
     CoeffSequence,
     UnsupportedFamilyError,
+    _degree,
     eval_basis_grid,
     haar_values,
 )
@@ -209,6 +210,7 @@ def inner_product(spec: MeasureSpec, f: Callable[[np.ndarray], np.ndarray]) -> f
 def basis_gram(seq: CoeffSequence, N: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of P_m P_n dmu for m, n <= N, against
     :func:`measure_of` of ``seq``."""
+    N = _degree(N, "N")
     spec = measure_of(seq)
 
     def rows(x, lo, hi):
@@ -245,6 +247,7 @@ def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
     result is written to both (m, n, k) and (n, m, k), and the odd-parity
     entries of the a.c. part stay exactly 0.0.
     """
+    M = _degree(M, "M")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     spec = measure_of(seq)
@@ -307,6 +310,7 @@ def spectrum_atoms(seq: CoeffSequence, N: int):
     squared eigenvalues; the eigenvector storage is ceil(N/2)^2 instead
     of N^2.
     """
+    N = _degree(N, "N")
     if N < 2:
         raise ValueError("need N >= 2")
     from scipy.linalg import eigh_tridiagonal  # deferred: slow to import

@@ -113,15 +113,12 @@ def test_nan_haar_weight_fails_criterion_2(monkeypatch):
 
 
 def test_nan_two_term_row_fails_criterion_3(monkeypatch):
-    row = verify._lin.LinearizationTable.row
+    class WithNan(verify._lin.LinearizationTable):
+        def __init__(self, seq, N):
+            super().__init__(seq, N)
+            self.row(2, 3)[1] = np.nan
 
-    def with_nan(tab, m, n):
-        out = np.array(row(tab, m, n))
-        if (m, n) == (2, 3):
-            out[1] = np.nan
-        return out
-
-    monkeypatch.setattr(verify._lin.LinearizationTable, "row", with_nan)
+    monkeypatch.setattr(verify._lin, "LinearizationTable", WithNan)
     result = verify.nlp_audits()
     assert result.passed is False
     assert "two-term rows within nan" in result.detail

@@ -1,5 +1,5 @@
-"""Connection coefficients onto the first-kind Chebyshev basis, the
-criterion report, and the monic minimax floor."""
+"""Connection coefficients onto the first-kind Chebyshev basis and the
+criterion report."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from hyplab.chebconnect import (
     connection_row_checks,
     criterion_grid,
     criterion_report,
-    minimax_probe,
 )
 from hyplab.families import make_family, parse_family_spec
 
@@ -37,10 +36,10 @@ def test_cheb_connection_is_identity():
 def test_rows_reproduce_values():
     seq = make_family("km", alpha=2.0, beta=5.0)
     C = connection_coeffs(seq, 12)
-    from hyplab.core import eval_basis
+    from hyplab.core import eval_basis_grid
 
     for x in (-0.7, 0.2, 0.95):
-        vals = eval_basis(seq, 12, x)
+        vals = eval_basis_grid(seq, 12, [x])[:, 0]
         tvals = np.array([cheb_eval(k, x) for k in range(13)])
         assert np.allclose(C @ tvals, vals, rtol=1e-12, atol=1e-12)
 
@@ -314,23 +313,3 @@ def test_profile_of_another_shape_is_refused():
                        r"from grid shape \(2001,\)"):
         criterion_report(make_family("modkm", alpha=2, beta=5),
                          profile=np.ones(5))
-
-
-class TestMinimaxFloor:
-    def test_cheb_attains(self):
-        seq = make_family("cheb1")
-        for n in (1, 4, 9):
-            sup, floor = minimax_probe(seq, n)
-            assert floor == 2.0 ** (1 - n)
-            assert sup == pytest.approx(floor, rel=1e-10)
-
-    @pytest.mark.parametrize("tag,params", [
-        ("gencheb", {"alpha": 0.5, "beta": 0.5}),
-        ("km", {"alpha": 2.0, "beta": 5.0}),
-        ("cosh", {"a": 0.5}),
-    ])
-    def test_everyone_else_sits_above(self, tag, params):
-        seq = make_family(tag, **params)
-        for n in (3, 6):
-            sup, floor = minimax_probe(seq, n)
-            assert sup >= floor * (1.0 - 1e-12)

@@ -11,10 +11,7 @@ from hyplab.core import (
     CoeffSequence,
     CoefficientDomainError,
     HaarRangeError,
-    alpha,
-    eval_basis,
     eval_basis_grid,
-    haar,
     haar_values,
     monic_coeffs,
     monic_rows,
@@ -27,25 +24,18 @@ from hyplab.families import (
 )
 
 
-NORMS = ("P", "monic")
-
-
 def const_seq(cval):
     return CoeffSequence("custom", {"c": cval}, lambda n: cval)
 
 
-def reference_basis(seq, N, x, norm):
+def reference_basis(seq, N, x):
     """Degrees 0..N at one point by the three-term recurrence in Python
     floats, reading one coefficient at a time."""
     vals = [1.0]
     if N >= 1:
         vals.append(x)
     for n in range(1, N):
-        if norm == "P":
-            nxt = (x * vals[n] - seq.c(n) * vals[n - 1]) / seq.a(n)
-        else:
-            nxt = x * vals[n] - seq.c(n) * seq.a(n - 1) * vals[n - 1]
-        vals.append(nxt)
+        vals.append((x * vals[n] - seq.c(n) * vals[n - 1]) / seq.a(n))
     return np.array(vals)
 
 
@@ -98,7 +88,7 @@ class TestChebyshevOracle:
     def test_cos_identity(self):
         seq = make_family("cheb1")
         for theta in (0.1, 0.7, 1.3, 2.9):
-            row = eval_basis(seq, 200, math.cos(theta))
+            row = eval_basis_grid(seq, 200, [math.cos(theta)])[:, 0]
             ref = np.cos(np.arange(201) * theta)
             assert np.max(np.abs(row - ref)) < 5e-13
 
@@ -112,10 +102,10 @@ class TestChebyshevOracle:
         seq = make_family("cheb1")
         # monic T_n = 2^{1-n} T_n for n >= 1
         x = 0.37
-        row = eval_basis(seq, 12, x, norm="monic")
         for n in range(1, 13):
             tn = math.cos(n * math.acos(x))
-            assert row[n] == pytest.approx(2.0 ** (1 - n) * tn, abs=1e-14)
+            value = np.polynomial.polynomial.polyval(x, monic_coeffs(seq, n))
+            assert value == pytest.approx(2.0 ** (1 - n) * tn, abs=1e-14)
 
 
 class TestNormalizations:
@@ -127,7 +117,7 @@ class TestNormalizations:
     ])
     def test_value_one_at_one(self, tag, params):
         seq = make_family(tag, **params)
-        row = eval_basis(seq, 40, 1.0)
+        row = eval_basis_grid(seq, 40, [1.0])[:, 0]
         assert np.max(np.abs(row - 1.0)) < 1e-12
 
     def test_orthonormal_scaling(self):
@@ -135,10 +125,11 @@ class TestNormalizations:
         # x p_n = alpha(n+1) p_{n+1} + alpha(n) p_{n-1}
         seq = make_family("gencheb", alpha=0.5, beta=1.5)
         x = -0.41
-        q = np.sqrt(haar_values(seq, 15)) * eval_basis(seq, 15, x)
-        assert q[1] == pytest.approx(x / alpha(seq, 1), rel=1e-12)
+        q = np.sqrt(haar_values(seq, 15)) * eval_basis_grid(seq, 15, [x])[:, 0]
+        al = seq.alpha_array(15)
+        assert q[1] == pytest.approx(x / al[1], rel=1e-12)
         for n in range(1, 15):
-            want = (x * q[n] - alpha(seq, n) * q[n - 1]) / alpha(seq, n + 1)
+            want = (x * q[n] - al[n] * q[n - 1]) / al[n + 1]
             assert q[n + 1] == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_monic_leading_coefficient(self):
@@ -152,28 +143,19 @@ class TestNormalizations:
     def test_grid_matches_scalar(self):
         seq = make_family("modkm", alpha=8.0, beta=5.0)
         xs = np.linspace(-1, 1, 17)
-        for norm in NORMS:
-            grid = eval_basis_grid(seq, 25, xs, norm)
-            for j, x in enumerate(xs):
-                assert np.array_equal(grid[:, j],
-                                      eval_basis(seq, 25, x, norm))
+        grid = eval_basis_grid(seq, 25, xs)
+        for j, x in enumerate(xs):
+            assert np.array_equal(grid[:, j],
+                                  eval_basis_grid(seq, 25, [x])[:, 0])
 
     def test_degree_n_reads_c_below_n_only(self):
         # c(55) of this family rounds to 1.0 in floats; degree 55 of the
-        # "P" and "monic" bases needs c(1..54) only
+        # basis needs c(1..54) only
         seq = make_family("convex", eps=0.5, q=0.25)
-        for norm in ("P", "monic"):
-            grid = eval_basis_grid(seq, 55, np.array([0.3]), norm)
-            assert np.all(np.isfinite(grid))
-            assert np.array_equal(eval_basis(seq, 55, 0.3, norm),
-                                  grid[:, 0])
+        grid = eval_basis_grid(seq, 55, np.array([0.3]))
+        assert np.all(np.isfinite(grid))
         with pytest.raises(CoefficientDomainError):
             seq.c(55)
-
-    def test_bad_norm_rejected(self):
-        for norm in ("weird", "orthonormal"):
-            with pytest.raises(ValueError):
-                eval_basis(make_family("cheb1"), 3, 0.0, norm=norm)
 
 
 class TestHaar:
@@ -185,12 +167,6 @@ class TestHaar:
             assert h[n + 1] == pytest.approx(h[n] * seq.a(n) / seq.c(n + 1),
                                              rel=1e-15)
 
-    def test_scalar_matches_array(self):
-        seq = make_family("km", alpha=5.0, beta=5.0)
-        h = haar_values(seq, 12)
-        for n in (0, 1, 7, 12):
-            assert haar(seq, n) == h[n]
-
     def test_reciprocal_norm(self):
         # h(n) * prod(lambda_k, k<=n) = (prod(a_k, k<n))^2: both sides are
         # 1 / integral(P_n^2 dmu) rescalings of the monic norm
@@ -198,7 +174,8 @@ class TestHaar:
         al = seq.alpha_array(10)
         lam_prod = float(np.prod(al[1:] ** 2))
         a_prod = float(np.prod(seq.a_array(9)[:10]))
-        assert haar(seq, 10) * lam_prod == pytest.approx(a_prod**2, rel=1e-12)
+        h10 = haar_values(seq, 10)[10]
+        assert h10 * lam_prod == pytest.approx(a_prod**2, rel=1e-12)
 
     def test_overflow_guard(self):
         seq = const_seq(1e-12)  # a/c ratio ~1e12 per step
@@ -273,8 +250,7 @@ class TestSingleImplementations:
         assert got.tobytes() == np.asarray(want).tobytes()
         fresh = make_family(tag, **params)
         for n in (40, 0, 7, 100):
-            assert haar(fresh, n) == want[n]
-            assert type(haar(fresh, n)) is float
+            assert haar_values(fresh, n)[n] == want[n]
 
     @pytest.mark.parametrize("a", [40.0, 80.0])
     def test_haar_range_error_text(self, a):
@@ -285,14 +261,12 @@ class TestSingleImplementations:
             haar_values(seq, 200)
         assert str(got.value) == str(want.value)
         with pytest.raises(HaarRangeError) as again:
-            haar(seq, 200)  # the cache keeps the weights below the overflow
+            haar_values(seq, 200)  # the cache keeps the weights below the overflow
         assert str(again.value) == str(want.value)
 
     def test_negative_degree_rejected(self):
-        seq = make_family("cheb1")
-        for fn in (haar, haar_values):
-            with pytest.raises(IndexError, match="got n=-1"):
-                fn(seq, -1)
+        with pytest.raises(IndexError, match="got n=-1"):
+            haar_values(make_family("cheb1"), -1)
 
     @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)
     def test_alpha_matches_scalar_formula(self, tag, params):
@@ -305,7 +279,7 @@ class TestSingleImplementations:
                 want = spec.lam(n - 1)
             else:
                 want = float(np.sqrt(seq.c(n) * seq.a(n - 1)))
-            assert alpha(seq, n) == want and type(alpha(seq, n)) is float
+            assert seq.alpha_array(n)[n] == want
 
 
 @pytest.mark.parametrize("tag,params", [
@@ -334,7 +308,7 @@ class TestAlpha:
         seq = make_family("km", alpha=2.0, beta=5.0)
         for n in range(1, 15):
             lam = seq.c(n) * seq.a(n - 1)
-            assert alpha(seq, n) ** 2 == pytest.approx(lam, rel=1e-15)
+            assert seq.alpha_array(n)[n] ** 2 == pytest.approx(lam, rel=1e-15)
 
     def test_cheb_alpha_limits(self):
         seq = make_family("cheb1")
@@ -353,16 +327,15 @@ class TestAlpha:
     ("rational25", {}),
     ("convex", dict(eps=0.5)),
 ])
-@pytest.mark.parametrize("norm", NORMS)
-def test_evaluator_bitwise_equals_scalar_recurrence(tag, params, norm):
+def test_evaluator_bitwise_equals_scalar_recurrence(tag, params):
     # N = 100 stays below the degree where float c(n) of convex rounds to 1;
     # x = 1e3 overflows to inf and NaN, x = -0.0 carries signed zeros
     seq = make_family(tag, **params)
     for N in (0, 1, 2, 100):
         for x in (-1.0, -0.3, -0.0, 0.0, 0.45, 1.0, 1e3):
             with np.errstate(over="ignore", invalid="ignore"):
-                got = eval_basis(seq, N, x, norm)
-                want = reference_basis(seq, N, x, norm)
+                got = eval_basis_grid(seq, N, [x])[:, 0]
+                want = reference_basis(seq, N, x)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -377,8 +350,8 @@ def test_random_sequences_keep_invariants(cs):
     N = 2 * len(cs)
     h = haar_values(seq, N)
     assert np.all(h > 0)
-    assert np.max(np.abs(eval_basis(seq, N, 1.0) - 1.0)) < 1e-10
-    row = eval_basis(seq, N, -1.0)
+    assert np.max(np.abs(eval_basis_grid(seq, N, [1.0])[:, 0] - 1.0)) < 1e-10
+    row = eval_basis_grid(seq, N, [-1.0])[:, 0]
     assert np.max(np.abs(np.abs(row) - 1.0)) < 1e-10
 
 
@@ -387,7 +360,7 @@ def test_random_sequences_keep_invariants(cs):
        st.floats(min_value=0.1, max_value=0.9))
 def test_three_term_residual(x, cval):
     seq = const_seq(cval)
-    v = eval_basis(seq, 30, x)
+    v = eval_basis_grid(seq, 30, [x])[:, 0]
     scale = np.maximum.accumulate(np.abs(v))  # values can grow geometrically
     for n in range(1, 30):
         res = x * v[n] - (1 - cval) * v[n + 1] - cval * v[n - 1]

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplab.core import CoeffSequence, CoefficientDomainError, eval_basis, haar_values
+from hyplab.core import (
+    CoeffSequence, CoefficientDomainError, eval_basis_grid, haar_values,
+)
 from hyplab.families import make_family
-from hyplab import linearization
+from hyplab import appendixcheck, chebconnect, linearization, measures
 from hyplab.linearization import (
     DegreeOverflowError,
     LinearizationTable,
@@ -311,8 +313,22 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
     (lambda seq, d: translate(seq, [1.0, 0.5], d), "n"),
     (lambda seq, d: LinearizationTable(seq, 4).row(d, 4), "m"),
     (lambda seq, d: np.float64(LinearizationTable(seq, 4).g(2, 4, d)), "k"),
+    (lambda seq, d: haar_values(seq, d), "nmax"),
+    (lambda seq, d: eval_basis_grid(seq, d, [0.5]), "N"),
+    (lambda seq, d: chebconnect.connection_coeffs(seq, d), "nmax"),
+    (lambda seq, d: np.array(chebconnect.connection_nonneg(seq, d)), "nmax"),
+    (lambda seq, d: measures.basis_gram(seq, d), "N"),
+    (lambda seq, d: measures.triple_products(seq, d), "M"),
+    (lambda seq, d: np.concatenate(measures.spectrum_atoms(seq, d)), "N"),
+    (lambda seq, d: np.float64(appendixcheck.kernel_identity_residual(2, 5, d)), "n"),
+    (lambda seq, d: np.array(appendixcheck.kernel_identity_residuals(2, 5, [1, d])),
+     "n"),
+    (lambda seq, d: np.float64(appendixcheck.chebyshev_partner_residual(d)), "nmax"),
 ], ids=["check_nlp", "LinearizationTable", "linearize-m", "linearize-n", "translate",
-        "row", "g"])
+        "row", "g", "haar_values", "eval_basis_grid", "connection_coeffs",
+        "connection_nonneg", "basis_gram", "triple_products", "spectrum_atoms",
+        "kernel_identity_residual", "kernel_identity_residuals",
+        "chebyshev_partner_residual"])
 def test_degrees_are_plain_integers(call, name):
     # any integer type is a degree, and the results hold plain Python values;
     # anything else is refused by the argument's name
@@ -411,7 +427,7 @@ def test_pointwise_product_identity(table):
     seq = make_family("gencheb", alpha=-0.25, beta=-5.0 / 6.0)
     t = LinearizationTable(seq, N=16)
     for x in (-0.8, 0.05, 0.6):
-        vals = eval_basis(seq, 16, x)
+        vals = eval_basis_grid(seq, 16, [x])[:, 0]
         for m, n in ((2, 3), (4, 4), (1, 7), (8, 8)):
             lhs = vals[m] * vals[n]
             row = t.row(m, n)

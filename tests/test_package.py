@@ -214,3 +214,87 @@ def test_every_default_is_set_by_some_caller():
         )
     ]
     assert sorted(unset) == sorted(TEST_ONLY_OPTIONS)
+
+
+# public names that no module or benchmark reads, each kept for a reason of
+# its own; a name leaves the list when it gains a reader or is deleted
+UNREAD_ALLOWED = {
+    "monic_coeffs": "the monic sigma_n of the paper's appendix, as coefficients",
+    "linearize": "one row g(m, n; .) without a table, the product formula",
+    "h1_lt_2_region": "the paper's region of (alpha, beta) where h(1) < 2",
+    "haar_term_estimate": "the paper's quadratic that keeps each Haar factor >= 1",
+    "km_special_closed_forms": "the paper's alpha = 2 Karlin-McGregor closed forms",
+    "exclusion_bound": "the paper's degree-2 band that no dual point enters",
+    "translate": "l1(h) operation; a criterion for it waits for ROADMAP item 5",
+    "convolve": "l1(h) operation; a criterion for it waits for ROADMAP item 5",
+    "l1h_norm": "l1(h) operation; a criterion for it waits for ROADMAP item 5",
+    "szwarc_criterion": "l1(h) positivity test; a criterion waits for ROADMAP item 5",
+    "connection_row_checks": "ROADMAP item 17's coverage certificate is to read it",
+}
+
+
+def _reads() -> set:
+    """(module, name) for each read in the package and the benchmarks: a
+    name loaded in its own module outside its own definition, a ``from``
+    import, or ``<module alias>.<name>``.  ``__init__.py`` does not count."""
+    pkg = Path(hyplab.__file__).resolve().parent
+    root = pkg.parent.parent
+    reads = set()
+    for path in (*pkg.glob("*.py"), *(root / "benchmarks").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = f"hyplab.{node.module}" if node.level and node.module else (
+                "hyplab" if node.level else node.module)
+            for alias in node.names:
+                if source == "hyplab" and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif source and source.startswith("hyplab."):
+                    reads.add((source.partition(".")[2], alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reads.add((aliases[node.value.id], node.attr))
+        if path.parent != pkg:
+            continue
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            reads.update(
+                (path.stem, node.id) for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id != own
+            )
+    return reads
+
+
+def test_every_public_function_has_a_reader():
+    # a public function or class that no command, criterion or benchmark
+    # reads is either on the allowance list or gone; tests and demos are
+    # not readers
+    reads = _reads()
+    unread = set()
+    for name in MODULES:
+        module = importlib.import_module(f"hyplab.{name}")
+        unread.update(
+            node.name for node in ast.parse(Path(module.__file__).read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in module.__all__ and (name, node.name) not in reads
+        )
+    # (unread and not allowed, allowed but read or gone)
+    assert (sorted(unread - set(UNREAD_ALLOWED)),
+            sorted(set(UNREAD_ALLOWED) - unread)) == ([], [])
+
+
+def test_only_haar_values_reads_the_haar_cache():
+    # a family that supplies its own h(n) needs one reader of the cache
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "_h_cache"
+                   for node in ast.walk(stmt)):
+                found.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    assert found == ["core.haar_values"]

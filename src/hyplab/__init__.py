@@ -34,6 +34,7 @@ from .linearization import (
     LinearizationTable,
     NLPReport,
     check_nlp,
+    check_nlps,
     convolve,
     l1h_norm,
     szwarc_criterion,

@@ -185,8 +185,15 @@ def eval_basis_grid(seq: CoeffSequence, N: int, x: np.ndarray) -> np.ndarray:
     if N == 1:
         return out
     c, a = seq.c_array(N - 1), seq.a_array(N - 1)
+    # the operations of (x P_n - c(n) P_{n-1}) / a(n), in its order, each
+    # written in place: bitwise the expression, without its temporaries
+    term = np.empty(x.size)
     for n in range(1, N):
-        out[n + 1] = (x * out[n] - c[n] * out[n - 1]) / a[n]
+        row = out[n + 1]
+        np.multiply(x, out[n], out=row)
+        np.multiply(c[n], out[n - 1], out=term)
+        row -= term
+        row /= a[n]
     return out
 
 

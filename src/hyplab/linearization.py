@@ -22,11 +22,15 @@ all the degrees n of a call advance together.  g(m, n; k) = 0 unless
 k = n - m + 2j with 0 <= j <= m, so a step stores only that parity band:
 row i of one 2-D array holds g(m, n; n - m + 2j) of the i-th live degree
 n >= m at column j.  Readers spread it into zero-padded rows wherever a
-sum or a dot product must see the full row.
+sum or a dot product must see the full row.  Sequences step together
+too: the coefficients of F sequences stacked on a leading axis give
+bands with that axis, and the audit :func:`check_nlps` steps F families
+in one pass, each report bitwise the one-family :func:`check_nlp`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -40,6 +44,7 @@ __all__ = [
     "NLPReport",
     "SzwarcReport",
     "check_nlp",
+    "check_nlps",
     "convolve",
     "l1h_norm",
     "linearize",
@@ -60,38 +65,45 @@ class DegreeOverflowError(IndexError):
 def _band_rows(c: np.ndarray, a: np.ndarray, n0: int, n1: int):
     """Yield the band of step m, for m = 0 .. n1 - 1, over n0 <= n < n1.
 
-    Row i of the band is the i-th live degree n of the step, n >= max(n0, m),
-    and ``band[i, j]`` is g(m, n; n - m + 2j) for j = 0 .. m.  Each step
+    ``c`` and ``a`` hold one sequence per leading index, along the last
+    axis, and each band carries the same leading axes.  Row i of a band is
+    the i-th live degree n of the step, n >= max(n0, m), and
+    ``band[..., i, j]`` is g(m, n; n - m + 2j) for j = 0 .. m.  Each step
     allocates one array and only the two latest are held.  The coefficients
     a(n - m + 2j) and c(n - m + 2j) of a step are plain slices of one
     strided view of each sequence, built once; c(0) only ever multiplies
     the empty band of P_{-1} P_n = 0.  Every entry takes the
     elementwise operations, in the order, of the recurrence run for one n
-    alone on the full row; the terms left out here are products with its
-    exact zeros outside the band, so each entry is bitwise that run's.
+    of one sequence alone on the full row; the terms left out here are
+    products with its exact zeros outside the band, so each entry is
+    bitwise that run's.
     """
     A, C = _diagonals(a, n1), _diagonals(c, n1)
-    cur = np.ones((n1 - n0, 1))
-    prev = cur[:, :0]  # P_{-1} P_n = 0
+    lead = c.shape[:-1]
+    cur = np.ones(lead + (n1 - n0, 1))
+    prev = cur[..., :0]  # P_{-1} P_n = 0
     yield cur
     for m in range(n1 - 1):
         rows = n1 - max(n0, m + 1)  # the live degrees of step m + 1
         d = slice(n1 - m - rows, n1 - m)  # their n - m
-        cur, prev = cur[-rows:], prev[-rows:]
-        nxt = np.zeros((rows, m + 2))
-        nxt[:, 1:] += A[d, : m + 1] * cur
-        nxt[:, :-1] += C[d, : m + 1] * cur
-        nxt[:, 1:-1] -= c[m] * prev
-        nxt /= a[m]
+        cur, prev = cur[..., -rows:, :], prev[..., -rows:, :]
+        nxt = np.zeros(lead + (rows, m + 2))
+        nxt[..., 1:] += A[..., d, : m + 1] * cur
+        nxt[..., :-1] += C[..., d, : m + 1] * cur
+        nxt[..., 1:-1] -= c[..., m, None, None] * prev
+        nxt /= a[..., m, None, None]
         prev, cur = cur, nxt
         yield cur
 
 
 def _diagonals(x: np.ndarray, n1: int) -> np.ndarray:
-    """The (n1, n1) view with x(d + 2j) at [d, j] for d + 2j <= 2 n1 - 2."""
-    xp = np.zeros(3 * n1 - 2)
-    xp[: 2 * n1 - 1] = x[: 2 * n1 - 1]
-    return np.ndarray((n1, n1), buffer=xp, strides=(xp.itemsize, 2 * xp.itemsize))
+    """The (..., n1, n1) view with x(d + 2j) at [..., d, j] for
+    d + 2j <= 2 n1 - 2."""
+    xp = np.zeros(x.shape[:-1] + (3 * n1 - 2,))
+    xp[..., : 2 * n1 - 1] = x[..., : 2 * n1 - 1]
+    s = xp.itemsize
+    return np.ndarray(x.shape[:-1] + (n1, n1), buffer=xp,
+                      strides=xp.strides[:-1] + (s, 2 * s))
 
 
 def _coeffs(seq: CoeffSequence, N: int):
@@ -171,8 +183,9 @@ class NLPReport:
     tol: float
 
 
-def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
-    """Audit all rows with m, n <= N for nonnegativity and row sums.
+def check_nlps(seqs: Sequence[CoeffSequence], N: int = 30) -> list[NLPReport]:
+    """Audit all rows with m, n <= N for nonnegativity and row sums, for
+    each sequence of ``seqs``; all are stepped together in one pass.
 
     A coefficient below ``-NLP_TOL`` counts as a genuine negative (the
     audit tolerance separates true failures, which are order one in
@@ -180,66 +193,88 @@ def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
     g(m,n;|m-n|) and g(m,n;m+n) are additionally required to be above
     ``NLP_TOL``.  The report carries the tolerance as ``tol``.
 
-    Each step m is audited with a fixed number of array calls, and every
-    result is folded into running values.  numpy's pairwise sum depends on
-    the length, so every row sum must run over exactly the m + n + 1
-    entries of its full row; the band is written into one zero-padded
-    (N + 1, W = 2N + 1) step array, one ``np.add.reduceat`` over it gives
-    every sum, and the band's places are cleared again.  The segment of row
-    n starts one element early, at the last column of row n - 1, or at a
-    zero in front of row 0.  That column is always 0.0: the band of row
-    n - 1 ends at degree m + n - 1 <= 2N - 2.  reduceat's first element
-    plus the pairwise sum of the rest is then bitwise ``np.add.reduce`` of
-    the row.
+    Each step m is audited with a fixed number of array calls over every
+    sequence at once.  They record, for each row (m, n) of the step, its
+    sum, the smaller of its two end entries, and the place and value of
+    its first least entry; each is reduced once the last step is done.
+    numpy's pairwise sum depends on the length, so every row sum must run
+    over exactly the m + n + 1 entries of its full row; the band is written
+    into one zero-padded (F, N + 1, W = 2N + 1) step array, one
+    ``np.add.reduceat`` along its rows gives every sum, and the band's
+    places are cleared again.  The segment of row n starts one element
+    early, at the last column of row n - 1, or at a zero in front of row 0.
+    That column is always 0.0: the band of row n - 1 ends at degree
+    m + n - 1 <= 2N - 2.  reduceat's first element plus the pairwise sum of
+    the rest is then bitwise ``np.add.reduce`` of the row, so each report
+    is bitwise the one :func:`check_nlp` gives alone.
     """
     N = _degree(N, "N")
-    c, a = _coeffs(seq, N)
-    # flat[P + n W + k] is degree k of row n, and so is skew[n, P - m + 2j]
-    # for k = n - m + 2j; the P zeros in front of row 0 are never written
+    cols = [_coeffs(seq, N) for seq in seqs]
+    if not cols:
+        return []
+    c, a = (np.array(col) for col in zip(*cols))
+    F = len(cols)
+    # flat[f, P + n W + k] is degree k of row n, and so is
+    # skew[f, n, P - m + 2j] for k = n - m + 2j; the P zeros in front of
+    # row 0 are never written
     W, P = 2 * N + 1, max(N, 1)
-    flat = np.zeros((N + 1) * (W + 1))
-    skew = flat.reshape(N + 1, W + 1)
+
+    def off(m):  # the rows of the steps before m
+        return m * (N + 1) - m * (m - 1) // 2
+
+    flat = np.zeros((F, (N + 1) * (W + 1)))
+    skew = flat.reshape(F, N + 1, W + 1)
     starts = P - 1 + W * np.arange(N + 1)
     # reduceat bounds of row n at step m: [P + n W - 1, P + n W + n + 1 + m)
     bounds = np.stack((starts, starts + np.arange(N + 1) + 1), axis=1)
-    min_coeff = np.inf
-    min_witness = (0, 0, 0)
-    row_sum_max_error = 0.0
-    endpoints_positive = True
+    # row (m, n) keeps its first least entry at least[f, n, m], so that
+    # n-outer, m-inner is the flat order; its place j, sum and smaller end
+    # entry are kept in step order, at off(m) + n - m
+    least = np.full((F, N + 1, N + 1), np.inf)
+    place = np.empty((F, off(N + 1)), dtype=np.intp)
+    sums, ends = np.empty((2, F, off(N + 1)))
+    live = np.arange(F * (N + 1))
     for m, band in enumerate(_band_rows(c, a, 0, N + 1)):
-        at = skew[m:, P - m : P + m + 1 : 2]
+        at = skew[:, m:, P - m : P + m + 1 : 2]
         at[...] = band
         bounds[:, 1] += 1
         cuts = bounds[m:].ravel()
+        r = slice(off(m), off(m + 1))
         # the last row's segment ends where the sliced array does
-        sums = np.add.reduceat(flat[: cuts[-1]], cuts[:-1])[::2]
+        sums[:, r] = np.add.reduceat(flat[:, : cuts[-1]], cuts[:-1], axis=1)[:, ::2]
         at[...] = 0.0
-        # a NaN sum is never adopted
-        err = np.fmax.reduce(np.abs(sums - 1.0))
-        if err > row_sum_max_error:
-            row_sum_max_error = float(err)
-        if endpoints_positive:  # the columns j = 0 and j = m
-            endpoints_positive = bool((band[:, :: m or 1] > NLP_TOL).all())
-        # a row holding a NaN is never adopted; of equal minima the first in
-        # n-outer, m-inner order is the one a running `<` over the rows keeps
-        lows = band.min(axis=1)
-        i = int(lows.argmin())
-        if lows[i] != lows[i]:
-            lows[np.isnan(lows)] = np.inf
-            i = int(lows.argmin())
-        if lows[i] < min_coeff or (lows[i] == min_coeff and m + i < min_witness[1]):
-            j = int(band[i].argmin())
-            min_coeff = float(band[i, j])
-            min_witness = (m, m + i, i + 2 * j)
-    return NLPReport(
-        is_nonnegative=bool(min_coeff >= -NLP_TOL),
-        min_coeff=min_coeff,
-        min_witness=min_witness,
-        row_sum_max_error=row_sum_max_error,
-        endpoints_positive=endpoints_positive,
-        N=N,
-        tol=NLP_TOL,
-    )
+        np.minimum(band[..., 0], band[..., m], out=ends[:, r])  # j = 0 and j = m
+        # argmin takes the first NaN of a row holding one, so its entry is NaN
+        j = place[:, r] = band.argmin(axis=2)
+        least[:, m:, m] = band.reshape(-1, m + 1)[live[: j.size], j.ravel()].reshape(j.shape)
+    # a NaN sum is never adopted
+    row_sum_max_error = np.fmax.reduce(np.abs(sums - 1.0), axis=1, initial=0.0)
+    endpoints_positive = (ends > NLP_TOL).all(axis=1)
+    # a row holding a NaN is never adopted; of equal minima the first in
+    # n-outer, m-inner order is the one a running `<` over the rows keeps
+    least = least.reshape(F, -1)
+    least[np.isnan(least)] = np.inf
+    reports = []
+    for f, (i, err, positive) in enumerate(zip(
+            least.argmin(axis=1).tolist(), row_sum_max_error.tolist(),
+            endpoints_positive.tolist())):
+        n, m = divmod(i, N + 1)
+        low = float(least[f, i])
+        reports.append(NLPReport(
+            is_nonnegative=low >= -NLP_TOL,
+            min_coeff=low,
+            min_witness=(m, n, n - m + 2 * int(place[f, off(m) + n - m])),
+            row_sum_max_error=err,
+            endpoints_positive=positive,
+            N=N,
+            tol=NLP_TOL,
+        ))
+    return reports
+
+
+def check_nlp(seq: CoeffSequence, N: int = 30) -> NLPReport:
+    """:func:`check_nlps` of the one sequence ``seq``."""
+    return check_nlps([seq], N)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ string.  The CLI verify suites and the acceptance test suite both
 dispatch through :data:`CRITERIA` / :data:`SUITES`, so each check has
 exactly one implementation -- no drift between the command line and the
 tests.
+
+A check takes its families from ``family(tag, **params)``.  One
+:func:`run_suite` call hands every check of the suite the same family
+table, so each distinct family is built once per run and its coefficient
+and Haar caches serve every check; nothing is kept between runs.  A check
+called on its own builds its families afresh.
 """
 
 from __future__ import annotations
@@ -88,6 +94,29 @@ _NLP_FAMILIES = [
 _EPS_SWEEP = (0.2, 0.5, 0.8)
 
 
+class _FamilyTable:
+    """The families of one run, one instance per distinct spec.
+
+    A spec is the tag and each parameter's name, type and repr, so
+    ``modkm(alpha=2, beta=5)`` and ``modkm(alpha=2.0, beta=5.0)`` are two
+    families, and so are ``alpha=0.0`` and ``alpha=-0.0``, whatever a
+    builder makes of its arguments.  Each is built through
+    the module's :func:`make_family` as it stands at build time.  Sharing
+    an instance is safe: its caches only grow, and a raise leaves them as
+    they were.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def __call__(self, tag: str, **params):
+        key = (tag, tuple((k, type(v), repr(v)) for k, v in sorted(params.items())))
+        seq = self._built.get(key)
+        if seq is None:
+            seq = self._built[key] = make_family(tag, **params)
+        return seq
+
+
 def _fold(pick, start, values):
     """The running ``acc = pick(acc, v)`` over ``values`` from ``start``,
     except that a NaN value is returned at once: ``max(0.0, nan)`` is
@@ -101,11 +130,12 @@ def _fold(pick, start, values):
     return acc
 
 
-def haar_closed_forms() -> CriterionResult:
+def haar_closed_forms(family=None) -> CriterionResult:
     """Recurrence-accumulated h(n) vs closed forms, n <= 40, rel 1e-10."""
+    family = family or _FamilyTable()
     errs = []
     for tag, kw in _CLOSED_FORM_FAMILIES:
-        seq = make_family(tag, **kw)
+        seq = family(tag, **kw)
         errs.append(closed_form_max_rel_err(seq, haar_values(seq, 40)))
     worst = _fold(max, 0.0, errs)
     passed = worst <= 1e-10
@@ -118,12 +148,13 @@ def haar_closed_forms() -> CriterionResult:
     )
 
 
-def counterexample_haar_growth() -> CriterionResult:
+def counterexample_haar_growth(family=None) -> CriterionResult:
     """h(1) = 1+eps for both constructions; exponential growth for one."""
+    family = family or _FamilyTable()
     defects = []
     growth_ok = True
     for eps in _EPS_SWEEP:
-        inner = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
+        inner = family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         defects.append(abs(haar_values(inner, 1)[1] - (1.0 + eps)))
         spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), 0.5))
         defects.append(abs(spec.haar(1) - (1.0 + eps)))
@@ -145,24 +176,21 @@ def counterexample_haar_growth() -> CriterionResult:
     )
 
 
-def nlp_audits() -> CriterionResult:
+def nlp_audits(family=None) -> CriterionResult:
     """Nonnegative linearization where claimed, a negative witness where
     claimed, and the two-term closed-form rows for the cosh family."""
-    mins = []
-    all_nonneg = True
-    for tag, kw in _NLP_FAMILIES:
-        rep = _lin.check_nlp(make_family(tag, **kw), N=30)
-        all_nonneg &= rep.is_nonnegative
-        mins.append(rep.min_coeff)
-    min_ok = _fold(min, 0.0, mins)
-    witness = _lin.check_nlp(make_family("grinspun", c1=0.7), N=10)
+    family = family or _FamilyTable()
+    reps = _lin.check_nlps([family(tag, **kw) for tag, kw in _NLP_FAMILIES], N=30)
+    all_nonneg = all(rep.is_nonnegative for rep in reps)
+    min_ok = _fold(min, 0.0, (rep.min_coeff for rep in reps))
+    witness = _lin.check_nlp(family("grinspun", c1=0.7), N=10)
     witness_found = witness.min_coeff < -1e-12
 
     m, n, k = np.ogrid[1:13, 1:13, :25]
     band = (m <= n) & (k <= m + n)
     defects = []
     for a in (0.5, 1.0):
-        tab = _lin.LinearizationTable(make_family("cosh", a=a), N=12)
+        tab = _lin.LinearizationTable(family("cosh", a=a), N=12)
         ch = np.array([math.cosh(a * j) for j in range(25)])
         expect = np.where((k == n - m) | (k == n + m),
                           ch[k] / (2.0 * ch[m] * ch[n]), 0.0)
@@ -190,12 +218,13 @@ def _g_defect(tab: _lin.LinearizationTable, T: np.ndarray, h: np.ndarray) -> flo
     return float(np.max(np.abs(D[k <= m + n])))
 
 
-def linearization_oracles() -> CriterionResult:
+def linearization_oracles(family=None) -> CriterionResult:
     """g(m,n;k) vs h(k) * integral P_m P_n P_k dmu, and Gram matrices."""
+    family = family or _FamilyTable()
     defects = []
     orth = []
     for tag, kw in _FULL_MEASURE_FAMILIES:
-        seq = make_family(tag, **kw)
+        seq = family(tag, **kw)
         tab = _lin.LinearizationTable(seq, N=12)
         T = _measures.triple_products(seq, 12)
         h = haar_values(seq, 24)
@@ -214,10 +243,11 @@ def linearization_oracles() -> CriterionResult:
     )
 
 
-def rescaling_identity() -> CriterionResult:
+def rescaling_identity(family=None) -> CriterionResult:
     """Rational closed-form coefficients vs rescaled walk coefficients."""
-    rat = make_family("rational25")
-    mod = make_family("modkm", alpha=2, beta=5)
+    family = family or _FamilyTable()
+    rat = family("rational25")
+    mod = family("modkm", alpha=2, beta=5)
     # c(0) is NaN in both sequences; a NaN from n >= 1 fails the check
     dev = float(
         np.max(np.abs(rat.c_array(200)[1:] - mod.c_array(200)[1:]))
@@ -231,12 +261,13 @@ def rescaling_identity() -> CriterionResult:
     )
 
 
-def dual_geometry() -> CriterionResult:
+def dual_geometry(family=None) -> CriterionResult:
     """Interval geometry of structure-space estimates per family."""
+    family = family or _FamilyTable()
     problems = []
     step = 2e-4
 
-    est = _dual.dual_estimate(make_family("modkm", alpha=2, beta=5), N=400, grid_step=step)
+    est = _dual.dual_estimate(family("modkm", alpha=2, beta=5), N=400, grid_step=step)
     ivs = est.intervals
     if not (
         len(ivs) == 2
@@ -248,7 +279,7 @@ def dual_geometry() -> CriterionResult:
         problems.append(f"two-interval geometry off: {ivs}")
 
     for eps in _EPS_SWEEP:
-        seq = make_family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
+        seq = family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         est = _dual.dual_estimate(seq, N=400, grid_step=step)
         cut = _dual.exclusion_intervals(eps)[1][0]
         ivs = est.intervals
@@ -259,11 +290,11 @@ def dual_geometry() -> CriterionResult:
         ):
             problems.append(f"eps={eps}: inner endpoints vs +-{cut:.4f}: {ivs}")
 
-    est = _dual.dual_estimate(make_family("grinspun", c1=0.7), N=400, grid_step=step)
+    est = _dual.dual_estimate(family("grinspun", c1=0.7), N=400, grid_step=step)
     if tuple(est.members.tolist()) != (-1.0, 1.0):
         problems.append(f"bounded-above-band member set {est.members}")
 
-    conv = make_family("convex", eps=0.5)
+    conv = family("convex", eps=0.5)
     est = _dual.dual_estimate(conv, N=400, grid_step=1e-3)
     cut = _dual.exclusion_intervals(0.5)[1][0]
     evs, tails = _measures.spectrum_atoms(conv, 400)
@@ -299,11 +330,12 @@ def dual_geometry() -> CriterionResult:
     )
 
 
-def haar_floor_composite() -> CriterionResult:
+def haar_floor_composite(family=None) -> CriterionResult:
     """Full dual coverage forces h(n) >= 2; converse failure witnessed."""
+    family = family or _FamilyTable()
     covering = 0
     violations = []
-    seqs = [make_family(tag, **kw) for tag, kw in _CLOSED_FORM_FAMILIES]
+    seqs = [family(tag, **kw) for tag, kw in _CLOSED_FORM_FAMILIES]
     estimates = _dual.dual_estimates(seqs, N=400, grid_step=1e-3)
     for (tag, kw), seq, est in zip(_CLOSED_FORM_FAMILIES, seqs, estimates):
         if est.full_interval:
@@ -338,8 +370,11 @@ def haar_floor_composite() -> CriterionResult:
     )
 
 
-def partner_identities() -> CriterionResult:
-    """Kernel identity lattice, partner-measure orthogonality, densities."""
+def partner_identities(family=None) -> CriterionResult:
+    """Kernel identity lattice, partner-measure orthogonality, densities.
+
+    The appendix sequences are built in :mod:`appendixcheck`; ``family``
+    goes unused."""
     lattice = [(a, b) for a in (2, 3, 5, 8) for b in (2, 3, 5, 8)]
     exact_worst = _fold(max, 0.0, (
         r for a, b in lattice
@@ -381,17 +416,18 @@ def partner_identities() -> CriterionResult:
     )
 
 
-def complex_scans() -> CriterionResult:
+def complex_scans(family=None) -> CriterionResult:
     """Real-only complex structure for the counterexamples; a genuinely
     complex one for the cosh family."""
+    family = family or _FamilyTable()
     step = 1e-2
     problems = []
     for tag, kw in (("modkm", dict(alpha=2, beta=5)), ("convex", dict(eps=0.5))):
-        pts, _ = _dual.complex_scan(make_family(tag, **kw), N=400, step=step)
+        pts, _ = _dual.complex_scan(family(tag, **kw), N=400, step=step)
         off = int(np.sum(np.abs(pts.imag) > step)) if pts.size else 0
         if off:
             problems.append(f"{tag}: {off} off-axis survivors")
-    pts, _ = _dual.complex_scan(make_family("cosh", a=1.0), N=400, step=step)
+    pts, _ = _dual.complex_scan(family("cosh", a=1.0), N=400, step=step)
     nonreal = pts[np.abs(pts.imag) > step]
     if nonreal.size == 0:
         problems.append("no non-real survivor for the cosh family")
@@ -438,7 +474,9 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CriterionResult]:
-    """Run one suite serially, results in suite order."""
+    """Run one suite serially, results in suite order; its checks share
+    one family table."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [fn() for fn in SUITES[name]]
+    family = _FamilyTable()
+    return [fn(family) for fn in SUITES[name]]

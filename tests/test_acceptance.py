@@ -136,7 +136,8 @@ def test_nan_orthogonality_error_fails_criterion_4(monkeypatch):
     assert "orthogonality error nan" in result.detail
 
 
-def test_nan_coefficient_fails_criterion_5(monkeypatch):
+def nan_in_rational25(monkeypatch):
+    """Make every rational25 that verify builds read c(7) as NaN."""
     make_family = verify.make_family
 
     def with_nan(tag, **kw):
@@ -153,6 +154,10 @@ def test_nan_coefficient_fails_criterion_5(monkeypatch):
         return seq
 
     monkeypatch.setattr(verify, "make_family", with_nan)
+
+
+def test_nan_coefficient_fails_criterion_5(monkeypatch):
+    nan_in_rational25(monkeypatch)
     result = verify.rescaling_identity()
     assert result.passed is False
     assert "deviation nan" in result.detail
@@ -198,3 +203,68 @@ def test_nan_measurement_fails_criterion_8(monkeypatch, target, wrap, pred, show
     result = verify.partner_identities()
     assert result.passed is False
     assert shown in result.detail
+
+
+# --- one family table per run_suite call -----------------------------------
+
+def count_builds(monkeypatch):
+    """Patch verify.make_family to record each build; return the record."""
+    make_family = verify.make_family
+    built = []
+
+    def recording(tag, **kw):
+        seq = make_family(tag, **kw)
+        built.append(((tag, tuple((k, type(v), v) for k, v in sorted(kw.items()))), seq))
+        return seq
+
+    monkeypatch.setattr(verify, "make_family", recording)
+    return built
+
+
+def test_suite_builds_each_distinct_family_once(monkeypatch):
+    built = count_builds(monkeypatch)
+    results = verify.run_suite("all")
+    specs = [spec for spec, _ in built]
+    assert len(specs) == len(set(specs)) == 19
+    assert all(r.passed for r in results)
+
+
+def test_suite_runs_share_no_family(monkeypatch):
+    built = count_builds(monkeypatch)
+    verify.run_suite("section2")
+    first = [seq for _, seq in built]
+    built.clear()
+    verify.run_suite("section2")
+    second = [seq for _, seq in built]
+    assert len(first) == len(second) > 0
+    assert not {id(s) for s in first} & {id(s) for s in second}
+
+
+def test_direct_criterion_builds_its_own_families(monkeypatch):
+    built = count_builds(monkeypatch)
+    verify.rescaling_identity()
+    verify.rescaling_identity()
+    assert [spec[0] for spec, _ in built] == ["rational25", "modkm"] * 2
+    assert len({id(seq) for _, seq in built}) == 4
+
+
+def test_family_table_keeps_int_and_float_parameters_apart():
+    table = verify._FamilyTable()
+    ints = table("modkm", alpha=2, beta=5)
+    floats = table("modkm", alpha=2.0, beta=5.0)
+    assert ints is not floats
+    assert table("modkm", beta=5, alpha=2) is ints
+    assert table("modkm", alpha=2.0, beta=5.0) is floats
+    assert table("gencheb", alpha=0.0, beta=0.5) is not table("gencheb", alpha=-0.0, beta=0.5)
+
+
+def test_nan_coefficient_fails_criterion_5_in_a_suite_run(monkeypatch):
+    # the NaN of test_nan_coefficient_fails_criterion_5 reaches criterion 5
+    # through the run's shared rational25, which criterion 1 read first
+    # (criterion 4's quadrature, not in this suite, refuses the NaN with a
+    # QuadratureConvergenceError)
+    nan_in_rational25(monkeypatch)
+    results = {r.key: r for r in verify.run_suite("section3")}
+    assert results["criterion-1"].passed
+    assert results["criterion-5"].passed is False
+    assert "deviation nan" in results["criterion-5"].detail

@@ -21,6 +21,7 @@ from hyplab.linearization import (
     LinearizationTable,
     NLPReport,
     check_nlp,
+    check_nlps,
     convolve,
     l1h_norm,
     linearize,
@@ -140,6 +141,11 @@ def assert_same_report(got, want):
     assert float.hex(got.row_sum_max_error) == float.hex(want.row_sum_max_error)
 
 
+def non_finite_seq():
+    # a(n) = 2**-52 divides every step: rows overflow to inf, then NaN
+    return CoeffSequence("custom", {}, lambda n: 1 - 2**-52)
+
+
 STREAM_FAMILIES = [
     ("cheb1", {}),
     ("gencheb", {"alpha": 0.5, "beta": 0.5}),
@@ -196,14 +202,10 @@ class TestStreamedRows:
 
     @pytest.mark.parametrize("N", [33, 65])
     def test_non_finite_rows_match_oracle(self, N):
-        # a(n) = 2**-52 divides every step: rows overflow to inf, then NaN
-        def seq():
-            return CoeffSequence("custom", {}, lambda n: 1 - 2**-52)
-
         with np.errstate(all="ignore"):
-            want = oracle_rows(seq(), N)
-            tab = LinearizationTable(seq(), N)
-            rep = check_nlp(seq(), N)
+            want = oracle_rows(non_finite_seq(), N)
+            tab = LinearizationTable(non_finite_seq(), N)
+            rep = check_nlp(non_finite_seq(), N)
             assert_same_report(rep, oracle_nlp(want.items(), N))
         assert any(np.isinf(row).any() for row in want.values())
         assert any(np.isnan(row).any() for row in want.values())
@@ -282,6 +284,76 @@ class TestStreamedRows:
             check_nlp(make_family("cheb1"), N=-1)
 
 
+class TestBatchedAudit:
+    """check_nlps steps several families in one pass; each report must be
+    bitwise the oracle's, alone or in any batch."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 20, 30])
+    def test_every_family_alone_and_together_matches_oracle(self, N):
+        want = [oracle_nlp(iter_oracle_rows(make_family(tag, **params), N), N)
+                for tag, params in STREAM_FAMILIES]
+        together = check_nlps([make_family(tag, **params)
+                               for tag, params in STREAM_FAMILIES], N)
+        assert len(together) == len(want)
+        for (tag, params), got, expect in zip(STREAM_FAMILIES, together, want):
+            assert_same_report(got, expect)
+            (alone,) = check_nlps([make_family(tag, **params)], N)
+            assert_same_report(alone, expect)
+
+    def test_batch_keeps_the_tie_rule(self):
+        # cheb1's first interior zero is (2, 2, 2) in a batch as alone, next
+        # to families whose minima lie elsewhere
+        N = 65
+        tags = [("gencheb", {"alpha": 0.5, "beta": 0.5}), ("cheb1", {}),
+                ("grinspun", {"c1": 0.7})]
+        reps = check_nlps([make_family(tag, **params) for tag, params in tags], N)
+        assert reps[1].min_coeff == 0.0 and reps[1].min_witness == (2, 2, 2)
+        for (tag, params), rep in zip(tags, reps):
+            assert_same_report(
+                rep, oracle_nlp(iter_oracle_rows(make_family(tag, **params), N), N))
+
+    @pytest.mark.parametrize("N", [5, 33])
+    def test_non_finite_family_leaves_its_batch_alone(self, N):
+        finite = [("cheb1", {}), ("grinspun", {"c1": 0.7}), ("cosh", {"a": 1.0})]
+        with np.errstate(all="ignore"):
+            seqs = [make_family(tag, **params) for tag, params in finite]
+            reps = check_nlps(seqs[:1] + [non_finite_seq()] + seqs[1:], N)
+            bad = oracle_nlp(iter_oracle_rows(non_finite_seq(), N), N)
+        assert_same_report(reps[1], bad)
+        for (tag, params), rep in zip(finite, reps[:1] + reps[2:]):
+            assert_same_report(
+                rep, oracle_nlp(iter_oracle_rows(make_family(tag, **params), N), N))
+        if N == 33:
+            assert reps[1].min_coeff == -np.inf and not reps[1].endpoints_positive
+
+    @pytest.mark.parametrize("N", [54, 65])
+    def test_convex_past_its_float_range_raises_in_a_batch(self, N):
+        # c(107) of convex(eps=0.5) rounds to 1.0: the audit from N = 54 on
+        with pytest.raises(CoefficientDomainError):
+            check_nlp(make_family("convex", eps=0.5), N)
+        with pytest.raises(CoefficientDomainError):
+            check_nlps([make_family("cheb1"), make_family("convex", eps=0.5),
+                        make_family("cosh", a=1.0)], N)
+
+    def test_no_family_no_report(self):
+        assert check_nlps([], 12) == []
+
+    def test_batched_engine_is_bitwise_each_family_alone(self):
+        # coefficients stacked on a leading axis give bands with that axis
+        seqs = [make_family(tag, **params) for tag, params in STREAM_FAMILIES]
+        for n0, n1 in ENGINE_RANGES:
+            if 2 * (n1 - 1) >= 107:
+                continue  # c(107) of convex(eps=0.5) rounds to 1.0
+            cols = [linearization._coeffs(seq, n1 - 1) for seq in seqs]
+            c, a = (np.array(col) for col in zip(*cols))
+            alone = [linearization._band_rows(ci, ai, n0, n1) for ci, ai in cols]
+            for bands in zip(linearization._band_rows(c, a, n0, n1), *alone, strict=True):
+                batch, singles = bands[0], bands[1:]
+                assert batch.shape == (len(seqs),) + singles[0].shape, (n0, n1)
+                for f, band in enumerate(singles):
+                    assert batch[f].tobytes() == band.tobytes(), (n0, n1, f)
+
+
 # every (n0, n1) range a reader runs the engine over: the table and the audit
 # all degrees 0 .. N, linearize one degree, translate the degrees n .. n + K
 ENGINE_RANGES = [(0, 1), (0, 2), (0, 6), (0, 21), (0, 34), (0, 66),
@@ -298,8 +370,7 @@ def test_band_engine_matches_block_oracle(tag, params):
 
 
 def test_band_engine_matches_block_oracle_on_non_finite_rows():
-    # the sequence of test_non_finite_rows_match_oracle: rows reach inf, NaN
-    seq = CoeffSequence("custom", {}, lambda n: 1 - 2**-52)
+    seq = non_finite_seq()
     with np.errstate(all="ignore"):
         for n0, n1 in ENGINE_RANGES:
             assert_bands_match_block_rows(seq, n0, n1)
@@ -307,6 +378,7 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
 
 @pytest.mark.parametrize("call,name", [
     (lambda seq, d: check_nlp(seq, d), "N"),
+    (lambda seq, d: check_nlps([seq, seq], d)[1], "N"),
     (lambda seq, d: LinearizationTable(seq, d).coeffs, "N"),
     (lambda seq, d: linearize(seq, d, 3), "m"),
     (lambda seq, d: linearize(seq, 2, d), "n"),
@@ -324,7 +396,7 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
     (lambda seq, d: np.array(appendixcheck.kernel_identity_residuals(2, 5, [1, d])),
      "n"),
     (lambda seq, d: np.float64(appendixcheck.chebyshev_partner_residual(d)), "nmax"),
-], ids=["check_nlp", "LinearizationTable", "linearize-m", "linearize-n", "translate",
+], ids=["check_nlp", "check_nlps", "LinearizationTable", "linearize-m", "linearize-n", "translate",
         "row", "g", "haar_values", "eval_basis_grid", "connection_coeffs",
         "connection_nonneg", "basis_gram", "triple_products", "spectrum_atoms",
         "kernel_identity_residual", "kernel_identity_residuals",

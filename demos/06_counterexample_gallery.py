@@ -17,7 +17,6 @@ from hyplab import (
     exclusion_bound,
     spectrum_atoms,
 )
-from hyplab.families import ConvexSeqSpec, geometric_sequence, s0_for_epsilon
 
 print("=" * 68)
 print("Construction 1: rescaled two-parameter walk, alpha = 2")
@@ -40,8 +39,7 @@ print("Construction 2: convex weight sequences (discrete measure)")
 print("=" * 68)
 for eps in (0.2, 0.5, 0.8):
     seq = make_family("convex", eps=eps, q=0.5)
-    spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), 0.5))
-    h = [spec.haar(n) for n in range(13)]
+    h = [seq.haar(n) for n in range(13)]
     nlp = check_nlp(seq, N=14).is_nonnegative
     print(f" eps={eps}:  h(1) = {h[1]:.12f}   nonneg = {nlp}   "
           f"h(2), h(4), h(6) = {h[2]:.2f}, {h[4]:.2f}, {h[6]:.2f}")

@@ -70,7 +70,6 @@ from .dual import (
     exclusion_intervals,
 )
 from .appendixcheck import (
-    TildeSeq,
     chebyshev_partner_residual,
     kernel_identity_residual,
     kernel_identity_residuals,

@@ -26,7 +26,6 @@ where the partner atom mass is (alpha-beta)/(alpha-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -38,7 +37,6 @@ from .families import KMParams, make_family
 from . import measures as _measures
 
 __all__ = [
-    "TildeSeq",
     "km_monic_lambda",
     "tilde_monic_lambda",
     "monic_rows",
@@ -76,34 +74,6 @@ def tilde_monic_lambda(alpha, beta, n: int):
         a, b = _exact(alpha, beta)
         return (b - 1) / (a * b)
     return km_monic_lambda(alpha, beta, n)
-
-
-@dataclass(frozen=True)
-class TildeSeq:
-    """The modified walk-polynomial sequence attached to (alpha, beta).
-
-    Same recurrence coefficients as the walk polynomials from degree 2
-    on, but P~_1(x) = beta x / (beta - 1); equivalently, the monic
-    weight at n = 1 changes to (beta-1)/(alpha beta).
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        KMParams(self.alpha, self.beta)  # validates alpha, beta >= 2
-
-    @property
-    def initial_slope(self):
-        (b,) = _exact(self.beta)
-        return b / (b - 1)
-
-    def lam(self, n: int):
-        return tilde_monic_lambda(self.alpha, self.beta, n)
-
-    def sigma(self, n: int) -> list:
-        """Ascending monomial coefficients of the monic partner sigma~_n."""
-        return monic_rows(self.lam, n)[n]
 
 
 def _poly_sub(p: Sequence, q: Sequence) -> list:
@@ -189,9 +159,6 @@ def kernel_identity_residuals(alpha, beta, ns) -> list[float]:
     from one build of the monic rows up to max(ns) + 2; each value equals
     that of the single call."""
     ns = [_degree(n, "n") for n in ns]
-    for n in ns:
-        if n < 0:
-            raise ValueError(f"degree n must be >= 0, got {n}")
     KMParams(float(alpha), float(beta))  # validate the parameter domain
     if not ns:
         return []
@@ -220,17 +187,18 @@ def _poly_eval_grid(coeffs: Sequence, x: np.ndarray) -> np.ndarray:
 def mustar_orthogonality(alpha: float, beta: float, N: int) -> float:
     """Max |int sigma~_m sigma~_n dmu*| over 0 <= m < n <= N.
 
-    mu* is (1/a(1)) (1-x^2) dmu with mu the catalogued walk-polynomial
-    measure, so the atom-at-zero case alpha > beta exercises the
-    discrete part as well.  Each integral is one
-    :func:`measures.inner_product`.
+    sigma~_n is the monic partner sequence, with the weights
+    :func:`tilde_monic_lambda`.  mu* is (1/a(1)) (1-x^2) dmu with mu the
+    catalogued walk-polynomial measure, so the atom-at-zero case
+    alpha > beta exercises the discrete part as well.  Each integral is
+    one :func:`measures.inner_product`.
     """
+    N = _degree(N, "N")
     km = make_family("km", alpha=alpha, beta=beta)
     spec = _measures.measure_of(km)
     a1 = km.a(1)
-    tilde = TildeSeq(alpha, beta)
     rows = [np.array([float(c) for c in row]) for row in
-            monic_rows(tilde.lam, N)]
+            monic_rows(lambda k: tilde_monic_lambda(alpha, beta, k), N)]
     worst = 0.0
     for m in range(N + 1):
         for n in range(m + 1, N + 1):
@@ -305,8 +273,6 @@ def chebyshev_partner_residual(nmax: int) -> float:
     form), over all n <= nmax.  Exactly 0.
     """
     nmax = _degree(nmax, "nmax")
-    if nmax < 0:
-        raise ValueError(f"degree bound nmax must be >= 0, got {nmax}")
     lam_t = lambda k: Fraction(1, 2) if k == 1 else Fraction(1, 4)
     lam_u = lambda k: Fraction(1, 4)
     at_one = [sum(row) for row in monic_rows(lam_t, nmax + 2)]  # sigma_n(1)

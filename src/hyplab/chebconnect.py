@@ -75,8 +75,6 @@ def connection_coeffs(seq: CoeffSequence, nmax: int) -> np.ndarray:
     zero columns past nmax, so r[n + 2] reads 0 in the last row.
     """
     nmax = _degree(nmax, "nmax")
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
     C = np.zeros((nmax + 1, nmax + 3))
     C[0, 0] = 1.0
     if nmax >= 1:
@@ -151,8 +149,8 @@ class CriterionReport:
     ``connection_nonneg`` and ``dual_full_interval`` imply the floor on
     their own; ``uniform_bound``, ``support_symmetric_interval``,
     ``c_convergent`` and ``nevai_class`` imply it only together with
-    nonnegative linearization, so they count toward ``predicted`` only
-    when ``nlp_verified`` is True.
+    nonnegative linearization, so they count toward
+    ``haar_floor_predicted`` only when ``nlp_verified`` is True.
     """
 
     family: str
@@ -164,7 +162,7 @@ class CriterionReport:
     c_convergent: bool
     nevai_class: bool
     nevai_limit_consistent: bool | None
-    predicted: bool
+    haar_floor_predicted: bool
     haar_min: float
     haar_floor_met: bool
     consistent: bool
@@ -184,7 +182,7 @@ class CriterionReport:
             f"  c(n) convergent:                            {mark(self.c_convergent)}",
             f"  Nevai-class recurrence data:                {mark(self.nevai_class)}",
             f"  limit identity c-vs-support edge:           {mark(self.nevai_limit_consistent)}",
-            f"  floor h(n) >= 2 predicted:                  {mark(self.predicted)}",
+            f"  floor h(n) >= 2 predicted:                  {mark(self.haar_floor_predicted)}",
             f"  measured min h(n): {self.haar_min:.6g} (floor met: {mark(self.haar_floor_met)})",
             f"  prediction consistent with measurement:     {mark(self.consistent)}",
         ]
@@ -293,7 +291,7 @@ def criterion_report(
         c_convergent=c_conv,
         nevai_class=nevai,
         nevai_limit_consistent=nevai_limit,
-        predicted=predicted,
+        haar_floor_predicted=predicted,
         haar_min=haar_min,
         haar_floor_met=floor_met,
         consistent=consistent,

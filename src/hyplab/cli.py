@@ -36,15 +36,12 @@ import numpy as np
 
 from .core import CoefficientDomainError, HaarRangeError, haar_values
 from .families import (
-    ConvexSeqSpec,
     FamilyParameterError,
     UnsupportedFamilyError,
     closed_form_max_rel_err,
-    geometric_sequence,
     in_V,
     make_family,
     parse_family_spec,
-    s0_for_epsilon,
 )
 from .quadrature import QuadratureConvergenceError
 from . import chebconnect as _cheb
@@ -83,19 +80,10 @@ def _check(name: str, measured: float, tolerance: float, passed=None) -> dict:
 
 
 def _criteria_block(crit: _cheb.CriterionReport) -> dict:
-    return {
-        "connection_nonneg": crit.connection_nonneg,
-        "dual_full_interval": crit.dual_full_interval,
-        "uniform_bound": crit.uniform_bound,
-        "support_symmetric_interval": crit.support_symmetric_interval,
-        "c_convergent": crit.c_convergent,
-        "nevai_class": crit.nevai_class,
-        "nevai_limit_consistent": crit.nevai_limit_consistent,
-        "haar_floor_predicted": crit.predicted,
-        "haar_min": crit.haar_min,
-        "haar_floor_met": crit.haar_floor_met,
-        "details": {k: float(v) for k, v in crit.details.items()},
-    }
+    """The criterion report in its field order, less what ``report`` prints
+    elsewhere (``family``, ``nlp_verified``) or as a check (``consistent``)."""
+    return {k: v for k, v in dataclasses.asdict(crit).items()
+            if k not in ("family", "nlp_verified", "consistent")}
 
 
 def _dual_block(est: _dual.DualEstimate) -> dict:
@@ -375,8 +363,8 @@ def explore_rows() -> list[list]:
             sweep.append(("modkm", alpha, beta, haar_values(seq, 40)))
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         for q in (0.25, 0.5, 0.75):
-            spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), q))
-            sweep.append(("convex", eps, q, [spec.haar(n) for n in range(41)]))
+            seq = make_family("convex", eps=eps, q=q)
+            sweep.append(("convex", eps, q, [seq.haar(n) for n in range(41)]))
     return [
         [tag, _fmt(p1), _fmt(p2), _fmt(h[1]), _fmt(h[2]),
          _fmt(min(h[2:])), _fmt(min(h[20:]))]

@@ -136,11 +136,16 @@ class CoeffSequence:
 
 
 def _degree(value, name: str) -> int:
-    """``value`` as a plain int; anything but an integer is refused by name."""
+    """``value`` as a plain int: the one check of a degree.  A non-integer
+    raises ``TypeError`` and a negative integer ``ValueError``, each naming
+    the argument ``name``."""
     try:
-        return int(operator.index(value))
+        value = int(operator.index(value))
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
@@ -150,8 +155,6 @@ def haar_values(seq: CoeffSequence, nmax: int) -> np.ndarray:
     raises :class:`HaarRangeError` rather than silently losing precision.
     """
     nmax = _degree(nmax, "nmax")
-    if nmax < 0:
-        raise IndexError(f"h(n) is defined for n >= 0, got n={nmax}")
     h = seq._h_cache
     while len(h) <= nmax:
         k = len(h)
@@ -174,8 +177,6 @@ def eval_basis_grid(seq: CoeffSequence, N: int, x: np.ndarray) -> np.ndarray:
     requested: c(1..N-1).
     """
     N = _degree(N, "N")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
     x = np.asarray(x, dtype=float)
     out = np.empty((N + 1, x.size), dtype=float)
     out[0] = 1.0
@@ -204,6 +205,7 @@ def monic_rows(lam: Callable[[int], object], nmax: int) -> list[list]:
     Arithmetic follows the type returned by ``lam`` (Fractions stay
     exact; floats stay floats).
     """
+    nmax = _degree(nmax, "nmax")
     rows: list[list] = [[1]]
     if nmax == 0:
         return rows
@@ -226,7 +228,6 @@ def monic_coeffs(seq: CoeffSequence, n: int) -> np.ndarray:
     The result has length n+1, leading coefficient exactly 1, and exact
     zeros in the parity gaps (sigma_n has the parity of n).
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = _degree(n, "n")
     rows = monic_rows(lambda k: seq.c(k) * seq.a(k - 1), n)
     return np.array(rows[n], dtype=float)

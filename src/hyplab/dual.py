@@ -88,9 +88,9 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     the first multiple of ``_COMPRESS_EVERY`` at or after its crossing
     whatever the other entries do.
 
-    ``N`` goes through :func:`_degree_bound`, as every profile reader does.
+    ``N`` goes through ``core._degree``, as every profile reader does.
     """
-    N = _degree_bound(N)
+    N = _degree(N, "N")
     one = isinstance(seqs, CoeffSequence)
     if one:
         seqs = [seqs]
@@ -182,14 +182,6 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     dvg.T[idx] = d.T
 
 
-def _degree_bound(N) -> int:
-    """``N`` as a plain int; a non-integer or a negative one is refused."""
-    N = _degree(N, "N")
-    if N < 0:
-        raise ValueError(f"degree bound N must be >= 0, got {N}")
-    return N
-
-
 def _check_step(name: str, step: float) -> None:
     """Refuse a grid step that is not a finite positive number."""
     if not 0.0 < step < np.inf:  # also false on a NaN
@@ -277,7 +269,7 @@ def classify_profile(
                          f"grid shape {np.shape(xs)}")
     mask = max_abs <= 1.0 + tol
     return DualEstimate(
-        N=_degree_bound(N),
+        N=_degree(N, "N"),
         grid_step=grid_step,
         tol=tol,
         xs=xs,

@@ -42,6 +42,7 @@ from .core import (
     CoefficientDomainError,
     HaarRangeError,
     UnsupportedFamilyError,
+    _degree,
 )
 from .measures import DensityPiece, MeasureSpec
 
@@ -315,7 +316,8 @@ class ConvexSeqSpec:
 class _ConvexSequence(CoeffSequence):
     """The ``convex`` family: 1/a(n) and alpha(n) = lambda_{n-1} come from
     the exact backbone, since 1 - c(n) of the float c(n) loses all
-    precision once c(n) nears 1.  Each is rounded once and kept."""
+    precision once c(n) nears 1.  Each is rounded once and kept.
+    :meth:`haar` serves the backbone's h(n)."""
 
     def __init__(self, params: dict, spec: ConvexSeqSpec, description: str):
         super().__init__(
@@ -335,6 +337,10 @@ class _ConvexSequence(CoeffSequence):
         while len(self._alpha) <= nmax:
             self._alpha.append(self._spec.lam(len(self._alpha) - 1))
         return np.array(self._alpha[: nmax + 1])
+
+    def haar(self, n: int) -> float:
+        """h(n) of the exact backbone, :meth:`ConvexSeqSpec.haar`."""
+        return self._spec.haar(n)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +690,7 @@ def closed_form_haar(seq: CoeffSequence, n: int) -> float:
     defining Q_n(1)^2), and :class:`HaarRangeError` where the closed form
     is not a finite float.
     """
-    if n < 0:
-        raise ValueError(f"h(n) is defined for n >= 0, got n={n}")
+    n = _degree(n, "n")
     if n == 0:
         return 1.0
     if seq.closed_form is None:
@@ -792,8 +797,7 @@ def km_special_closed_forms(beta: float, n: int, x, *, modified: bool = True):
 
     if beta < 2.0:
         raise FamilyParameterError(f"closed forms require beta >= 2, got {beta}")
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = _degree(n, "n")
     x = np.asarray(x, dtype=float)
     sb = math.sqrt(beta - 1.0)
     if n == 0:

@@ -108,9 +108,7 @@ def _diagonals(x: np.ndarray, n1: int) -> np.ndarray:
 
 def _coeffs(seq: CoeffSequence, N: int):
     """c(0..2N) and a(0..2N): every coefficient the rows g(m, n) with
-    m, n <= N read; a bad bound is refused first."""
-    if N < 0:
-        raise ValueError(f"table bound must be >= 0, got {N}")
+    m, n <= N read."""
     return seq.c_array(max(2 * N, 1)), seq.a_array(max(2 * N, 1))
 
 
@@ -140,7 +138,7 @@ class LinearizationTable:
         m, n = _degree(m, "m"), _degree(n, "n")
         if m > n:
             m, n = n, m
-        if m < 0 or n > self.N:
+        if n > self.N:
             raise DegreeOverflowError(
                 f"row ({m}, {n}) outside table bound N={self.N}"
             )
@@ -148,10 +146,12 @@ class LinearizationTable:
 
     def g(self, m: int, n: int, k: int) -> float:
         """Linearization coefficient g(m, n; k); zero outside the band."""
-        row, k = self.row(m, n), _degree(k, "k")
-        if k < 0 or k >= row.size:
+        row = self.row(m, n)
+        try:
+            k = _degree(k, "k")
+        except ValueError:  # k < 0 is below the band, not a bad degree
             return 0.0
-        return float(row[k])
+        return float(row[k]) if k < row.size else 0.0
 
 
 def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
@@ -160,8 +160,6 @@ def linearize(seq: CoeffSequence, m: int, n: int) -> np.ndarray:
     Only the rows of degree max(m, n) are generated, up to the one asked for.
     """
     m, n = _degree(m, "m"), _degree(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be nonnegative")
     lo, hi = min(m, n), max(m, n)
     c, a = _coeffs(seq, hi)
     band = next(islice(_band_rows(c, a, hi, hi + 1), lo, None))
@@ -317,8 +315,6 @@ def translate(seq: CoeffSequence, f, n: int) -> np.ndarray:
     """
     v = _as_values(f)
     n = _degree(n, "n")
-    if n < 0:
-        raise ValueError(f"translate needs a degree n >= 0, got n={n}")
     K = v.size - 1
     c, a = _coeffs(seq, K + n)
     out = np.zeros(K + n + 1, dtype=np.result_type(v, float))

@@ -248,8 +248,6 @@ def triple_products(seq: CoeffSequence, M: int) -> np.ndarray:
     entries of the a.c. part stay exactly 0.0.
     """
     M = _degree(M, "M")
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
     spec = measure_of(seq)
     K = 2 * M
     # the pairs m <= n with m + n of parity p meet the degrees k = p, p + 2,

@@ -23,15 +23,7 @@ import numpy as np
 
 from .chebconnect import measured_floor
 from .core import haar_values
-from .families import (
-    ConvexSeqSpec,
-    KMParams,
-    beta_for_epsilon,
-    closed_form_max_rel_err,
-    geometric_sequence,
-    make_family,
-    s0_for_epsilon,
-)
+from .families import KMParams, beta_for_epsilon, closed_form_max_rel_err, make_family
 from . import appendixcheck as _appendix
 from . import dual as _dual
 from . import linearization as _lin
@@ -156,9 +148,9 @@ def counterexample_haar_growth(family=None) -> CriterionResult:
     for eps in _EPS_SWEEP:
         inner = family("modkm", alpha=2.0, beta=beta_for_epsilon(eps))
         defects.append(abs(haar_values(inner, 1)[1] - (1.0 + eps)))
-        spec = ConvexSeqSpec(geometric_sequence(s0_for_epsilon(eps), 0.5))
-        defects.append(abs(spec.haar(1) - (1.0 + eps)))
-        h = [spec.haar(n) for n in range(0, 61)]
+        convex = family("convex", eps=eps)
+        defects.append(abs(convex.haar(1) - (1.0 + eps)))
+        h = [convex.haar(n) for n in range(0, 61)]
         if not all(h[n] < h[n + 1] for n in range(0, 60)):
             growth_ok = False
         if not all(h[n] > 4.0 for n in range(2, 61)):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from hyplab.appendixcheck import (
-    TildeSeq,
     _kernel_residuals,
     chebyshev_partner_residual,
     kernel_identity_residual,
@@ -77,24 +76,14 @@ def test_float_and_mixed_parameters_stay_float():
         for n in (1, 2, 3):
             assert type(km_monic_lambda(a, b, n)) is float
             assert type(tilde_monic_lambda(a, b, n)) is float
-    assert type(TildeSeq(2.5, 5.5).initial_slope) is float
-    # the slope depends on beta alone, so a rational beta keeps it exact
-    assert TildeSeq(2.5, 5).initial_slope == Fraction(5, 4)
 
 
-def test_tilde_seq_validation():
-    with pytest.raises(ValueError):
-        TildeSeq(1.5, 5.0)
-    with pytest.raises(ValueError):
-        TildeSeq(2.0, 1.0)
-
-
-def test_tilde_seq_initial_slope():
-    t = TildeSeq(2, 5)
-    # the partner's degree-1 member is beta x / (beta - 1)
-    assert t.initial_slope == Fraction(5, 4)
-    sigma1 = t.sigma(1)
-    assert sigma1 == [0, 1]  # monic normalization drops the slope
+def test_mustar_orthogonality_validation():
+    # the walk parameters must be >= 2
+    with pytest.raises(ValueError, match=r"require alpha, beta >= 2"):
+        mustar_orthogonality(1.5, 5.0, 2)
+    with pytest.raises(ValueError, match=r"require alpha, beta >= 2"):
+        mustar_orthogonality(2.0, 1.0, 2)
 
 
 def test_monic_rows_type_generic():
@@ -194,13 +183,11 @@ def test_chebyshev_pair_with_a_wrong_ratio():
 class TestTildeDensity:
     def test_ratio_is_one_on_support(self):
         for a, b in ((2, 5), (5, 5), (3, 8)):
-            p = TildeSeq(a, b)
             g1 = (np.sqrt(a - 1) + np.sqrt(b - 1)) / np.sqrt(a * b)
             g2 = abs(np.sqrt(a - 1) - np.sqrt(b - 1)) / np.sqrt(a * b)
             xs = np.linspace(g2 + 1e-3, g1 - 1e-3, 41)
             ratio = tilde_density_ratio(a, b, xs)
             assert np.max(np.abs(ratio - 1.0)) < 1e-10
-            del p
 
     def test_balanced_parameters_reach_zero(self):
         # alpha = beta: the inner edge closes and the density is finite at 0

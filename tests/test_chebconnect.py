@@ -236,7 +236,7 @@ class TestCriterionReport:
     def test_full_interval_family(self):
         rep = criterion_report(make_family("cosh", a=1.0), nlp_verified=True)
         assert rep.dual_full_interval
-        assert rep.predicted
+        assert rep.haar_floor_predicted
         assert rep.haar_min >= 2.0 - 1e-9
         assert rep.haar_floor_met
         assert rep.consistent
@@ -244,7 +244,7 @@ class TestCriterionReport:
     def test_counterexample_family(self):
         rep = criterion_report(make_family("modkm", alpha=2.0, beta=5.0),
                                nlp_verified=True)
-        assert not rep.predicted       # no sufficient criterion fires
+        assert not rep.haar_floor_predicted       # no sufficient criterion fires
         assert not rep.haar_floor_met  # h(1) = 1.8 < 2
         assert rep.consistent          # ...which is exactly consistent
 
@@ -254,7 +254,7 @@ class TestCriterionReport:
         seq = make_family("grinspun", c1=0.7)
         rep = criterion_report(seq, nlp_verified=False)
         assert rep.uniform_bound
-        assert not rep.predicted
+        assert not rep.haar_floor_predicted
         assert rep.haar_min < 2.0
         assert rep.consistent
 

@@ -265,7 +265,7 @@ class TestSingleImplementations:
         assert str(again.value) == str(want.value)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(IndexError, match="got n=-1"):
+        with pytest.raises(ValueError, match=r"^nmax must be >= 0, got -1$"):
             haar_values(make_family("cheb1"), -1)
 
     @pytest.mark.parametrize("tag,params", ORACLE_FAMILIES)

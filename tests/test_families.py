@@ -529,6 +529,16 @@ def test_convex_columns_independent_of_read_order():
             assert g.hex() == _oracle(name, n, lam, q1).hex()
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_convex_family_serves_the_backbone_haar(eps):
+    # the (eps, q) pairs of explore: the family's h(n) is its backbone's,
+    # bit for bit
+    for q in (0.25, 0.5, 0.75):
+        seq, spec = make_family("convex", eps=eps, q=q), convex_spec(eps, q)
+        assert ([seq.haar(n).hex() for n in range(41)]
+                == [spec.haar(n).hex() for n in range(41)]), q
+
+
 def _oracle(name, n, lam, q1):
     """lam(n), c(n), 1/a(n) or h(n) from the Fraction recurrence, each
     rounded once from an unreduced integer quotient: int / int rounds

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from hyplab.core import (
     CoeffSequence, CoefficientDomainError, eval_basis_grid, haar_values,
+    monic_coeffs, monic_rows,
 )
-from hyplab.families import make_family
-from hyplab import appendixcheck, chebconnect, linearization, measures
+from hyplab.families import closed_form_haar, km_special_closed_forms, make_family
+from hyplab import appendixcheck, chebconnect, dual, linearization, measures
 from hyplab.linearization import (
     DegreeOverflowError,
     LinearizationTable,
@@ -396,14 +397,28 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
     (lambda seq, d: np.array(appendixcheck.kernel_identity_residuals(2, 5, [1, d])),
      "n"),
     (lambda seq, d: np.float64(appendixcheck.chebyshev_partner_residual(d)), "nmax"),
+    (lambda seq, d: np.float64(closed_form_haar(seq, d)), "n"),
+    (lambda seq, d: monic_coeffs(seq, d), "n"),
+    (lambda seq, d: np.concatenate([np.array(row, dtype=float)
+                                    for row in monic_rows(lambda k: 0.25, d)]), "nmax"),
+    (lambda seq, d: np.float64(appendixcheck.mustar_orthogonality(2, 5, d)), "N"),
+    (lambda seq, d: dual.max_abs_profile(seq, [0.5, 0.99], d), "N"),
+    (lambda seq, d: dual.dual_estimate(seq, d, 0.1).member_mask, "N"),
+    (lambda seq, d: dual.dual_estimates([seq, seq], d, 0.1)[1].member_mask, "N"),
+    (lambda seq, d: np.array(dual.divergence_classify(seq, 0.5, d)), "N"),
+    (lambda seq, d: np.concatenate(dual.complex_scan(seq, d, 0.5)), "N"),
+    (lambda seq, d: np.float64(km_special_closed_forms(5.0, d, 0.5)), "n"),
 ], ids=["check_nlp", "check_nlps", "LinearizationTable", "linearize-m", "linearize-n", "translate",
         "row", "g", "haar_values", "eval_basis_grid", "connection_coeffs",
         "connection_nonneg", "basis_gram", "triple_products", "spectrum_atoms",
         "kernel_identity_residual", "kernel_identity_residuals",
-        "chebyshev_partner_residual"])
+        "chebyshev_partner_residual", "closed_form_haar", "monic_coeffs", "monic_rows",
+        "mustar_orthogonality", "max_abs_profile", "dual_estimate", "dual_estimates",
+        "divergence_classify", "complex_scan", "km_special_closed_forms"])
 def test_degrees_are_plain_integers(call, name):
     # any integer type is a degree, and the results hold plain Python values;
-    # anything else is refused by the argument's name
+    # anything else is refused by the argument's name, and so is a negative
+    # degree, except g's k: below the band g is 0.0
     seq = make_family("gencheb", alpha=0.5, beta=0.5)
     want = call(seq, 3)
     for d in (np.int64(3), np.int32(3), np.uint8(3)):
@@ -418,6 +433,22 @@ def test_degrees_are_plain_integers(call, name):
     for bad in (3.0, np.float64(3.0), "3", None):
         with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
             call(seq, bad)
+    if name == "k":
+        assert call(seq, -1) == 0.0
+    else:
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
+            call(seq, -1)
+
+
+def test_bad_degrees_that_had_a_silent_answer_are_refused():
+    # these once returned [[1], [0, 1]], [] and 2.0 (and
+    # mustar_orthogonality(2, 5, -1) returned 0.0; see the rows above)
+    with pytest.raises(ValueError, match=r"^nmax must be >= 0, got -2$"):
+        monic_rows(lambda k: 0.25, -2)
+    with pytest.raises(ValueError, match=r"^N must be >= 0, got -1$"):
+        check_nlps([], -1)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 1.5$"):
+        closed_form_haar(make_family("cheb1"), 1.5)
 
 
 def test_numpy_reduceat_after_a_zero_is_the_exact_length_reduce():
@@ -644,7 +675,7 @@ class TestHypergroupOps:
 
     @pytest.mark.parametrize("f", [[1.0], [1.0, 2.0, 3.0]])
     def test_translate_by_negative_degree_names_it(self, f):
-        with pytest.raises(ValueError, match=r"degree n >= 0, got n=-1"):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             translate(make_family("cheb1"), f, -1)
 
     def test_convolve_deltas_match_rows(self):

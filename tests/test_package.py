@@ -107,6 +107,24 @@ def test_only_dual_names_its_profile_kernel():
     assert not found
 
 
+def test_only_families_builds_a_sequence():
+    # every other layer takes its sequences from make_family, so the
+    # construction of a family, the convex one included, lives in one place
+    builders = {"CoeffSequence", "ConvexSeqSpec", "_ConvexSequence"}
+    found = []
+    for path in sorted(Path(hyplab.__file__).resolve().parent.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in builders:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def _reads_tag(expr, bound) -> bool:
     return any(
         (isinstance(n, ast.Attribute) and n.attr == "family_tag")

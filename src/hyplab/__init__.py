@@ -52,6 +52,7 @@ from .measures import (
     MeasureSpec,
     basis_gram,
     inner_product,
+    inner_products,
     measure_mass,
     measure_of,
     orthogonality_error,

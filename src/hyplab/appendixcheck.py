@@ -58,6 +58,7 @@ def _exact(*values) -> tuple:
 
 def km_monic_lambda(alpha, beta, n: int):
     """Monic recurrence weight of the walk polynomials; exact if possible."""
+    n = _degree(n, "n")
     if n < 1:
         raise ValueError("monic weights start at n = 1")
     a, b = _exact(alpha, beta)
@@ -70,7 +71,7 @@ def km_monic_lambda(alpha, beta, n: int):
 
 def tilde_monic_lambda(alpha, beta, n: int):
     """Monic weight of the modified-initial-slope partner sequence."""
-    if n == 1:
+    if _degree(n, "n") == 1:
         a, b = _exact(alpha, beta)
         return (b - 1) / (a * b)
     return km_monic_lambda(alpha, beta, n)
@@ -190,8 +191,10 @@ def mustar_orthogonality(alpha: float, beta: float, N: int) -> float:
     sigma~_n is the monic partner sequence, with the weights
     :func:`tilde_monic_lambda`.  mu* is (1/a(1)) (1-x^2) dmu with mu the
     catalogued walk-polynomial measure, so the atom-at-zero case
-    alpha > beta exercises the discrete part as well.  Each integral is
-    one :func:`measures.inner_product`.
+    alpha > beta exercises the discrete part as well.  The integrals of
+    all pairs come from one :func:`measures.inner_products` pass, which
+    evaluates sigma~_0..sigma~_N once per node set; each equals the
+    :func:`measures.inner_product` of its pair alone.
     """
     N = _degree(N, "N")
     km = make_family("km", alpha=alpha, beta=beta)
@@ -199,21 +202,19 @@ def mustar_orthogonality(alpha: float, beta: float, N: int) -> float:
     a1 = km.a(1)
     rows = [np.array([float(c) for c in row]) for row in
             monic_rows(lambda k: tilde_monic_lambda(alpha, beta, k), N)]
+    # odd cross terms vanish by symmetry
+    pairs = [(m, n) for m in range(N + 1) for n in range(m + 1, N + 1)
+             if (m + n) % 2 == 0]
+
+    def integrands(x):
+        P = [_poly_eval_grid(row, x) for row in rows]
+        w = 1.0 - x * x
+        return np.array([P[m] * P[n] * w / a1 for m, n in pairs]).reshape(
+            len(pairs), x.size)
+
     worst = 0.0
-    for m in range(N + 1):
-        for n in range(m + 1, N + 1):
-            if (m + n) % 2 == 1:
-                continue  # odd cross terms vanish by symmetry
-            val = _measures.inner_product(
-                spec,
-                lambda x, rm=rows[m], rn=rows[n]: (
-                    _poly_eval_grid(rm, x)
-                    * _poly_eval_grid(rn, x)
-                    * (1.0 - x * x)
-                    / a1
-                ),
-            )
-            worst = max(worst, abs(val))
+    for val in _measures.inner_products(spec, integrands):
+        worst = max(worst, abs(val))
     return worst
 
 

@@ -88,23 +88,34 @@ class CoeffSequence:
     _h_cache: list = field(default_factory=lambda: [1.0], init=False, repr=False)
 
     def c(self, n: int) -> float:
-        """Validated recurrence coefficient c(n), n >= 1."""
+        """Validated recurrence coefficient c(n), n >= 1.  A degree that is
+        not an integer raises :func:`_degree`'s ``TypeError``, and an
+        integer below 1 ``IndexError``."""
+        cache = self._c_cache
+        try:
+            if 0 < n <= len(cache):
+                return cache[n - 1]
+            n = operator.index(n)
+        except TypeError:  # a float indexes no list; "2" or None compares with no int
+            _degree(n, "n")  # raises its TypeError, naming n
         if n < 1:
             raise IndexError(f"c(n) is defined for n >= 1, got n={n}")
-        while len(self._c_cache) < n:
-            k = len(self._c_cache) + 1
+        while len(cache) < n:
+            k = len(cache) + 1
             value = float(self.cfunc(k))
             if not 0.0 < value < 1.0:
                 raise CoefficientDomainError(
                     f"c({k}) = {value!r} lies outside (0, 1) "
                     f"for family {self.family_tag!r}"
                 )
-            self._c_cache.append(value)
-        return self._c_cache[n - 1]
+            cache.append(value)
+        return cache[n - 1]
 
     def a(self, n: int) -> float:
-        """Complementary coefficient a(n) = 1 - c(n); a(0) = 1."""
+        """Complementary coefficient a(n) = 1 - c(n); a(0) = 1.  A degree is
+        checked as by :meth:`c`."""
         if n == 0:
+            _degree(n, "n")  # refuses 0.0, which equals 0
             return 1.0
         return 1.0 - self.c(n)
 

@@ -82,6 +82,13 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     and so do max_abs and diverged_at, freezing included.  Complex points
     are not folded here (``complex_scan`` folds its own grid).
 
+    The magnitude 1.0 is not iterated either.  When every 1/a(n) is
+    finite, as validated coefficients make it, the increment vanishes
+    there and P_n(1) = 1 exactly for every n, so under a threshold >= 1
+    its result is max_abs 1.0 with diverged_at 0, the values it starts
+    with.  For ``convex``, whose members are only +-1, the kernel then
+    stops once every other point has crossed.
+
     The iterated points run in blocks of ``_BLOCK // F`` so that the
     working arrays stay in cache.  Blocking and batching are exact: each
     entry's values depend only on its own path, and its max is final at
@@ -102,8 +109,13 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     inv_a = np.empty((len(seqs), max(N, 1)))
     for row, seq in zip(inv_a, seqs):
         row[:] = seq.inv_a_array(N - 1 if N > 0 else 0)
-    out = np.empty((len(seqs), z.size))
-    out[:] = np.maximum(1.0, np.abs(z))
+    unit = None  # where |x| = 1 sits, when it is not iterated
+    if fold is not None and threshold >= 1.0 and np.isfinite(inv_a).all():
+        k = int(np.searchsorted(z, 1.0))  # z is sorted and may pass 1
+        if k < z.size and z[k] == 1.0:
+            unit, z = k, np.concatenate((z[:k], z[k + 1:]))
+    out = np.empty((len(seqs), z.size + (unit is not None)))
+    out[:, :z.size] = np.maximum(1.0, np.abs(z))
     dvg = np.zeros(out.shape, dtype=np.int32)
     if seqs:
         width = max(_BLOCK // len(seqs), 1)
@@ -111,6 +123,9 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
             stop = min(start + width, z.size)
             _profile_block(z[start:stop], inv_a, N, threshold,
                            out[:, start:stop], dvg[:, start:stop])
+    if unit is not None:  # the points past 1 move up; 1 keeps the values it starts with
+        out[:, unit + 1:], dvg[:, unit + 1:] = out[:, unit:-1], dvg[:, unit:-1]
+        out[:, unit], dvg[:, unit] = 1.0, 0
     if fold is not None:
         out, dvg = out[:, fold], dvg[:, fold]
     shape = zs.shape if one else out.shape[:1] + zs.shape

@@ -28,6 +28,7 @@ solvers of the two ``h(1) = 1 + eps`` constructions.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import re
@@ -151,11 +152,18 @@ def _quot(x: tuple, y: tuple) -> float:
 
 class _Column:
     """One float column of the convex backbone: value(0) .. value(k) and
-    the exact state (k, R_k, R_{k+1}, Pi_k) of the last one."""
+    the exact state (k, R_k, R_{k+1}, Pi_k) of the last one.
 
-    def __init__(self, value: Callable, error: type, message: str):
+    Only the h column reads Pi_k, whose mantissa grows by a weight's bits
+    per degree; a column built with ``reads_pi=False`` carries just its
+    sign, +-1, which is all its guards read, and forms the exact Pi_k only
+    to name it in an error."""
+
+    def __init__(self, value: Callable, error: type, message: str, reads_pi: bool):
         self._value, self._error, self._message = value, error, message
-        self._state, self._floats = (0, _ONE, _ONE, _ONE), [value(_ONE, _ONE, _ONE)]
+        self._reads_pi = reads_pi
+        self._state = (0, _ONE, _ONE, _ONE if reads_pi else 1)
+        self._floats = [value(_ONE, _ONE, _ONE)]
 
     def read(self, lam_at: Callable[[int], tuple], n: int) -> float:
         """value(n); a raise names the first failing degree and leaves the
@@ -163,10 +171,16 @@ class _Column:
         while len(self._floats) <= n:
             k, r, r_next, pi = self._state
             lam = lam_at(k)
-            p = _mul(pi, lam)
-            if p[0] == 0:
+            if self._reads_pi:
+                p = _mul(pi, lam)
+                sign = p[0]
+            else:
+                p = sign = pi * ((lam[0] > 0) - (lam[0] < 0))
+            if sign == 0:
                 raise ZeroDivisionError(f"convex construction broke down: lambda_{k} = 0")
-            if r_next[0] == 0 or (r_next[0] > 0) != (p[0] > 0):
+            if r_next[0] == 0 or (r_next[0] > 0) != (sign > 0):
+                if not self._reads_pi:
+                    p = functools.reduce(_mul, map(lam_at, range(k + 1)), _ONE)
                 q = _quot(r_next, p)
                 raise FamilyParameterError(
                     f"convex construction broke down: Q_{k + 1}(1) = {q!r} is not positive")
@@ -212,7 +226,8 @@ class ConvexSeqSpec:
     rounded.  No step reduces by a gcd, and only the rounded floats leave the
     object.  The columns c, 1/a and h are read to very different depths, so
     each streams the recurrence on its own and keeps only its last exact state
-    and its floats: memory is linear in N.  s is checked to stay in (0, 1),
+    and its floats: memory is linear in N.  Only h reads Pi_n; the c and 1/a
+    columns carry its sign alone.  s is checked to stay in (0, 1),
     strictly decreasing and convex as it is read, and a value that fails is
     never kept; a non-positive Q_n(1), a zero lambda_n or a float overflow
     raises, naming the first failing degree.  A check that fails once s has
@@ -226,12 +241,15 @@ class ConvexSeqSpec:
 
     def __post_init__(self):
         self._c = _Column(lambda r, r_next, pi: _quot(_sub(r, r_next), r),
-                          CoefficientDomainError, "c(n) exceeds float range at n = {n}")
+                          CoefficientDomainError, "c(n) exceeds float range at n = {n}",
+                          reads_pi=False)
         self._inv_a = _Column(lambda r, r_next, pi: _quot(r, r_next),
-                              CoefficientDomainError, "1/a(n) exceeds float range at n = {n}")
+                              CoefficientDomainError, "1/a(n) exceeds float range at n = {n}",
+                              reads_pi=False)
         self._haar = _Column(lambda r, r_next, pi: _quot(_mul(r, r), _mul(pi, pi)),
                              HaarRangeError,
-                             "Haar weight h({n}) exceeds float range on the convex backbone")
+                             "Haar weight h({n}) exceeds float range on the convex backbone",
+                             reads_pi=True)
 
     def _s_at(self, k: int) -> tuple:
         while len(self._s_cache) <= k:

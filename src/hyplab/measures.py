@@ -55,6 +55,7 @@ __all__ = [
     "measure_mass",
     "second_moment",
     "inner_product",
+    "inner_products",
     "basis_gram",
     "orthogonality_error",
     "triple_products",
@@ -128,18 +129,30 @@ def measure_of(seq: CoeffSequence) -> MeasureSpec:
 # ---------------------------------------------------------------------------
 
 
-def _refine_piece(piece, accumulate, tol):
-    """Run accumulate(x, lo, hi, wts) per level until stable; return S."""
+def _levels(piece):
+    """Yield ``(level, x, lo, hi, wts)`` for the tanh-sinh nodes that are new
+    at each level on ``piece``, from START_LEVEL to MAX_LEVEL; ``wts`` are
+    the nodes' weights without the step."""
     rule = default_rule()
     mid = 0.5 * (piece.a + piece.b)
     half = 0.5 * (piece.b - piece.a)
-    prev = None
     for level in range(START_LEVEL, MAX_LEVEL + 1):
         u, omu, opu, w = rule.level_nodes(level)
-        x = mid + half * u
-        lo = half * opu
-        hi = half * omu
-        contrib = accumulate(x, lo, hi, half * w) * 2.0**-level
+        yield level, mid + half * u, half * opu, half * omu, half * w
+
+
+def _unstable(piece, tol) -> QuadratureConvergenceError:
+    return QuadratureConvergenceError(
+        f"tanh-sinh did not stabilize to {tol:g} on "
+        f"({piece.a:g}, {piece.b:g}) by level {MAX_LEVEL}"
+    )
+
+
+def _refine_piece(piece, accumulate, tol):
+    """Run accumulate(x, lo, hi, wts) per level until stable; return S."""
+    prev = None
+    for level, x, lo, hi, wts in _levels(piece):
+        contrib = accumulate(x, lo, hi, wts) * 2.0**-level
         cur = contrib if prev is None else prev * 0.5 + contrib
         if prev is not None:
             delta = np.max(np.abs(cur - prev))
@@ -147,10 +160,7 @@ def _refine_piece(piece, accumulate, tol):
             if delta <= tol * scale:
                 return cur
         prev = cur
-    raise QuadratureConvergenceError(
-        f"tanh-sinh did not stabilize to {tol:g} on "
-        f"({piece.a:g}, {piece.b:g}) by level {MAX_LEVEL}"
-    )
+    raise _unstable(piece, tol)
 
 
 def integrate_positive(
@@ -195,16 +205,62 @@ def second_moment(spec: MeasureSpec) -> float:
 
 def inner_product(spec: MeasureSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f against the full measure (f(x) + f(-x) on the a.c.
-    half-axis pieces, plus f at the atoms)."""
+    half-axis pieces, plus f at the atoms): :func:`inner_products` of the
+    one row f."""
+    return inner_products(spec, lambda x: np.atleast_2d(f(x)))[0]
+
+
+def inner_products(
+    spec: MeasureSpec, f: Callable[[np.ndarray], np.ndarray]
+) -> list[float]:
+    """Integrals of the k rows of ``f(x)``, a ``(k, len(x))`` array, against
+    the full measure, as :func:`inner_product` integrates one: f(x) +
+    f(-x) on the a.c. half-axis pieces, plus f at the atoms.
+
+    f is evaluated once per node set for all rows, but each row is
+    integrated on its own: by the one-row product with the weighted
+    density, stopping at the first level where its own change passes
+    :data:`QUAD_TOL` (scale max(1, |S|)).  So each value is bitwise that of
+    :func:`inner_product` on its row alone.
+    """
+    _require_closed_form(spec)
 
     def vals(x):
         return np.asarray(f(x), dtype=float)
 
-    ac = integrate_positive(
-        spec, lambda x, lo, hi: vals(x) + vals(-x), tol=QUAD_TOL
-    )
-    at = sum(m * float(vals(np.array([t]))[0]) for t, m in spec.atoms)
-    return ac + at
+    total = None
+    for piece in spec.pieces:
+        part = None
+        for level, x, lo, hi, wts in _levels(piece):
+            rows = vals(x) + vals(-x)
+            if part is None:
+                part = np.zeros(len(rows))
+                prev = np.full(len(rows), np.nan)
+                live = np.arange(len(rows))
+            rw = piece.fn(x, lo, hi) * wts
+            # one (1, len(x)) product per row, as a single row integrates
+            contrib = np.array([(np.atleast_2d(rows[i]) @ rw)[0] for i in live])
+            contrib *= 2.0**-level
+            cur = contrib if level == START_LEVEL else prev[live] * 0.5 + contrib
+            if level > START_LEVEL:
+                done = np.abs(cur - prev[live]) <= QUAD_TOL * np.maximum(1.0, np.abs(cur))
+                part[live[done]] = cur[done]
+                live, cur = live[~done], cur[~done]
+                if not live.size:
+                    break
+            prev[live] = cur
+        else:
+            raise _unstable(piece, QUAD_TOL)
+        total = part if total is None else total + part
+    if total is None:
+        total = np.zeros(len(vals(np.zeros(0))))
+    if not np.all(np.isfinite(total)):
+        raise QuadratureConvergenceError("non-finite quadrature result")
+    at = [vals(np.array([t]))[:, 0] for t, _ in spec.atoms]
+    return [
+        float(ac) + sum(m * float(v[i]) for (_, m), v in zip(spec.atoms, at))
+        for i, ac in enumerate(total)
+    ]
 
 
 def basis_gram(seq: CoeffSequence, N: int) -> np.ndarray:

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebconnect import measured_floor
-from .core import haar_values
+from .core import CoefficientDomainError, HaarRangeError, haar_values
 from .families import KMParams, beta_for_epsilon, closed_form_max_rel_err, make_family
 from . import appendixcheck as _appendix
 from . import dual as _dual
 from . import linearization as _lin
 from . import measures as _measures
+from .quadrature import QuadratureConvergenceError
 
 __all__ = [
     "CriterionResult",
@@ -51,6 +52,25 @@ class CriterionResult:
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.key} {self.title}: {self.detail}"
+
+
+#: Criterion i's title at index i - 1, in :data:`CRITERIA` order.
+_TITLES = (
+    "closed-form Haar weights",
+    "h(1)=1+eps constructions",
+    "linearization audits",
+    "quadrature oracles",
+    "rescaling identity",
+    "structure-space geometry",
+    "Haar floor vs dual coverage",
+    "reweighted-partner identities",
+    "complex-plane scans",
+)
+
+
+def _result(i: int, passed, detail: str) -> CriterionResult:
+    """Criterion i's result, under its key and title."""
+    return CriterionResult(f"criterion-{i}", _TITLES[i - 1], passed, detail)
 
 
 _CLOSED_FORM_FAMILIES = [
@@ -131,9 +151,8 @@ def haar_closed_forms(family=None) -> CriterionResult:
         errs.append(closed_form_max_rel_err(seq, haar_values(seq, 40)))
     worst = _fold(max, 0.0, errs)
     passed = worst <= 1e-10
-    return CriterionResult(
-        "criterion-1",
-        "closed-form Haar weights",
+    return _result(
+        1,
         passed,
         f"{len(_CLOSED_FORM_FAMILIES)} families, n<=40, worst rel err "
         f"{worst:.2e} (tol 1e-10)",
@@ -159,9 +178,8 @@ def counterexample_haar_growth(family=None) -> CriterionResult:
             growth_ok = False
     worst = _fold(max, 0.0, defects)
     passed = worst <= 1e-12 and growth_ok
-    return CriterionResult(
-        "criterion-2",
-        "h(1)=1+eps constructions",
+    return _result(
+        2,
         passed,
         f"eps in {_EPS_SWEEP}: |h(1)-(1+eps)| worst {worst:.2e} (tol 1e-12); "
         f"monotone/floor-4/ratio-4 growth {'ok' if growth_ok else 'VIOLATED'}",
@@ -189,9 +207,8 @@ def nlp_audits(family=None) -> CriterionResult:
         defects.append(np.abs(tab.coeffs[1:, 1:] - expect)[band])
     row_worst = float(np.max(defects))  # a NaN defect stays NaN
     passed = all_nonneg and witness_found and row_worst <= 1e-12
-    return CriterionResult(
-        "criterion-3",
-        "linearization audits",
+    return _result(
+        3,
         passed,
         f"{len(_NLP_FAMILIES)} families nonneg at m,n<=30 (min {min_ok:.1e}); "
         f"negative witness {witness.min_coeff:.3f} at m,n<=10; "
@@ -225,9 +242,8 @@ def linearization_oracles(family=None) -> CriterionResult:
     worst_g = float(np.max(defects))  # a NaN defect is kept, and fails the check
     worst_orth = _fold(max, 0.0, orth)
     passed = worst_g <= 1e-8 and worst_orth <= 1e-7
-    return CriterionResult(
-        "criterion-4",
-        "quadrature oracles",
+    return _result(
+        4,
         passed,
         f"{len(_FULL_MEASURE_FAMILIES)} families: max |g - h*integral| "
         f"{worst_g:.2e} (tol 1e-8); orthogonality error {worst_orth:.2e} "
@@ -245,9 +261,8 @@ def rescaling_identity(family=None) -> CriterionResult:
         np.max(np.abs(rat.c_array(200)[1:] - mod.c_array(200)[1:]))
     )
     passed = dev <= 1e-14
-    return CriterionResult(
-        "criterion-5",
-        "rescaling identity",
+    return _result(
+        5,
         passed,
         f"c(n) entrywise deviation {dev:.2e} for n<=200 (tol 1e-14)",
     )
@@ -312,9 +327,8 @@ def dual_geometry(family=None) -> CriterionResult:
         )
 
     passed = not problems
-    return CriterionResult(
-        "criterion-6",
-        "structure-space geometry",
+    return _result(
+        6,
         passed,
         "two-interval edges, eps sweep, above-band {..}, discrete dual all ok"
         if passed
@@ -351,9 +365,8 @@ def haar_floor_composite(family=None) -> CriterionResult:
             f"zero_member={zero_member} punctured={punctured}"
         )
     passed = not violations
-    return CriterionResult(
-        "criterion-7",
-        "Haar floor vs dual coverage",
+    return _result(
+        7,
         passed,
         f"{covering} covering families all have h >= 2-1e-9; converse "
         f"witness min h {hmin_w:.3f} with punctured gap and atom member at 0"
@@ -398,9 +411,8 @@ def partner_identities(family=None) -> CriterionResult:
         and orth_worst <= 1e-7
         and ratio_worst <= 1e-10
     )
-    return CriterionResult(
-        "criterion-8",
-        "reweighted-partner identities",
+    return _result(
+        8,
         passed,
         f"exact lattice residual {exact_worst}; float n<=15 {float_worst:.2e} "
         f"(tol 1e-12); partner orthogonality {orth_worst:.2e} (tol 1e-7); "
@@ -428,9 +440,8 @@ def complex_scans(family=None) -> CriterionResult:
         if not np.all(nonreal.real**2 + (nonreal.imag / b) ** 2 <= 1.0 + 1e-6):
             problems.append("cosh survivors leave the expected ellipse")
     passed = not problems
-    return CriterionResult(
-        "criterion-9",
-        "complex-plane scans",
+    return _result(
+        9,
         passed,
         f"counterexamples confined to the real axis; cosh keeps "
         f"{nonreal.size} points filling the ellipse (semi-axes 1, tanh 1)"
@@ -467,8 +478,18 @@ SUITES = {
 
 def run_suite(name: str) -> list[CriterionResult]:
     """Run one suite serially, results in suite order; its checks share
-    one family table."""
+    one family table.  A check that fails numerically, by
+    :class:`QuadratureConvergenceError`, :class:`HaarRangeError` or
+    :class:`CoefficientDomainError`, gives a FAIL result naming the error,
+    and the later checks still run."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     family = _FamilyTable()
-    return [fn(family) for fn in SUITES[name]]
+    results = []
+    for fn in SUITES[name]:
+        try:
+            results.append(fn(family))
+        except (QuadratureConvergenceError, HaarRangeError, CoefficientDomainError) as exc:
+            results.append(_result(CRITERIA.index(fn) + 1, False,
+                                   f"numerical failure: {type(exc).__name__}: {exc}"))
+    return results

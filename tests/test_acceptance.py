@@ -8,7 +8,8 @@ prints a single ``[PASS]``/``[FAIL]`` line with the measured figures, so
 import numpy as np
 import pytest
 
-from hyplab import chebconnect, verify
+from hyplab import chebconnect, cli, verify
+from hyplab.core import CoefficientDomainError, HaarRangeError
 
 
 @pytest.mark.parametrize(
@@ -270,3 +271,34 @@ def test_nan_coefficient_fails_criterion_5_in_a_suite_run(monkeypatch):
     assert results["criterion-1"].passed
     assert results["criterion-5"].passed is False
     assert "deviation nan" in results["criterion-5"].detail
+
+
+def test_numerical_failure_fails_its_criterion_and_the_run_goes_on(monkeypatch, capsys):
+    # criterion 4's quadrature refuses the NaN with a
+    # QuadratureConvergenceError; that is its FAIL, and 5 to 9 still run
+    nan_in_rational25(monkeypatch)
+    results = verify.run_suite("all")
+    assert [r.key for r in results] == [f"criterion-{i}" for i in range(1, 10)]
+    failed = {r.key: r for r in results if not r.passed}
+    assert set(failed) == {"criterion-4", "criterion-5"}
+    assert failed["criterion-4"].title == "quadrature oracles"
+    assert failed["criterion-4"].detail.startswith(
+        "numerical failure: QuadratureConvergenceError: tanh-sinh did not stabilize")
+    assert "deviation nan" in failed["criterion-5"].detail
+    assert cli.main(["verify", "--suite", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert "first failing criterion: criterion-4" in err
+    assert out.count("[FAIL]") == 2 and out.count("[PASS]") == 7
+
+
+@pytest.mark.parametrize("error", [HaarRangeError, CoefficientDomainError])
+def test_each_numerical_error_class_fails_its_criterion(monkeypatch, error):
+    def broken(family=None):
+        raise error("boom")
+
+    monkeypatch.setitem(verify.SUITES, "appendix", [broken])
+    monkeypatch.setattr(verify, "CRITERIA", [*verify.CRITERIA[:7], broken, verify.CRITERIA[8]])
+    [result] = verify.run_suite("appendix")
+    assert result.key == "criterion-8" and result.title == "reweighted-partner identities"
+    assert result.passed is False
+    assert result.detail == f"numerical failure: {error.__name__}: boom"

@@ -7,6 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyplab import measures
+from hyplab.families import make_family
+
 from hyplab.appendixcheck import (
     _kernel_residuals,
     chebyshev_partner_residual,
@@ -99,6 +102,53 @@ def test_monic_rows_type_generic():
 @pytest.mark.parametrize("a,b", [(2, 5), (5, 5), (8, 5), (3, 8)])
 def test_mustar_orthogonality(a, b):
     assert mustar_orthogonality(a, b, N=8) < 1e-7
+
+
+def _poly_eval(coeffs, x):
+    out = np.zeros_like(x, dtype=float)
+    for c in reversed(list(coeffs)):
+        out = out * x + float(c)
+    return out
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 8])
+@pytest.mark.parametrize("a,b", [(2, 5), (5, 5), (8, 5)])
+def test_mustar_pairs_equal_one_inner_product_each(a, b, N, monkeypatch):
+    # the pairs are integrated in one inner_products pass; each integral is
+    # bitwise the inner_product of its own integrand, in the pair loop
+    # mustar_orthogonality ran before
+    from test_measures import reference_inner_product
+
+    seen = []
+    inner_products = measures.inner_products
+
+    def recording(spec, f):
+        seen.append(inner_products(spec, f))
+        return seen[-1]
+
+    monkeypatch.setattr(measures, "inner_products", recording)
+    worst = mustar_orthogonality(a, b, N)
+    km = make_family("km", alpha=a, beta=b)
+    spec, a1 = measures.measure_of(km), km.a(1)
+    rows = [np.array([float(c) for c in row]) for row in
+            monic_rows(lambda k: tilde_monic_lambda(a, b, k), N)]
+    want, loop_worst = [], 0.0
+    for m in range(N + 1):
+        for n in range(m + 1, N + 1):
+            if (m + n) % 2 == 1:
+                continue
+            val = reference_inner_product(
+                spec,
+                lambda x, rm=rows[m], rn=rows[n]: (
+                    _poly_eval(rm, x) * _poly_eval(rn, x) * (1.0 - x * x) / a1
+                ),
+            )
+            want.append(val)
+            loop_worst = max(loop_worst, abs(val))
+    assert len(seen) == 1
+    assert [v.hex() for v in seen[0]] == [v.hex() for v in want]
+    assert worst.hex() == loop_worst.hex()
+    assert len(want) == {0: 0, 1: 0, 2: 1, 8: 16}[N]
 
 
 def test_chebyshev_partner_is_exact():

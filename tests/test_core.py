@@ -60,6 +60,22 @@ class TestDomains:
         with pytest.raises(IndexError):
             seq.c(0)
 
+    def test_bad_degree_is_named(self):
+        # a float degree once ended in a list-index TypeError, and a(0.0)
+        # returned 1.0; an integer of any type is a degree
+        seq = make_family("cheb1")
+        for read, bad in ((seq.c, 1.5), (seq.a, 1.5), (seq.c, 2.0), (seq.a, 0.0),
+                          (seq.c, "2"), (seq.c, None), (seq.c, 0.5)):
+            with pytest.raises(TypeError, match=rf"^n must be an integer, got {bad!r}$"):
+                read(bad)
+        seq.c(3)  # cached reads of bad degrees are refused as well
+        for bad in (1.0, 2.0, np.float64(1.0)):
+            with pytest.raises(TypeError, match=r"^n must be an integer, got "):
+                seq.c(bad)
+        assert seq.c(np.int64(2)) == seq.c(2) and seq.a(np.uint8(0)) == 1.0
+        with pytest.raises(IndexError):
+            seq.c(-1)
+
     def test_arrays_match_scalars(self):
         seq = make_family("gencheb", alpha=0.5, beta=1.5)
         cs = seq.c_array(20)

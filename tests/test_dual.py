@@ -367,8 +367,10 @@ def test_profile_folds_real_points_by_magnitude(N, monkeypatch):
     assert np.array_equal(got_max, want_max, equal_nan=True)
     assert np.array_equal(got_dvg, want_dvg)
 
+    # |x| = 1 keeps its starting values without being iterated
     iterated = np.concatenate(seen)
-    assert np.array_equal(iterated, np.unique(np.abs(xs)), equal_nan=True)
+    magnitudes = np.unique(np.abs(xs))
+    assert np.array_equal(iterated, magnitudes[magnitudes != 1.0], equal_nan=True)
     assert iterated.size == np.unique(iterated).size  # each |x| once
     assert iterated.size < xs.size
 
@@ -412,6 +414,79 @@ def test_batched_profile_rows_equal_single_profiles(N, threshold):
                              (ref_max, ref_dvg)):
                     assert np.array_equal(got_max[f], m, equal_nan=True), (name, f)
                     assert np.array_equal(got_dvg[f], d), (name, f)
+
+
+def unit_magnitude_inputs():
+    # +-1 among points inside and beyond them, so that 1.0 sits inside the
+    # sorted magnitudes; -0.0, duplicates and the neighbours of 1.0 as well
+    return {
+        "band grid": np.linspace(-1.0, 1.0, 2001),
+        "beyond": np.concatenate(([1.0, -1.0, np.nextafter(1.0, 2.0),
+                                   np.nextafter(1.0, 0.0), -0.0, 1.0],
+                                  np.linspace(-1.5, 1.5, 601))),
+        "only one": np.array([-1.0, 1.0]),
+        "2-D": np.linspace(-1.5, 1.5, 601)[1:].reshape(20, 30),
+    }
+
+
+@pytest.mark.parametrize("threshold", [DIVERGE_THRESHOLD, 1.0 + dual.MEMBER_TOL],
+                         ids=["diverge", "band"])
+@pytest.mark.parametrize("N", [0, 1, 2, 400])
+def test_unit_magnitude_is_not_iterated(N, threshold, monkeypatch):
+    # |x| = 1 keeps max_abs 1.0 and diverged_at 0 without entering the
+    # kernel, for one family and for several, bitwise the unblocked oracle
+    seqs = [make_family(tag, **params) for tag, params in ORACLE_FAMILIES]
+    block = dual._profile_block
+    seen = []
+
+    def recording_block(z, *args):
+        seen.append(z.copy())
+        return block(z, *args)
+
+    monkeypatch.setattr(dual, "_profile_block", recording_block)
+    for name, zs in unit_magnitude_inputs().items():
+        seen.clear()
+        got_max, got_dvg = dual._profile(seqs, zs, N, threshold)
+        assert not any(np.any(z == 1.0) for z in seen), name
+        for f, seq in enumerate(seqs):
+            want_max, want_dvg = reference_profile(seq, zs, N, threshold)
+            one_max, one_dvg = dual._profile(seq, zs, N, threshold)
+            for m, d in ((got_max[f], got_dvg[f]), (one_max, one_dvg)):
+                assert np.array_equal(m, want_max), (name, f)
+                assert np.array_equal(d, want_dvg), (name, f)
+            assert np.all(want_max[np.abs(zs) == 1.0] == 1.0)
+
+
+def test_unit_magnitude_is_iterated_under_a_non_finite_step():
+    # a NaN coefficient gives a NaN 1/a(n), which reaches P_n(1) as well;
+    # then |x| = 1 runs through the kernel like every other point
+    seq = make_family("modkm", alpha=2.0, beta=5.0)
+    inv_a = seq.inv_a_array
+
+    def with_nan(nmax):
+        out = inv_a(nmax)
+        out[7] = np.nan
+        return out
+
+    seq.inv_a_array = with_nan
+    xs = np.array([-1.0, 0.5, 1.0])
+    with np.errstate(invalid="ignore"):
+        got = dual._profile(seq, xs, 40, DIVERGE_THRESHOLD)
+        want = reference_profile(seq, xs, 40, DIVERGE_THRESHOLD)
+    assert np.isnan(got[0][[0, 2]]).all()
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
+
+
+def test_convex_band_profile_leaves_only_unit_magnitude_uncrossed():
+    # +-1 are convex's only members on the band grid, so with them out of
+    # the kernel every iterated point crosses, by degree 32, and the kernel
+    # returns long before N = 400
+    seq = make_family("convex", eps=0.5)
+    xs = dual.estimate_grid(1e-3)
+    _, dvg = dual._profile(seq, xs, 400, 1.0 + dual.MEMBER_TOL)
+    assert np.array_equal(np.flatnonzero(dvg == 0), np.flatnonzero(np.abs(xs) == 1.0))
+    assert dvg.max() <= 32
 
 
 def test_batched_profile_holds_entries_of_live_points():

@@ -469,6 +469,32 @@ def test_unchecked_nonpositive_q1_still_raises():
         spec.haar(9)
 
 
+def test_sign_only_columns_keep_the_guards_and_their_messages():
+    # c and 1/a carry only the sign of Pi_k; their guards still raise as the
+    # h column's, with the exact Q_{k+1}(1) or lambda_k named
+    spec = ConvexSeqSpec(geometric_sequence(0.5, 1.5))
+    spec._s_cache.extend((3**k, -(k + 1)) for k in range(12))
+    for read in (spec.c, spec.inv_a, spec.haar):
+        with pytest.raises(FamilyParameterError, match=r"Q_2\(1\) = -4.0 is not positive"):
+            read(2)
+    # s_1 = s_2 makes lambda_1 = 0
+    spec = ConvexSeqSpec(geometric_sequence(0.5, 0.5))
+    spec._s_cache.extend([(1, -1), (1, -2), (1, -2), (1, -3)])
+    for read in (spec.c, spec.inv_a, spec.haar):
+        with pytest.raises(ZeroDivisionError, match=r"lambda_1 = 0$"):
+            read(3)
+
+
+def test_only_the_haar_column_carries_pi():
+    # Pi_n's mantissa grows by tens of bits per degree; the c and 1/a columns
+    # hold its sign only, and their floats are those of the Fraction oracle
+    spec = convex_spec(0.5)
+    spec.c(400), spec.inv_a(400), spec.haar(300)
+    assert spec._c._state[3] == spec._inv_a._state[3] == 1
+    pi = spec._haar._state[3]
+    assert pi[0] > 0 and pi[0].bit_length() > 10_000
+
+
 def test_convex_inv_a_past_float_range_names_first_degree():
     # 1/a(n) of the default convex family first leaves float range at
     # n = 2047; a read far past it names that degree, twice

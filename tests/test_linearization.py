@@ -402,6 +402,8 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
     (lambda seq, d: np.concatenate([np.array(row, dtype=float)
                                     for row in monic_rows(lambda k: 0.25, d)]), "nmax"),
     (lambda seq, d: np.float64(appendixcheck.mustar_orthogonality(2, 5, d)), "N"),
+    (lambda seq, d: np.float64(appendixcheck.km_monic_lambda(2, 5, d)), "n"),
+    (lambda seq, d: np.float64(appendixcheck.tilde_monic_lambda(2, 5, d)), "n"),
     (lambda seq, d: dual.max_abs_profile(seq, [0.5, 0.99], d), "N"),
     (lambda seq, d: dual.dual_estimate(seq, d, 0.1).member_mask, "N"),
     (lambda seq, d: dual.dual_estimates([seq, seq], d, 0.1)[1].member_mask, "N"),
@@ -413,8 +415,8 @@ def test_band_engine_matches_block_oracle_on_non_finite_rows():
         "connection_nonneg", "basis_gram", "triple_products", "spectrum_atoms",
         "kernel_identity_residual", "kernel_identity_residuals",
         "chebyshev_partner_residual", "closed_form_haar", "monic_coeffs", "monic_rows",
-        "mustar_orthogonality", "max_abs_profile", "dual_estimate", "dual_estimates",
-        "divergence_classify", "complex_scan", "km_special_closed_forms"])
+        "mustar_orthogonality", "km_monic_lambda", "tilde_monic_lambda",
+        "max_abs_profile", "dual_estimate", "dual_estimates", "divergence_classify", "complex_scan", "km_special_closed_forms"])
 def test_degrees_are_plain_integers(call, name):
     # any integer type is a degree, and the results hold plain Python values;
     # anything else is refused by the argument's name, and so is a negative
@@ -449,6 +451,14 @@ def test_bad_degrees_that_had_a_silent_answer_are_refused():
         check_nlps([], -1)
     with pytest.raises(TypeError, match=r"^n must be an integer, got 1.5$"):
         closed_form_haar(make_family("cheb1"), 1.5)
+    # these returned Fraction(2, 5), the weights of n = 2 and n = 1
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 2.5$"):
+        appendixcheck.km_monic_lambda(2, 5, 2.5)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 1.0$"):
+        appendixcheck.tilde_monic_lambda(2, 5, 1.0)
+    for lam in (appendixcheck.km_monic_lambda, appendixcheck.tilde_monic_lambda):
+        with pytest.raises(ValueError, match=r"^monic weights start at n = 1$"):
+            lam(2, 5, 0)
 
 
 def test_numpy_reduceat_after_a_zero_is_the_exact_length_reduce():

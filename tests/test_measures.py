@@ -20,9 +20,13 @@ from hyplab.core import (
 from hyplab.families import UnsupportedFamilyError, make_family
 from hyplab.linearization import LinearizationTable
 from hyplab.measures import (
+    QUAD_TOL,
     TRIPLE_QUAD_TOL,
+    DensityPiece,
+    MeasureSpec,
     basis_gram,
     inner_product,
+    inner_products,
     integrate_positive,
     measure_mass,
     measure_of,
@@ -31,7 +35,7 @@ from hyplab.measures import (
     spectrum_atoms,
     triple_products,
 )
-from hyplab.quadrature import default_rule
+from hyplab.quadrature import QuadratureConvergenceError, default_rule
 
 FULL = [
     ("cheb1", {}),
@@ -384,3 +388,69 @@ def test_gram_matches_direct_quadrature(family, measure):
 
     direct = inner_product(spec, p22)
     assert G[2, 2] == pytest.approx(direct, rel=1e-10)
+
+
+# --- several integrands in one pass -----------------------------------------
+
+def reference_inner_product(spec, f):
+    """The one-integrand quadrature inner_product ran before inner_products
+    existed, through integrate_positive; kept as a bitwise oracle."""
+    def vals(x):
+        return np.asarray(f(x), dtype=float)
+
+    ac = integrate_positive(spec, lambda x, lo, hi: vals(x) + vals(-x), tol=QUAD_TOL)
+    at = sum(m * float(vals(np.array([t]))[0]) for t, m in spec.atoms)
+    return ac + at
+
+
+ROW_FUNCTIONS = [
+    lambda x: np.ones_like(x),
+    lambda x: x**2,
+    lambda x: 1e6 * x**4,
+    lambda x: np.cos(7.0 * x),
+    lambda x: np.exp(x) * np.sqrt(np.abs(x)),
+    lambda x: np.zeros_like(x),
+    lambda x: x**3 - 0.2 * x,
+    lambda x: np.cos(60.0 * x) / (1.0 + x * x),
+]
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("km", {"alpha": 8.0, "beta": 5.0}),  # with an atom at 0
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("cheb1", {}),
+])
+def test_inner_products_rows_equal_one_row_quadratures(tag, params):
+    # every row stops at its own level and adds its own atoms, so each value
+    # is bitwise the one-row quadrature, in any company
+    spec = measure_of(make_family(tag, **params))
+    want = [reference_inner_product(spec, f) for f in ROW_FUNCTIONS]
+    got = inner_products(spec, lambda x: np.array([f(x) for f in ROW_FUNCTIONS]))
+    assert [type(v) for v in got] == [float] * len(want)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [inner_product(spec, f).hex() for f in ROW_FUNCTIONS] == [v.hex() for v in want]
+    assert inner_products(spec, lambda x: np.empty((0, x.size))) == []
+
+
+def test_inner_products_rows_stop_at_different_levels():
+    # the rows above must not all stop together, or a joint stopping rule
+    # would pass the test as well
+    spec = measure_of(make_family("km", alpha=8.0, beta=5.0))
+    last = [max(levels_read(lambda f=f: inner_product(spec, f))[1]) for f in ROW_FUNCTIONS]
+    assert len(set(last)) > 1
+
+
+def test_inner_products_keep_the_quadrature_errors():
+    spec = measure_of(make_family("km", alpha=8.0, beta=5.0))
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"^tanh-sinh did not stabilize to 1e-11 on \(0.102102, 0.734558\)"):
+        inner_products(spec, lambda x: np.array([np.ones_like(x), np.cos(1e5 * x)]))
+    # twenty pieces of 1e307 each: each is finite, their sum is not
+    spec = MeasureSpec("full", [
+        DensityPiece(k / 20, (k + 1) / 20, lambda x, lo, hi: np.full_like(x, 1e308))
+        for k in range(20)])
+    with np.errstate(over="ignore"):
+        with pytest.raises(QuadratureConvergenceError, match=r"^non-finite quadrature result$"):
+            inner_products(spec, lambda x: np.array([1e-300 * np.ones_like(x), np.ones_like(x)]))
+    with pytest.raises(UnsupportedFamilyError):
+        inner_products(MeasureSpec("atoms_unknown"), lambda x: np.array([x]))

@@ -17,21 +17,48 @@ MODULES = [
 ]
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported only inside the functions that need it, which keeps
-    # it out of the start-up cost of every command
+def _source_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(hyplab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
+    return env
+
+
+def _scipy_after(modules: str) -> str:
+    """The scipy* entries of sys.modules after a fresh process imports
+    ``modules``."""
+    return subprocess.run(
         [sys.executable, "-c",
-         "import sys, hyplab; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True,
+         f"import sys, {modules}; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy')))"],
+        env=_source_env(), capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only inside the two functions that need it
+    # (scipy.linalg alone costs about 27 MB of resident memory), which keeps
+    # it out of the start-up cost of every command
+    assert _scipy_after("hyplab") == "[]"
+
+
+def test_importing_every_module_leaves_scipy_unloaded():
+    assert _scipy_after(", ".join(f"hyplab.{m}" for m in MODULES)) == "[]"
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyplab", "verify", "--suite", "appendix"],
+        env=_source_env(), capture_output=True, text=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[PASS] criterion-8 ")
+    proc = subprocess.run([sys.executable, "-m", "hyplab", "verify", "--suite", "none"],
+                          env=_source_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -238,6 +265,7 @@ def test_every_default_is_set_by_some_caller():
 # its own; a name leaves the list when it gains a reader or is deleted
 UNREAD_ALLOWED = {
     "monic_coeffs": "the monic sigma_n of the paper's appendix, as coefficients",
+    "inner_product": "one integral against a measure, inner_products' k = 1 case",
     "linearize": "one row g(m, n; .) without a table, the product formula",
     "h1_lt_2_region": "the paper's region of (alpha, beta) where h(1) < 2",
     "haar_term_estimate": "the paper's quadratic that keeps each Haar factor >= 1",

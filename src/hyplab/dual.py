@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CoeffSequence, _degree
+from .core import CoeffSequence, CoefficientDomainError, _degree
 
 __all__ = [
     "DIVERGE_THRESHOLD",
@@ -45,6 +45,8 @@ DIVERGE_THRESHOLD = 1e6
 MEMBER_TOL = 1e-9
 _COMPRESS_EVERY = 16
 _BLOCK = 16384
+#: 1/a(n) for n below this is read before the profile kernel's first step
+_FIRST_READ = 64
 #: The largest grid a dual estimate or a complex scan builds (16 MB of
 #: float64); ``report --grid-step 1e-6`` reaches it.
 _MAX_GRID_POINTS = 2_000_001
@@ -87,7 +89,15 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     there and P_n(1) = 1 exactly for every n, so under a threshold >= 1
     its result is max_abs 1.0 with diverged_at 0, the values it starts
     with.  For ``convex``, whose members are only +-1, the kernel then
-    stops once every other point has crossed.
+    stops once every other point has crossed.  The skip is decided on the
+    first chunk of 1/a(n) (see below); a non-finite 1/a(n) in a later
+    chunk then raises :class:`CoefficientDomainError` naming n.
+
+    1/a(n) is read as the kernel reaches it (:class:`_Steps`): n < 64
+    before the first step, then in chunks that double the prefix, up to
+    N.  A call therefore raises a column's error, such as the convex
+    backbone's float-range error, only when it iterates a degree that
+    raises it, not when it is merely asked for a larger N.
 
     The iterated points run in blocks of ``_BLOCK // F`` so that the
     working arrays stay in cache.  Blocking and batching are exact: each
@@ -106,14 +116,13 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
     fold = None
     if not np.iscomplexobj(z):
         z, fold = np.unique(np.abs(z), return_inverse=True)
-    inv_a = np.empty((len(seqs), max(N, 1)))
-    for row, seq in zip(inv_a, seqs):
-        row[:] = seq.inv_a_array(N - 1 if N > 0 else 0)
+    reader = _Steps(seqs, N)
     unit = None  # where |x| = 1 sits, when it is not iterated
-    if fold is not None and threshold >= 1.0 and np.isfinite(inv_a).all():
+    if fold is not None and threshold >= 1.0 and np.isfinite(reader.steps).all():
         k = int(np.searchsorted(z, 1.0))  # z is sorted and may pass 1
         if k < z.size and z[k] == 1.0:
             unit, z = k, np.concatenate((z[:k], z[k + 1:]))
+            reader.finite = True
     out = np.empty((len(seqs), z.size + (unit is not None)))
     out[:, :z.size] = np.maximum(1.0, np.abs(z))
     dvg = np.zeros(out.shape, dtype=np.int32)
@@ -121,7 +130,7 @@ def _profile(seqs, zs: np.ndarray, N: int, threshold: float):
         width = max(_BLOCK // len(seqs), 1)
         for start in range(0, z.size, width):
             stop = min(start + width, z.size)
-            _profile_block(z[start:stop], inv_a, N, threshold,
+            _profile_block(z[start:stop], reader, N, threshold,
                            out[:, start:stop], dvg[:, start:stop])
     if unit is not None:  # the points past 1 move up; 1 keeps the values it starts with
         out[:, unit + 1:], dvg[:, unit + 1:] = out[:, unit:-1], dvg[:, unit:-1]
@@ -141,17 +150,61 @@ def _empty(shape, dtype=float) -> np.ndarray:
     return buf[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def _profile_block(z, inv_a, N, threshold, out, dvg):
+class _Steps:
+    """1/a(n) of the F families of one ``_profile`` call, read as its
+    kernel reaches them and shared by all its blocks.
+
+    ``steps`` holds the prefix 1/a(0..K-1) of every family in the
+    kernel's layout: 1-D for one family, so that ``steps[n]`` is a scalar,
+    and (K, F, 1) for several, so that it is an (F, 1) column, built once
+    per chunk.  The first chunk covers
+    n < min(N, _FIRST_READ); :meth:`reach` doubles the prefix, up to N.  A
+    read-ahead that raises falls back to reading only through the degree
+    the kernel needs, which raises only if that degree does.  With
+    ``finite`` set, a chunk holding a non-finite 1/a(n) raises
+    :class:`CoefficientDomainError` naming n.
+    """
+
+    def __init__(self, seqs: list, N: int):
+        self._seqs, self._N = seqs, N
+        self._ahead = True
+        self.finite = False
+        self._read(min(max(N, 1), _FIRST_READ))
+
+    def _read(self, size: int) -> None:
+        inv_a = np.empty((len(self._seqs), size))
+        for row, seq in zip(inv_a, self._seqs):
+            row[:] = seq.inv_a_array(size - 1)
+        if self.finite and not np.isfinite(inv_a).all():
+            f, n = np.argwhere(~np.isfinite(inv_a.T))[0][::-1]
+            raise CoefficientDomainError(
+                f"1/a({n}) = {float(inv_a[f, n])!r} is not finite for family "
+                f"{self._seqs[f].family_tag!r}")
+        self.steps = inv_a[0] if len(inv_a) == 1 else np.ascontiguousarray(inv_a.T)[:, :, None]
+
+    def reach(self, n: int):
+        """``steps`` extended to cover degree n, the first one not read."""
+        if self._ahead:
+            try:
+                self._read(min(2 * n, self._N))
+                return self.steps
+            except (ArithmeticError, ValueError):
+                self._ahead = False
+        self._read(n + 1)
+        return self.steps
+
+
+def _profile_block(z, reader, N, threshold, out, dvg):
     """Run the frozen recurrence on one block of points for every family,
-    writing into the (F, points) arrays out and dvg.
+    writing into the (F, points) arrays out and dvg; 1/a(n) comes from the
+    call's :class:`_Steps` ``reader``.
 
     The live state is (F, live points), or 1-D for one family; ``a.T``
     puts the point axis first in either shape, so ``a.T[i]`` indexes points.
     """
-    if len(inv_a) == 1:  # one family: 1-D arrays and a scalar 1/a(n)
-        out, dvg, steps = out[0], dvg[0], inv_a[0]
-    else:  # 1/a(n) as an (F, 1) column
-        steps = np.ascontiguousarray(inv_a.T)[:, :, None]
+    if len(out) == 1:  # one family: 1-D arrays and a scalar 1/a(n)
+        out, dvg = out[0], dvg[0]
+    steps = reader.steps
     idx = np.arange(z.size)
     d = dvg.copy()  # diverged_at of the live points idx
     m, zs, p_prev, p_cur, p_next, r = (
@@ -162,6 +215,8 @@ def _profile_block(z, inv_a, N, threshold, out, dvg):
     z = zs
     pending = False
     for n in range(1, N):
+        if n == len(steps):
+            steps = reader.reach(n)
         np.multiply(z, p_cur, out=p_next)
         p_next -= p_prev
         p_next *= steps[n]
@@ -343,8 +398,11 @@ def exclusion_intervals(eps: float) -> tuple:
 def divergence_classify(seq: CoeffSequence, x: float, N: int = 2000) -> str:
     """One-point verdict: 'member_evidence' (max |P_n(x)| <= 1 + MEMBER_TOL
     for n <= N), 'nonmember_diverged', or 'undecided' (bounded at degree N
-    but above the membership band)."""
-    prof, dvg = _profile(seq, np.array([float(x)]), N, DIVERGE_THRESHOLD)
+    but above the membership band).  A non-finite x raises ``ValueError``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    prof, dvg = _profile(seq, np.array([x]), N, DIVERGE_THRESHOLD)
     if dvg[0] > 0:
         return "nonmember_diverged"
     if prof[0] <= 1.0 + MEMBER_TOL:

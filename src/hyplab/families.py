@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -254,7 +255,8 @@ class ConvexSeqSpec:
     def _s_at(self, k: int) -> tuple:
         while len(self._s_cache) <= k:
             j = len(self._s_cache)
-            num, den = Fraction(self.s(j)).as_integer_ratio()
+            value = self.s(j)
+            num, den = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
             if den & (den - 1):
                 raise FamilyParameterError(
                     f"convex sequence must be dyadic (floats); s({j}) = "
@@ -288,6 +290,11 @@ class ConvexSeqSpec:
                     )
             self._s_cache.append(val)
         return self._s_cache[k]
+
+    def _s_floats(self, k: int) -> np.ndarray:
+        """s_0 .. s_k as floats, each validated as :meth:`lam` validates it."""
+        self._s_at(k)
+        return np.array([math.ldexp(m, e) for m, e in self._s_cache[: k + 1]])
 
     @staticmethod
     def _underflow(j: int, val: tuple, check: str) -> CoefficientDomainError:
@@ -332,9 +339,9 @@ class ConvexSeqSpec:
 
 
 class _ConvexSequence(CoeffSequence):
-    """The ``convex`` family: 1/a(n) and alpha(n) = lambda_{n-1} come from
-    the exact backbone, since 1 - c(n) of the float c(n) loses all
-    precision once c(n) nears 1.  Each is rounded once and kept.
+    """The ``convex`` family: 1/a(n) and alpha(n) = lambda_{n-1} do not come
+    from the float c(n), since 1 - c(n) loses all precision once c(n) nears
+    1.  1/a(n) comes from the exact backbone, rounded once and kept.
     :meth:`haar` serves the backbone's h(n)."""
 
     def __init__(self, params: dict, spec: ConvexSeqSpec, description: str):
@@ -344,7 +351,7 @@ class _ConvexSequence(CoeffSequence):
         )
         self._spec = spec
         self._inv_a = [1.0]
-        self._alpha = [math.nan]
+        self._alpha = np.array([math.nan])
 
     def inv_a_array(self, nmax: int) -> np.ndarray:
         while len(self._inv_a) <= nmax:
@@ -352,9 +359,21 @@ class _ConvexSequence(CoeffSequence):
         return np.array(self._inv_a[: nmax + 1])
 
     def alpha_array(self, nmax: int) -> np.ndarray:
-        while len(self._alpha) <= nmax:
-            self._alpha.append(self._spec.lam(len(self._alpha) - 1))
-        return np.array(self._alpha[: nmax + 1])
+        """lambda_{2k} = 1 - s_k and lambda_{2k-1} = s_k - s_{k+1} as float
+        differences of the validated s_k, in one array pass.  The s_k are
+        floats, and IEEE subtraction rounds the exact difference correctly,
+        so each value is bitwise :meth:`ConvexSeqSpec.lam`."""
+        if len(self._alpha) <= nmax:
+            # lambda_0 .. lambda_{nmax-1} read s_0 .. s_{nmax//2 + 1} (only s_0
+            # for nmax = 1), validated in order, so a bad s_j raises as a read
+            # of each lambda_n in turn would
+            s = self._spec._s_floats(nmax // 2 + 1 if nmax > 1 else 0)
+            lam = np.empty(nmax + 1)
+            lam[0] = math.nan
+            lam[1::2] = 1.0 - s[: (nmax + 1) // 2]
+            lam[2::2] = s[1: nmax // 2 + 1] - s[2: nmax // 2 + 2]
+            self._alpha = lam
+        return self._alpha[: nmax + 1].copy()
 
     def haar(self, n: int) -> float:
         """h(n) of the exact backbone, :meth:`ConvexSeqSpec.haar`."""
@@ -641,9 +660,10 @@ def make_family(tag: str, /, **params) -> CoeffSequence:
     """Build a named coefficient sequence.
 
     ``params`` are the family's own parameters, the arguments of its
-    builder; any other key raises :class:`FamilyParameterError`, before
-    the builder checks the values against the family's domain.  The
-    coefficient-domain check c(n) in (0, 1) applies lazily.
+    builder; any other key raises :class:`FamilyParameterError`, and so
+    does a real value that is not finite, before the builder checks the
+    values against the family's domain.  The coefficient-domain check
+    c(n) in (0, 1) applies lazily.
     """
     tag = tag.lower()
     try:
@@ -658,6 +678,10 @@ def make_family(tag: str, /, **params) -> CoeffSequence:
     for name in needed:
         if name not in params:
             raise FamilyParameterError(f"{tag} family needs {name}=")
+    for name, value in params.items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise FamilyParameterError(
+                f"{tag} parameter {name} must be finite, got {float(value)!r}")
     return build(**params)
 
 

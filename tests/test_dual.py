@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hyplab import appendixcheck, cli, dual, verify
+from hyplab import appendixcheck, cli, dual, families, verify
 from hyplab.core import CoefficientDomainError
 from hyplab.dual import (
     DIVERGE_THRESHOLD,
@@ -182,9 +182,9 @@ def test_divergence_classify_three_verdicts():
 
 
 def test_divergence_classify_convex_at_default_degree():
-    # _profile builds 1/a(n) for every n < N = 2000 from the exact backbone
-    # before it iterates; that takes about 1.5 s on a 2-core Xeon, where a
-    # backbone that reduced Fractions by gcd at every step took minutes
+    # _profile reads 1/a(n) from the exact backbone only as far as its kernel
+    # iterates: 0.9 crosses at degree 32, so n < 64 of N = 2000 are built,
+    # in about 1 ms on a 2-core Xeon
     seq = make_family("convex", eps=0.5)
     t0 = time.perf_counter()
     assert divergence_classify(seq, 0.9) == "nonmember_diverged"
@@ -193,11 +193,51 @@ def test_divergence_classify_convex_at_default_degree():
 
 def test_divergence_classify_convex_past_float_range_names_n():
     # 1/a(n) of the default convex family first leaves float range at
-    # n = 2047; the profile to N = 3000 stops there with a named error
+    # n = 2047, but 0.9 crosses at degree 32, so N = 3000 gives the verdict;
+    # a profile that does iterate past 2046 stops there with a named error
     seq = make_family("convex", eps=0.5)
+    assert divergence_classify(seq, 0.9, N=3000) == "nonmember_diverged"
+    with np.errstate(all="ignore"), pytest.raises(
+            CoefficientDomainError, match=r"^1/a\(n\) exceeds float range at n = 2047$"):
+        dual._profile(seq, [0.9], 3000, np.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: divergence_classify(make_family("convex", eps=0.5), 0.9),
+    lambda: cli.build_report("convex:eps=1/2"),
+], ids=["divergence_classify", "build_report"])
+def test_convex_profiles_read_1_over_a_only_where_they_iterate(call, monkeypatch):
+    # 0.9 crosses at degree 32 of N = 2000, and the report's profiles end by
+    # degree 112 of N = 400, so each reads 1/a(n) in two chunks at most:
+    # n < 64, then n < 128
+    read = families._ConvexSequence.inv_a_array
+    nmax = []
+
+    def recording(seq, n):
+        nmax.append(n)
+        return read(seq, n)
+
+    monkeypatch.setattr(families._ConvexSequence, "inv_a_array", recording)
+    call()
+    assert nmax and max(nmax) < 128
+
+
+def test_batched_profile_reads_every_column_as_deep_as_the_deepest_point():
+    # 1/a(n) of convex(s0=1/4, q=1/16) leaves float range at n = 513; alone,
+    # 0.9 crosses early and N = 3000 ends in a verdict, but cheb1 keeps 0.9
+    # bounded, so a batch with it iterates every family past 512
+    seq = make_family("convex", s0=0.25, q=0.0625)
+    assert dual._profile(seq, [0.9], 3000, DIVERGE_THRESHOLD)[1][0] > 0
     with pytest.raises(CoefficientDomainError,
-                       match=r"^1/a\(n\) exceeds float range at n = 2047$"):
-        divergence_classify(seq, 0.9, N=3000)
+                       match=r"^1/a\(n\) exceeds float range at n = 513$"):
+        dual._profile([seq, make_family("cheb1")], [0.9], 3000, DIVERGE_THRESHOLD)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_divergence_classify_refuses_a_non_finite_point(x):
+    seq = make_family("modkm", alpha=2.0, beta=5.0)
+    with pytest.raises(ValueError, match=rf"^x must be finite, got {x!r}$"):
+        divergence_classify(seq, x)
 
 
 class TestComplexScan:
@@ -396,10 +436,12 @@ def batch_inputs():
 
 @pytest.mark.parametrize("threshold", [DIVERGE_THRESHOLD, 1.0 + dual.MEMBER_TOL],
                          ids=["diverge", "band"])
-@pytest.mark.parametrize("N", [0, 1, 2, 16, 17, 400])
+@pytest.mark.parametrize("N", [0, 1, 2, 16, 17, 63, 64, 65, 400])
 def test_batched_profile_rows_equal_single_profiles(N, threshold):
     # each family's row of one batched pass is bitwise its own profile, and
-    # that of the unblocked oracle, at frozen points, NaN and +-inf included
+    # that of the unblocked oracle, at frozen points, NaN and +-inf included;
+    # N = 63, 64, 65 and 400 put the last degree on either side of the edges
+    # of the chunks in which 1/a(n) is read
     seqs = [make_family(tag, **params) for tag, params in ORACLE_FAMILIES]
     with np.errstate(invalid="ignore", over="ignore"):
         for name, zs in batch_inputs().items():
@@ -476,6 +518,38 @@ def test_unit_magnitude_is_iterated_under_a_non_finite_step():
     assert np.isnan(got[0][[0, 2]]).all()
     assert np.array_equal(got[0], want[0], equal_nan=True)
     assert np.array_equal(got[1], want[1])
+
+
+def with_nan_step(seq, n):
+    """Make ``seq.inv_a_array`` return NaN at 1/a(n), as no validated
+    column does."""
+    inv_a = seq.inv_a_array
+
+    def with_nan(nmax):
+        out = inv_a(nmax)
+        if nmax >= n:
+            out[n] = np.nan
+        return out
+
+    seq.inv_a_array = with_nan
+    return seq
+
+
+def test_non_finite_step_past_the_first_chunk_is_named():
+    # with +-1 skipped on a finite first chunk, a NaN 1/a(100) would make
+    # their profile wrong once the kernel reaches it; the call names it
+    # instead, and only when the kernel iterates that far: 0.225 crosses
+    # at degree 76, past the first chunk and before n = 100
+    seq = with_nan_step(make_family("modkm", alpha=2.0, beta=5.0), 100)
+    xs = np.array([-1.0, 0.225, 1.0])
+    got_max, got_dvg = dual._profile(seq, xs, 400, DIVERGE_THRESHOLD)
+    want_max, want_dvg = reference_profile(seq, xs[1:2], 400, DIVERGE_THRESHOLD)
+    assert np.array_equal(got_max, [1.0, want_max[0], 1.0])
+    assert np.array_equal(got_dvg, [0, 76, 0]) and want_dvg[0] == 76
+    for seqs in (seq, [make_family("cheb1"), seq]):
+        with pytest.raises(CoefficientDomainError,
+                           match=r"^1/a\(100\) = nan is not finite for family 'modkm'$"):
+            dual._profile(seqs, np.array([-1.0, 0.5, 1.0]), 400, DIVERGE_THRESHOLD)
 
 
 def test_convex_band_profile_leaves_only_unit_magnitude_uncrossed():

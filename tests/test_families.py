@@ -1,6 +1,8 @@
 """Family registry: parameter validation, closed forms, the two
 small-Haar constructions, and the exact-arithmetic convex backbone."""
 
+import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -178,6 +180,29 @@ def test_rejects_bad_parameters(tag, params):
         make_family(tag, **params)
 
 
+FLOAT_PARAMETERS = [
+    ("gencheb", {"alpha": 0.5, "beta": 0.5}),
+    ("cosh", {"a": 1.0}),
+    ("grinspun", {"c1": 0.7}),
+    ("km", {"alpha": 2.0, "beta": 5.0}),
+    ("modkm", {"alpha": 2.0, "beta": 5.0}),
+    ("convex", {"eps": 0.5, "q": 0.5}),
+    ("convex", {"s0": 0.2, "q": 0.5}),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "np-inf"])
+@pytest.mark.parametrize("tag,params", FLOAT_PARAMETERS)
+def test_rejects_non_finite_parameters(tag, params, bad):
+    # each real parameter, refused before the builder reads it: the builders'
+    # own domain checks let some through, to fail later at c(1) or c(2)
+    for name in params:
+        with pytest.raises(FamilyParameterError) as err:
+            make_family(tag, **{**params, name: bad})
+        assert str(err.value) == f"{tag} parameter {name} must be finite, got {float(bad)!r}"
+
+
 def test_unknown_tag():
     known = ("('cheb1', 'gencheb', 'cosh', 'grinspun', 'km', 'modkm', "
              "'rational25', 'convex', 'custom')")
@@ -342,8 +367,9 @@ class TestConvexExact:
 
 
 class TestConvexColumns:
-    """1/a(n) and alpha(n) = lambda_{n-1} of the convex family: each is
-    read from the backbone once per index and then kept."""
+    """1/a(n) and alpha(n) = lambda_{n-1} of the convex family: 1/a(n) is
+    read from the backbone once per index and then kept; alpha(n) reads
+    no backbone column, only the s_k, each validated once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -361,12 +387,17 @@ class TestConvexColumns:
         ("inv_a_array", "inv_a", 1), ("alpha_array", "lam", 0),
     ])
     def test_backbone_read_once_per_index(self, calls, column, method, first):
-        read = getattr(make_family("convex", eps=0.5), column)
+        seq = make_family("convex", eps=0.5)
+        read = getattr(seq, column)
         got = read(400)
-        assert calls == {"inv_a": [], "lam": [], method: list(range(first, first + 400))}
+        # alpha(n) takes float differences of the s_k: no lam(n) call
+        backbone = list(range(first, first + 400)) if method == "inv_a" else []
+        assert calls == {"inv_a": [], "lam": [], method: backbone}
         calls[method].clear()
+        validated = len(seq._spec._s_cache)
         again = read(400)
         assert calls == {"inv_a": [], "lam": []}
+        assert len(seq._spec._s_cache) == validated
         assert again.tobytes() == got.tobytes()
         spec = convex_spec(0.5)
         want = np.array([getattr(spec, method)(n) for n in range(first, first + 400)])
@@ -385,6 +416,31 @@ class TestConvexColumns:
         spec = ConvexSeqSpec(geometric_sequence(0.25, 0.0625))
         want = np.array([1.0] + [spec.inv_a(n) for n in range(1, 513)])
         assert prefix.tobytes() == want.tobytes()
+
+
+ALPHA_PAIRS = [(eps, q) for eps in (0.1, 0.3, 0.5, 0.7, 0.9) for q in (0.25, 0.5, 0.75)]
+ALPHA_PAIRS += [(0.2, 0.5), (0.8, 0.5), (0.5, 0.9)]
+
+
+@pytest.mark.parametrize("eps,q", ALPHA_PAIRS)
+def test_convex_alpha_is_the_exact_lambda(eps, q):
+    # explore's 15 (eps, q) pairs and three more: alpha(n) from float
+    # differences of the s_k is bitwise the exact lambda_{n-1}, or raises
+    # the error its first failing lambda_n raises (s_k underflows for
+    # q = 1/4 before degree 1999)
+    raised = []
+    for nmax in (1, 2, 3, 1999):
+        spec = convex_spec(eps, q)
+        try:
+            want = [math.nan] + [spec.lam(n) for n in range(nmax)]
+        except CoefficientDomainError as err:
+            raised.append(nmax)
+            with pytest.raises(CoefficientDomainError, match=f"^{re.escape(str(err))}$"):
+                make_family("convex", eps=eps, q=q).alpha_array(nmax)
+        else:
+            got = make_family("convex", eps=eps, q=q).alpha_array(nmax)
+            assert got.tobytes() == np.array(want).tobytes(), nmax
+    assert raised == ([1999] if q == 0.25 else [])
 
 
 def _fraction_lam(s, nmax):
@@ -522,6 +578,16 @@ def test_convex_underflow_is_a_degree_limit(q, j, check):
                                  rf"degree n <= {limit}$"):
             seq.alpha_array(limit + 1)
     assert np.all(np.isfinite(seq.alpha_array(limit)[1:]))
+
+
+def test_convex_alpha_reads_only_the_s_k_its_degrees_need():
+    # s_1 = 5e-324 * 0.5 underflows to 0.0, which limits the construction
+    # to degree 1: alpha(1) = lambda_0 reads s_0 alone, alpha(2) reads s_1
+    seq = make_family("convex", s0=5e-324, q=0.5)
+    assert seq.alpha_array(1).tobytes() == np.array([math.nan, 1.0]).tobytes()
+    with pytest.raises(CoefficientDomainError,
+                       match=r"s\(1\) = 0\.0 fails to stay positive, .* degree n <= 1$"):
+        seq.alpha_array(2)
 
 
 @pytest.mark.parametrize("values,match", [

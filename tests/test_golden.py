@@ -1,53 +1,56 @@
 """Byte identity of the deterministic outputs: ``verify --suite all`` in
 JSON, ``report`` in JSON and CSV for every golden instance, ``explore`` and
-the four figures, each run in-process and compared by SHA-256 with
-``benchmarks/golden.json`` (read only)."""
+the four figures, each run in-process and compared byte for byte with its
+file under ``tests/golden/`` (``make_golden.py`` writes them).  Each file's
+SHA-256 is the digest ``benchmarks/golden.json`` (read only) records."""
 
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
+from make_golden import DIGESTS, EXPLORE, FIGURES, GOLDEN_DIR, VERIFY, digests, report_file
 
 from hyplab import cli
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json").read_text()
-)
+
+def golden(name: str) -> bytes:
+    return (GOLDEN_DIR / name).read_bytes()
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run(capsys, argv) -> str:
+def run(capsys, argv) -> bytes:
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0, argv
-    return out
+    return out.encode()
+
+
+def test_golden_files_carry_the_benchmark_digests():
+    want = digests()
+    files = {p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+    assert files == set(want)
+    for name, digest in want.items():
+        assert hashlib.sha256(golden(name)).hexdigest() == digest, name
 
 
 def test_verify_all_json(capsys):
-    out = run(capsys, ["verify", "--suite", "all", "--format", "json"])
-    assert sha256(out.encode()) == GOLDEN["verify_all_json"]
+    assert run(capsys, ["verify", "--suite", "all", "--format", "json"]) == golden(VERIFY)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("spec", sorted(GOLDEN["report"]))
+@pytest.mark.parametrize("spec", sorted(DIGESTS["report"]))
 def test_report(capsys, spec, fmt):
     out = run(capsys, ["report", "--family", spec, "--format", fmt])
-    assert sha256(out.encode()) == GOLDEN["report"][spec][fmt]
+    assert out == golden(report_file(spec, fmt))
 
 
 def test_explore(capsys):
-    assert sha256(run(capsys, ["explore"]).encode()) == GOLDEN["explore_csv"]
+    assert run(capsys, ["explore"]) == golden(EXPLORE)
 
 
 def test_figures(capsys, tmp_path):
     written = {}
-    for which in ("fig1", "fig2", "fig3", "fig4"):
-        out = run(capsys, ["figure", "--figure", which, "--out", str(tmp_path)])
-        for line in out.splitlines():
-            path = Path(line)
-            written[path.name] = sha256(path.read_bytes())
-    assert written == GOLDEN["figures"]
+    for which in FIGURES:
+        for line in run(capsys, ["figure", "--figure", which, "--out", str(tmp_path)]).splitlines():
+            path = Path(line.decode())
+            written[path.name] = path.read_bytes()
+    assert written == {name: golden(f"figures/{name}") for name in DIGESTS["figures"]}
